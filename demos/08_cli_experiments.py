@@ -75,7 +75,6 @@ for cert in certs:
         print(f"  witness for {cert['name']}: {cert['witness']}")
 
 # configs/golden.json drives the same subcommand at full production scale
-# (p = 374,531); it takes a minute or two, so it is exercised by the test
-# suite rather than here.
+# (p = 374,531); it is exercised by the test suite rather than here.
 
 print("done.")

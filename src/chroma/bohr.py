@@ -9,6 +9,12 @@ than k points, every cell of Cay(F_p, A) has maximum degree at most 2(k-1)
 and a greedy pass colors it with at most 2k-1 colors, for a total bounded
 by (2k-1) * M^|Gamma| colors overall.
 
+The greedy pass visits each cell's vertices in ascending order, but it
+colors them a run at a time rather than one by one: a run of cell vertices
+spanning less than the smallest nonzero element of A u -A holds no edge,
+so each of its vertices takes the smallest color free among neighbours
+colored before the run, exactly as it would in the vertex-by-vertex pass.
+
 Everything is checked after the fact: the emitted coloring is re-validated
 against the actual adjacency, whether or not the degree bound held.
 """
@@ -200,14 +206,50 @@ def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:
     return np.unique((inv * spectrum) % p)
 
 
-def _validate_coloring(a_mask: np.ndarray, colors: np.ndarray, p: int) -> bool:
-    """Proper iff no difference of like-colored vertices lands in A u -A."""
-    conn = np.flatnonzero(a_mask | a_mask[(-np.arange(p)) % p])
-    conn = conn[conn != 0]
+def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
+    """Proper iff no difference of like-colored vertices lands in conn = A u -A."""
     for d in conn:
         if np.any(colors == np.roll(colors, -int(d))):
             return False
     return True
+
+
+# Upper bound on the entries of one run's gathered neighbour-color matrix;
+# a run is split into consecutive sub-runs of at most this many entries.
+_GATHER_ENTRIES = 1 << 20
+
+
+def _color_cell(verts: np.ndarray, conn: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """Greedy colors of one cell's ascending vertices, a run at a time.
+
+    local is scratch space that reads -1 on every vertex outside the cell,
+    before and after the call.  A run spans less than min(conn), so it holds
+    no edge and its vertices see only colors given before the run starts.
+    """
+    max_rows = max(1, _GATHER_ENTRIES // max(1, conn.size))
+    ends = np.searchsorted(verts, verts + (int(conn[0]) if conn.size else local.size))
+    used = 0
+    start = 0
+    while start < verts.size:
+        stop = min(int(ends[start]), start + max_rows)
+        blk = verts[start:stop]
+        # negative indices wrap mod p, so v - d reaches v + (p - d) = v - d mod p
+        seen = local[blk[:, None] - conn]
+        # row i of taken spans flat slots i*width .. i*width + used + 1; an
+        # uncolored neighbour (-1) lands in the spare last slot of the row
+        # before it (row 0: of the last row), which the argmin never reads,
+        # and slot `used` is never taken, so every row has a free color
+        width = used + 2
+        seen += np.arange(0, blk.size * width, width)[:, None]
+        taken = np.zeros(blk.size * width, dtype=bool)
+        taken[seen] = True
+        new = taken.reshape(blk.size, width)[:, :used + 1].argmin(axis=1)
+        local[blk] = new
+        used = max(used, int(new.max()) + 1)
+        start = stop
+    cell_colors = local[verts]
+    local[verts] = -1
+    return cell_colors
 
 
 def bohr_color(a_set: ElementSet, eq: Equation,
@@ -220,6 +262,10 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     and the total stays within (2k-1) * M^|Gamma|; when it fails the greedy
     pass still terminates with a proper coloring, only the budget claim is
     dropped.  Properness is re-validated from scratch before returning.
+    The greedy pass colors whole runs of consecutive cell vertices at once:
+    two vertices closer than the smallest nonzero element of A u -A are
+    never adjacent, so no vertex of such a run waits on another and the
+    colors equal those of the vertex-by-vertex pass.
     """
     if params is None:
         params = SpectrumParams()
@@ -267,31 +313,24 @@ def bohr_color(a_set: ElementSet, eq: Equation,
 
     order = np.argsort(cell_of, kind="stable")
     bounds = np.flatnonzero(np.diff(cell_of[order])) + 1
-    groups = np.split(order, bounds)
 
     colors = np.full(p, -1, dtype=np.int64)
+    local = np.full(p, -1, dtype=np.int64)
     next_color = 0
-    max_cell_degree = 0
-    for verts in groups:
-        cid = cell_of[verts[0]]
-        local: dict[int, int] = {}
-        used_here = 0
-        for v in verts:
-            nbrs = (v + conn) % p
-            nbrs = nbrs[cell_of[nbrs] == cid]
-            max_cell_degree = max(max_cell_degree, int(nbrs.size))
-            taken = {local[u] for u in nbrs.tolist() if u in local}
-            c = 0
-            while c in taken:
-                c += 1
-            local[int(v)] = c
-            used_here = max(used_here, c + 1)
-        for v, c in local.items():
-            colors[v] = next_color + c
-        next_color += used_here
+    for verts in np.split(order, bounds):
+        cell_colors = _color_cell(verts, conn, local)
+        colors[verts] = next_color + cell_colors
+        next_color += int(cell_colors.max()) + 1
+
+    # neighbours sharing a vertex's cell, counted one connection element at
+    # a time for all vertices at once
+    cell_degree = np.zeros(p, dtype=np.int64)
+    for d in conn:
+        cell_degree += np.roll(cell_of, -int(d)) == cell_of
+    max_cell_degree = int(cell_degree.max())
 
     budget = (2 * k - 1) * arc_count ** len(frequencies)
-    proper = _validate_coloring(a_mask, colors, p)
+    proper = _validate_coloring(colors, conn)
     report = ColoringReport(
         p=p, k=k, nu=params.nu, rho=params.rho_exact, arc_count=arc_count,
         s_index=s_index, spectrum_size=int(spectrum.size),

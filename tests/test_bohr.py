@@ -1,10 +1,12 @@
 """Large spectrum, Bohr sets, phase partition, and the cell-by-cell coloring."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chroma import bohr as bohr_module
 from chroma.bohr import (
     SpectrumParams,
     bohr_color,
@@ -14,9 +16,10 @@ from chroma.bohr import (
     phase_partition,
     rho_from_supersaturation,
 )
-from chroma.constructions import transfer_config
-from chroma.equations import Equation
+from chroma.constructions import golden_config, transfer_config
+from chroma.equations import Equation, first_zero_sum_subset
 from chroma.groups import ElementSet, make_group
+from chroma.primes import is_prime
 from conftest import oracle_dft, oracle_proper, oracle_torus_distance
 
 
@@ -327,6 +330,112 @@ def test_color_pullback_index_selection():
         bohr_color(a, eq, SpectrumParams(s_index=5))
     with pytest.raises(ValueError):  # chosen coefficient vanishes mod p
         bohr_color(a, Equation([11, -11, 1]), SpectrumParams(s_index=0))
+
+
+def oracle_bohr_color(a_set, eq, params):
+    """bohr_color's pipeline with a plain-Python, one-vertex-at-a-time greedy.
+
+    Only the large spectrum comes from the library; the Bohr set, the
+    cells, the greedy pass and the properness check are dict/set code.
+    """
+    p = a_set.group.moduli[0]
+    members = a_set.indices().tolist()
+    s_index = params.s_index
+    if s_index is None:
+        s_index = first_zero_sum_subset(eq, min_size=3)[0]
+    inv = pow(eq.coeffs[s_index] % p, -1, p)
+    spectrum = large_spectrum(a_set, params.nu).tolist()
+    freqs = sorted({inv * x % p for x in spectrum}) or [0]
+    rho, arcs = params.rho_exact, params.arc_count
+    bohr = {
+        x for x in range(p)
+        if all(min(xi * x % p, -xi * x % p) * rho.denominator <= rho.numerator * p
+               for xi in freqs)
+    }
+    in_bohr = bohr & set(members)
+    rows = [tuple(arcs * (xi * u % p) // p for xi in freqs) for u in range(p)]
+    label = {row: i for i, row in enumerate(sorted(set(rows)))}
+    cell_of = [label[row] for row in rows]
+    conn = sorted(({x % p for x in members} | {-x % p for x in members}) - {0})
+
+    colors = [-1] * p
+    next_color = 0
+    max_cell_degree = 0
+    for cid in range(len(label)):
+        local = {}
+        for v in range(p):
+            if cell_of[v] != cid:
+                continue
+            nbrs = [(v + d) % p for d in conn if cell_of[(v + d) % p] == cid]
+            max_cell_degree = max(max_cell_degree, len(nbrs))
+            taken = {local[u] for u in nbrs if u in local}
+            c = 0
+            while c in taken:
+                c += 1
+            local[v] = c
+        for v, c in local.items():
+            colors[v] = next_color + c
+        next_color += max(local.values()) + 1
+
+    budget = (2 * eq.k - 1) * arcs ** len(freqs)
+    report = {
+        "p": p, "k": eq.k, "nu": params.nu, "rho": str(rho), "arc_count": arcs,
+        "s_index": s_index, "spectrum_size": len(spectrum),
+        "frequency_count": len(freqs), "bohr_size": len(bohr),
+        "intersection_size": len(in_bohr), "claim_passed": len(in_bohr) < eq.k,
+        "cells": len(label), "max_cell_degree": max_cell_degree,
+        "colors_used": next_color, "color_budget": budget,
+        "within_budget": next_color <= budget,
+        "proper": all(colors[u] != colors[(u + d) % p] for u in range(p) for d in conn),
+    }
+    return colors, report
+
+
+def _oracle_instances():
+    """(name, A, equation, params) for the run-coloring equivalence check."""
+    cfg = transfer_config()
+    _, _, lift = cfg.build()
+    yield "transfer", lift.full, cfg.params.eq, SpectrumParams(s_index=0)
+    # test_09's seeded random sets: min(A u -A) = 1, up to 59 cells, palettes
+    # wider than 64 colors
+    rng = np.random.default_rng(9)
+    primes = [p for p in range(5, 500) if is_prime(p)]
+    eq = Equation([1, 1, -1, -1])
+    for i in range(20):
+        p = int(rng.choice(primes))
+        mask = rng.random(p) < rng.uniform(0.2, 0.6)
+        mask[0] = False
+        a = ElementSet.from_mask(make_group([p]), mask)
+        if a.count:
+            yield f"test09-{i}", a, eq, SpectrumParams()
+    # every vertex its own cell
+    yield "eleven-cells", field_set(11, [1]), eq, SpectrumParams(nu=0.05, rho=0.05)
+    # min(A u -A) = 100: runs of up to 100 vertices
+    yield "wide-gap", field_set(499, list(range(100, 131))), eq, SpectrumParams()
+
+
+@pytest.mark.parametrize("name,a,eq,params",
+                         [pytest.param(*case, id=case[0]) for case in _oracle_instances()])
+def test_color_matches_vertex_by_vertex_oracle(name, a, eq, params, monkeypatch):
+    want_colors, want_report = oracle_bohr_color(a, eq, params)
+    # the default run cap, one that splits long runs, and one vertex per run
+    for cap in (bohr_module._GATHER_ENTRIES, 1000, 1):
+        monkeypatch.setattr(bohr_module, "_GATHER_ENTRIES", cap)
+        colors, report = bohr_color(a, eq, params)
+        assert colors.tolist() == want_colors, (name, cap)
+        assert report.to_report() == want_report, (name, cap)
+
+
+def test_color_golden_lift_pinned():
+    # colors recorded from the vertex-by-vertex greedy on the golden lift
+    cfg = golden_config()
+    _, _, lift = cfg.build()
+    colors, report = bohr_color(lift.full, cfg.params.eq, SpectrumParams(s_index=0))
+    assert report.colors_used == 9
+    assert report.max_cell_degree == 330
+    assert hashlib.sha256(colors.astype("<i8").tobytes()).hexdigest() == (
+        "9a4f117bc3588a31615f52b0493502cb13e4cb3a793dc9bee810429124646f6a"
+    )
 
 
 def test_supersaturation_parameter_formulas():
