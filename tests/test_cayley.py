@@ -148,6 +148,23 @@ def test_solver_cap_enforced(rng):
         chromatic_number_exact(graph, cap=20)
 
 
+@pytest.mark.parametrize("moduli, members", [
+    ((3, 3, 3), [1, 5, 9, 22]),
+    ((2, 3, 4), [1, 5, 13, 23]),
+])
+def test_product_group_adjacency_matches_coordinatewise_oracle(moduli, members):
+    g = make_group(moduli)
+    graph = CayleyView(g, ElementSet.from_indices(g, members)).to_graph()
+    coords = [tuple(map(int, np.unravel_index(i, moduli))) for i in range(g.order)]
+    conn = {coords[i] for i in members}
+    sym = conn | {tuple((-c) % n for c, n in zip(x, moduli)) for x in conn}
+    sym.discard((0,) * len(moduli))
+    for u in range(g.order):
+        for v in range(g.order):
+            diff = tuple((b - a) % n for a, b, n in zip(coords[u], coords[v], moduli))
+            assert graph.is_edge(u, v) == (diff in sym)
+
+
 def test_implicit_view_agrees_with_explicit():
     g = make_group([3, 3, 3])
     conn = ElementSet.from_indices(g, [1, 5, 9, 22])

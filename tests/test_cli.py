@@ -87,6 +87,24 @@ def test_cayley_greedy_bracket(tmp_path, capsys):
     assert len(res["clique"]) == res["clique_lower"]
 
 
+def test_cayley_coordinate_connection_entries(tmp_path, capsys):
+    # the rook's graph K3 x K3: each vertex meets the 4 others in its row and column
+    code, rep, _ = invoke(tmp_path, capsys, "cayley",
+                          {"group": "Z(3)^2", "connection": [[1, 0], [0, 1]],
+                           "action": "greedy"})
+    assert code == 0
+    res = rep["results"]
+    assert (res["order"], res["connection_size"], res["edges"]) == (9, 2, 18)
+
+
+def test_cayley_connection_entry_of_wrong_length(tmp_path, capsys):
+    code, _, err = invoke(tmp_path, capsys, "cayley",
+                          {"group": "Z(3)^2", "connection": [[1, 0, 0]],
+                           "action": "greedy"})
+    assert code == 1
+    assert "dimension mismatch" in err
+
+
 def test_cayley_export_files(tmp_path, capsys):
     dimacs = tmp_path / "cycle.dimacs"
     cnf = tmp_path / "cycle.cnf"

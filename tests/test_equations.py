@@ -1,5 +1,7 @@
 """Equation parsing, classification, and exact solution counting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,34 @@ def test_count_all_sums_to_size_power(rng):
     dft_counts = count_solutions_dft_all(eq, a)
     assert np.array_equal(brute, dft_counts)
     assert brute.sum() == a.count ** 3
+
+
+def oracle_injective_table_coords(coeffs, members, moduli):
+    """Injective count of every target, by itertools over coordinate tuples.
+
+    Targets are keyed by their row-major index over the moduli.
+    """
+    table = [0] * int(np.prod(moduli))
+    for tup in itertools.permutations(members, len(coeffs)):
+        index = 0
+        for axis, n in enumerate(moduli):
+            index = index * n + sum(c * x[axis] for c, x in zip(coeffs, tup)) % n
+        table[index] += 1
+    return table
+
+
+@pytest.mark.parametrize("moduli", [(11,), (3, 3)])
+def test_injective_count_six_variables_matches_oracle(moduli, rng):
+    # k >= 6 takes the enumeration path instead of partition inclusion-exclusion
+    g = make_group(moduli)
+    members = sorted(set(map(int, rng.choice(g.order, size=7, replace=False))))
+    a = ElementSet.from_indices(g, members)
+    member_coords = [tuple(map(int, np.unravel_index(i, moduli))) for i in members]
+    eq = Equation((1, 2, -1, 3, 1, -2))
+    got = count_solutions_brute_all(eq, a, injective=True)
+    want = oracle_injective_table_coords(eq.coeffs, member_coords, moduli)
+    assert got.tolist() == want
+    assert got.sum() == 7 * 6 * 5 * 4 * 3 * 2
 
 
 def test_dft_matches_direct_character_sum(rng):
