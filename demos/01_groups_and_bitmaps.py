@@ -3,8 +3,8 @@ Finite abelian groups, element bitmaps, and CRT splitting
 =========================================================
 
 Everything downstream works over Z_{n1} x ... x Z_{nr}: elements are
-coordinate tuples, subsets are boolean bitmaps indexed by the mixed-radix
-element index, and products of coprime cyclic factors can be viewed either
+mixed-radix indices of their coordinate tuples, subsets are boolean bitmaps
+over those indices, and products of coprime cyclic factors can be viewed either
 as one big cyclic group or as the product, with an explicit bijection.
 """
 
@@ -17,11 +17,12 @@ from chroma.groups import CrtSplit, ElementSet, make_group, parse_group_literal
 g = make_group([4, 9, 25])
 print("group:", g.literal, "order:", g.order)
 
-x = g.element((1, 2, 3))
-y = g.element((3, 8, 24))
-print("x + y =", g.add(x, y).coords)          # coordinatewise, each mod n_i
-print("-x    =", g.neg(x).coords)
-print("index of x:", g.index(x), "and back:", g.from_index(g.index(x)).coords)
+# an element is its mixed-radix index; coordinates come and go in arrays
+xy = g.coords_to_indices([(1, 2, 3), (3, 8, 24)])
+print("indices of x, y:", xy.tolist(), "and back:", g.indices_to_coords(xy).tolist())
+x_plus_y = g.coords_to_indices(g.indices_to_coords(xy).sum(axis=0))  # reduced mod n_i
+print("x + y =", g.indices_to_coords([x_plus_y]).tolist()[0])
+print("-x    =", g.indices_to_coords(g.negate_indices(xy[:1])).tolist()[0])
 
 # group literals round-trip through a compact text form
 for literal in ("Z(7)", "Z(3)^4", "Z(2)xZ(3)", "Zm(15015)"):

@@ -53,7 +53,7 @@ print(f"\nembedding p={p}, n={n}: module picks k={k}")
 params = KneserParams(n, k, p - 1)
 verts = kneser_vertices(params)
 x = embed_vertex(verts[0], p, n)
-print("first vertex", verts[0].parts, "embeds as", x.coords)
+print("first vertex", verts[0].parts, "embeds as", x)
 
 rng = np.random.default_rng(4)
 checked = ok = 0

@@ -23,7 +23,6 @@ from .cayley import (
     ChromaticResult,
     Coloring,
     Graph,
-    ImplicitCayleyView,
     IndependenceResult,
     VertexSet,
     chromatic_number_exact,
@@ -64,9 +63,7 @@ from .equations import (
     EquationClass,
     SolutionFreeResult,
     classify,
-    count_solutions_brute,
     count_solutions_brute_all,
-    count_solutions_dft,
     count_solutions_dft_all,
     dft,
     first_zero_sum_subset,
@@ -78,7 +75,6 @@ from .graphio import read_dimacs, write_coloring_cnf, write_dimacs
 from .groups import (
     CrtSplit,
     ElementSet,
-    GroupElement,
     GroupSpec,
     crt_split,
     make_group,

@@ -207,8 +207,12 @@ def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:
 
 
 def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
-    """Proper iff no difference of like-colored vertices lands in conn = A u -A."""
-    for d in conn:
+    """Proper iff no difference of like-colored vertices lands in conn = A u -A.
+
+    conn is symmetric, and d and p - d test the same pairs, so only the
+    differences d <= p // 2 are rolled.
+    """
+    for d in conn[conn <= colors.size // 2]:
         if np.any(colors == np.roll(colors, -int(d))):
             return False
     return True
@@ -302,17 +306,20 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     bohr = bohr_set(frequencies, params.rho_exact, p)
     claim_passed, intersection = claim_ab_test(a_set, bohr, k)
 
+    # one stable sort of the phase rows, first column most significant: cells
+    # are numbered in lexicographic row order, vertices ascend within a cell
     cell_matrix = phase_partition(frequencies, arc_count, p)
-    _, cell_of = np.unique(cell_matrix, axis=0, return_inverse=True)
-    cell_of = cell_of.astype(np.int64)
-    num_cells = int(cell_of.max()) + 1
+    order = np.lexsort(cell_matrix.T[::-1])
+    rows = cell_matrix[order]
+    change = (rows[1:] != rows[:-1]).any(axis=1)
+    cell_of = np.empty(p, dtype=np.int64)
+    cell_of[order] = np.concatenate(([0], np.cumsum(change)))
+    bounds = np.flatnonzero(change) + 1
+    num_cells = bounds.size + 1
 
     a_mask = a_set.mask()
     conn = np.flatnonzero(a_mask | a_mask[(-np.arange(p)) % p])
     conn = conn[conn != 0]
-
-    order = np.argsort(cell_of, kind="stable")
-    bounds = np.flatnonzero(np.diff(cell_of[order])) + 1
 
     colors = np.full(p, -1, dtype=np.int64)
     local = np.full(p, -1, dtype=np.int64)

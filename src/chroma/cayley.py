@@ -3,8 +3,7 @@
 Cay(G, A) has the group elements as vertices and an edge {u, v} whenever
 v - u lies in the symmetrized connection set A u (-A) minus the identity.
 Graphs up to the adjacency cap are materialized as bitset rows (Python ints),
-which is what the branch-and-bound solvers operate on; larger groups stay
-behind the difference oracle.
+which is what the branch-and-bound solvers operate on.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,13 +23,11 @@ from .groups import ElementSet, GroupSpec
 __all__ = [
     "Graph",
     "CayleyView",
-    "ImplicitCayleyView",
     "Coloring",
     "VertexSet",
     "GreedyBounds",
     "ChromaticResult",
     "IndependenceResult",
-    "build_cayley",
     "greedy_clique",
     "dsatur_coloring",
     "greedy_bounds",
@@ -153,21 +150,6 @@ class CayleyView:
     def degree(self) -> int:
         return self.symmetric.count
 
-    def adjacent(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        g = self.group
-        diff = g.index(g.sub(g.from_index(v), g.from_index(u)))
-        return self.symmetric.contains_index(diff)
-
-    def neighbor_indices(self, u: int) -> np.ndarray:
-        g = self.group
-        if g.rank == 1:
-            return (u + self._sym_indices) % g.order
-        coords = g.indices_to_coords(np.full(self._sym_indices.shape, u, dtype=np.int64))
-        a = g.indices_to_coords(self._sym_indices)
-        return g.coords_to_indices(coords + a)
-
     def to_graph(self, cap: int = config.ADJACENCY_CAP) -> Graph:
         n = self.order
         if n > cap:
@@ -188,37 +170,6 @@ class CayleyView:
                 for v in range(n):
                     masks[v] |= 1 << int(ts[v])
         return Graph(n, masks)
-
-
-class ImplicitCayleyView:
-    """Difference-oracle Cayley view for groups too large to materialize.
-
-    `contains_diff` answers membership of a difference element's coordinates in
-    the symmetrized connection set; only local queries and sampling are offered.
-    """
-
-    def __init__(self, group: GroupSpec, contains_diff: Callable[[tuple[int, ...]], bool]):
-        self.group = group
-        self.contains_diff = contains_diff
-
-    def adjacent_coords(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-        diff = tuple((a - b) % n for a, b, n in zip(v, u, self.group.moduli))
-        if all(c == 0 for c in diff):
-            return False
-        return self.contains_diff(diff)
-
-    def sampled_degree(self, u: tuple[int, ...], samples: int, seed: int = 0) -> float:
-        rng = np.random.default_rng(seed)
-        hits = 0
-        for _ in range(samples):
-            v = tuple(int(rng.integers(0, n)) for n in self.group.moduli)
-            if self.adjacent_coords(u, v):
-                hits += 1
-        return hits / samples * self.group.order
-
-
-def build_cayley(group: GroupSpec, connection: ElementSet) -> CayleyView:
-    return CayleyView(group, connection)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +271,10 @@ class _Budget:
         self.exhausted = False
 
     def tick(self) -> bool:
-        """Returns True when the budget is spent."""
+        """Returns True when the budget is spent; reads the clock every node."""
         self.nodes += 1
-        if self.deadline is not None and self.nodes % 2048 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            self.exhausted = True
         return self.exhausted
 
 

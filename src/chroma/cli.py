@@ -233,7 +233,11 @@ def _connection_indices(group, conn) -> list[int]:
     idx = []
     for entry in conn:
         if isinstance(entry, list):
-            idx.append(group.index(group.element(entry)))
+            if len(entry) != group.rank:
+                raise ValueError(f"dimension mismatch: got {len(entry)} coords "
+                                 f"for rank {group.rank}")
+            reduced = [c % n for c, n in zip(entry, group.moduli)]
+            idx.append(int(group.coords_to_indices(reduced)))
         else:
             idx.append(int(entry) % group.order)
     return idx

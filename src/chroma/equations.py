@@ -13,6 +13,7 @@ all tuples in A^k, coordinates not necessarily distinct.  Injective counting
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import config
-from .groups import ElementSet, GroupElement, GroupSpec
+from .groups import ElementSet, GroupSpec
 from .primes import is_prime, mod_inverse
 
 __all__ = [
@@ -31,9 +32,7 @@ __all__ = [
     "classify",
     "first_zero_sum_subset",
     "is_solution_free",
-    "count_solutions_brute",
     "count_solutions_brute_all",
-    "count_solutions_dft",
     "count_solutions_dft_all",
     "dft",
     "idft",
@@ -388,12 +387,6 @@ def _find_injective_dfs(eq, p, elems):
 # ---------------------------------------------------------------------------
 
 
-def _as_target_index(group: GroupSpec, y) -> int:
-    if isinstance(y, GroupElement):
-        return group.index(y)
-    return int(y) % group.order
-
-
 def count_solutions_brute_all(eq: Equation, A: ElementSet, injective: bool = False) -> np.ndarray:
     """Exact count table N(y) for every y in the group. Integer arithmetic only."""
     group = A.group
@@ -402,12 +395,6 @@ def count_solutions_brute_all(eq: Equation, A: ElementSet, injective: bool = Fal
     if eq.k <= 5:
         return _injective_by_partitions(group, eq, A)
     return _injective_by_enumeration(group, eq, A)
-
-
-def count_solutions_brute(eq: Equation, A: ElementSet, y, injective: bool = False) -> int:
-    """Exact number of (injective) tuples in A^k with sum_i c_i x_i = y."""
-    table = count_solutions_brute_all(eq, A, injective=injective)
-    return int(table[_as_target_index(A.group, y)])
 
 
 def _conv_count_table(group: GroupSpec, coeffs: Sequence[int], A: ElementSet) -> np.ndarray:
@@ -473,21 +460,14 @@ def _injective_by_enumeration(group: GroupSpec, eq: Equation, A: ElementSet) -> 
     if n ** eq.k > config.BRUTE_TUPLE_CAP:
         raise ValueError("injective enumeration exceeds the brute-force cap")
     out = np.zeros(group.order, dtype=np.int64)
-    elems = [group.from_index(int(i)) for i in idx]
-
-    def rec(depth, used, acc: GroupElement):
-        if depth == eq.k:
-            out[group.index(acc)] += 1
-            return
-        c = eq.coeffs[depth]
-        for t, e in enumerate(elems):
-            if used[t]:
-                continue
-            used[t] = True
-            rec(depth + 1, used, group.add(acc, group.scalar_mul(c, e)))
-            used[t] = False
-
-    rec(0, [False] * n, group.zero())
+    coords = group.indices_to_coords(idx)
+    # (k, rank) coefficients reduced per factor, so int64 sums cannot overflow
+    coeffs = np.array([[c % m for m in group.moduli] for c in eq.coeffs], dtype=np.int64)
+    tuples = itertools.permutations(range(n), eq.k)
+    # 2^16 tuples at a time: (tuples, k, rank) coordinates -> (tuples, rank) sums
+    for chunk in iter(lambda: list(itertools.islice(tuples, 1 << 16)), []):
+        sums = (coeffs * coords[np.array(chunk)]).sum(axis=1)
+        out += np.bincount(group.coords_to_indices(sums), minlength=group.order)
     return out
 
 
@@ -544,10 +524,3 @@ def count_solutions_dft_all(eq: Equation, A: ElementSet,
             "instability beyond the documented tolerance"
         )
     return rounded.astype(np.int64)
-
-
-def count_solutions_dft(eq: Equation, A: ElementSet, y,
-                        cap: int = config.DFT_CAP) -> int:
-    """Fourier solution count of sum_i c_i x_i = y over A^k (not injective)."""
-    table = count_solutions_dft_all(eq, A, cap=cap)
-    return int(table[_as_target_index(A.group, y)])

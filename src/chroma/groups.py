@@ -1,9 +1,10 @@
 """Finite abelian groups as explicit products of cyclic factors.
 
-A group is a tuple of cyclic moduli [n1, ..., nd]; elements are coordinate
-tuples reduced modulo the factors.  Every element also has a canonical integer
-index given by mixed-radix (row-major) encoding over the factors in the order
-given, which is what bitmapped element sets and all serialized artifacts use.
+A group is a tuple of cyclic moduli [n1, ..., nd].  An element is its
+canonical integer index, the mixed-radix (row-major) encoding of its
+coordinates over the factors in the order given; bitmapped element sets and
+all serialized artifacts use it.  Where coordinates are needed, the
+vectorized helpers convert whole arrays of indices to coordinate rows and back.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,26 +21,12 @@ from .primes import check_distinct_primes
 
 __all__ = [
     "GroupSpec",
-    "GroupElement",
     "ElementSet",
     "CrtSplit",
     "make_group",
     "crt_split",
     "parse_group_literal",
 ]
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element of a product group, as a tuple of reduced coordinates."""
-
-    coords: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
 
 
 @dataclass(frozen=True)
@@ -66,74 +53,6 @@ class GroupSpec:
     @property
     def rank(self) -> int:
         return len(self.moduli)
-
-    @property
-    def strides(self) -> tuple[int, ...]:
-        acc, out = 1, []
-        for n in reversed(self.moduli):
-            out.append(acc)
-            acc *= n
-        return tuple(reversed(out))
-
-    # -- element construction ------------------------------------------------
-
-    def element(self, coords: Sequence[int]) -> GroupElement:
-        if len(coords) != self.rank:
-            raise ValueError(
-                f"dimension mismatch: got {len(coords)} coords for rank {self.rank}"
-            )
-        return GroupElement(tuple(c % n for c, n in zip(coords, self.moduli)))
-
-    def zero(self) -> GroupElement:
-        return GroupElement((0,) * self.rank)
-
-    def index(self, g: GroupElement) -> int:
-        """Canonical mixed-radix index of an element."""
-        self._check(g)
-        return sum(c * s for c, s in zip(g.coords, self.strides))
-
-    def from_index(self, idx: int) -> GroupElement:
-        if not 0 <= idx < self.order:
-            raise ValueError(f"index {idx} out of range for order {self.order}")
-        coords = []
-        for s, n in zip(self.strides, self.moduli):
-            coords.append((idx // s) % n)
-        return GroupElement(tuple(coords))
-
-    def elements(self) -> Iterator[GroupElement]:
-        for idx in range(self.order):
-            yield self.from_index(idx)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self._check(a)
-        self._check(b)
-        return GroupElement(
-            tuple((x + y) % n for x, y, n in zip(a.coords, b.coords, self.moduli))
-        )
-
-    def neg(self, a: GroupElement) -> GroupElement:
-        self._check(a)
-        return GroupElement(tuple((-x) % n for x, n in zip(a.coords, self.moduli)))
-
-    def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.add(a, self.neg(b))
-
-    def scalar_mul(self, c: int, a: GroupElement) -> GroupElement:
-        """c*a for any integer c; each coordinate is reduced mod its factor."""
-        self._check(a)
-        return GroupElement(tuple((c * x) % n for x, n in zip(a.coords, self.moduli)))
-
-    def _check(self, g: GroupElement) -> None:
-        if len(g.coords) != self.rank:
-            raise ValueError(
-                f"dimension mismatch: element has {len(g.coords)} coords, "
-                f"group rank is {self.rank}"
-            )
-        for c, n in zip(g.coords, self.moduli):
-            if not 0 <= c < n:
-                raise ValueError(f"coordinate {c} out of range for modulus {n}")
 
     # -- vectorized index helpers --------------------------------------------
 
@@ -211,7 +130,8 @@ def parse_group_literal(text: str) -> GroupSpec:
 class ElementSet:
     """A subset of a group, stored as a dense bitmap over canonical indices.
 
-    Mutation is single-writer: build the set, then freeze() it before sharing.
+    Mutation is single-writer: build the set, then freeze() it before sharing;
+    a frozen set's mask rejects writes.
     The serialized form is a run-length-encoded bitmap with a header recording
     the group literal, so files are portable across machines.
     """
@@ -231,7 +151,6 @@ class ElementSet:
                 raise ValueError("bitmap length does not match group order")
             bits = bits.copy()
         self._bits = bits
-        self._frozen = False
 
     # -- constructors --------------------------------------------------------
 
@@ -255,29 +174,10 @@ class ElementSet:
         return s
 
     @classmethod
-    def from_elements(cls, group: GroupSpec, elems: Iterable[GroupElement]) -> "ElementSet":
-        return cls.from_indices(group, [group.index(e) for e in elems])
-
-    @classmethod
     def from_mask(cls, group: GroupSpec, mask: np.ndarray) -> "ElementSet":
         return cls(group, mask)
 
-    # -- mutation ------------------------------------------------------------
-
-    def _writable(self):
-        if self._frozen:
-            raise ValueError("ElementSet is frozen")
-
-    def add(self, g: GroupElement) -> None:
-        self._writable()
-        self._bits[self.group.index(g)] = True
-
-    def discard(self, g: GroupElement) -> None:
-        self._writable()
-        self._bits[self.group.index(g)] = False
-
     def freeze(self) -> "ElementSet":
-        self._frozen = True
         self._bits.setflags(write=False)
         return self
 
@@ -293,14 +193,8 @@ class ElementSet:
     def contains_index(self, idx: int) -> bool:
         return bool(self._bits[idx])
 
-    def __contains__(self, g: GroupElement) -> bool:
-        return bool(self._bits[self.group.index(g)])
-
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self._bits).astype(np.int64)
-
-    def elements(self) -> list[GroupElement]:
-        return [self.group.from_index(int(i)) for i in self.indices()]
 
     def mask(self) -> np.ndarray:
         return self._bits

@@ -24,7 +24,7 @@ import numpy as np
 from . import config
 from .cayley import Graph
 from .exact import Surd, max_int_le
-from .groups import ElementSet, GroupElement, GroupSpec, make_group
+from .groups import ElementSet, GroupSpec, make_group
 from .primes import is_prime
 
 __all__ = [
@@ -214,7 +214,7 @@ def embedding_k(p: int, n: int) -> int:
     raise AssertionError("unreachable")
 
 
-def embed_vertex(v: KneserVertex, p: int, n: int) -> GroupElement:
+def embed_vertex(v: KneserVertex, p: int, n: int) -> tuple[int, ...]:
     """Write part index i on the coordinates of part i (1-based), 0 elsewhere."""
     if len(v.parts) != p - 1:
         raise ValueError(f"vertex has {len(v.parts)} parts; embedding needs p-1 = {p - 1}")
@@ -224,7 +224,7 @@ def embed_vertex(v: KneserVertex, p: int, n: int) -> GroupElement:
             if j >= n:
                 raise ValueError("part element outside the ground set")
             coords[j] = i
-    return GroupElement(tuple(coords))
+    return tuple(coords)
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,8 @@ class EmbeddingEdgeCheck:
     ok: bool
 
 
-def _difference_distance_from_ones(xa: GroupElement, xb: GroupElement, p: int) -> int:
-    return sum(1 for a, b in zip(xa.coords, xb.coords) if (a - b) % p != 1)
+def _difference_distance_from_ones(xa: tuple[int, ...], xb: tuple[int, ...], p: int) -> int:
+    return sum(1 for a, b in zip(xa, xb) if (a - b) % p != 1)
 
 
 def _claim_checks(a: KneserVertex, b: KneserVertex, p: int, n: int, k: int):
@@ -335,9 +335,6 @@ class HammingBallSet:
     def contains_coords(self, coords) -> bool:
         d = sum(1 for c in coords if c % self.p != 1)
         return d <= self.distance_cutoff()
-
-    def contains(self, g: GroupElement) -> bool:
-        return self.contains_coords(g.coords)
 
     def to_element_set(self, cap: int = config.MATERIALIZE_CAP) -> ElementSet:
         group = self.group

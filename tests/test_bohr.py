@@ -312,6 +312,20 @@ def test_color_pinned_lifted_set():
     assert report.within_budget
 
 
+@pytest.mark.parametrize("p, conn", [(13, [3, 6, 7, 10]), (2, [1]), (3, [1, 2])])
+def test_validate_coloring_catches_every_connection_difference(p, conn):
+    # conn is symmetric; the validator rolls only half of it, so a clash
+    # across d and across p - d (d = p // 2 included) must both be caught
+    conn = np.array(conn, dtype=np.int64)
+    distinct = np.arange(p, dtype=np.int64)
+    assert bohr_module._validate_coloring(distinct, conn)
+    for d in conn.tolist():
+        for u in range(p):
+            colors = distinct.copy()
+            colors[(u + d) % p] = colors[u]
+            assert not bohr_module._validate_coloring(colors, conn), (d, u)
+
+
 def test_color_pullback_index_selection():
     p = 11
     a = field_set(p, [1])

@@ -9,7 +9,7 @@ from chroma.cayley import (
     CayleyView,
     Coloring,
     Graph,
-    ImplicitCayleyView,
+    _Budget,
     chromatic_number_exact,
     dsatur_coloring,
     greedy_bounds,
@@ -142,6 +142,19 @@ def test_budget_exhaustion_returns_bracket(rng):
     res.coloring.validate(graph)
 
 
+def test_zero_budget_is_spent_on_the_first_node():
+    budget = _Budget(0.0)
+    assert budget.tick()
+    assert budget.exhausted and budget.nodes == 1
+    _, graph = build_graph(KneserParams(11, 2, 1))
+    res = chromatic_number_exact(graph, budget_s=0)
+    assert not res.exact and res.proof == "budget"
+    assert res.nodes == 1
+    assert res.lower <= 9 <= res.upper      # chi(KN(11,2)) = 11 - 4 + 2
+    res.coloring.validate(graph)
+    assert res.coloring.num_colors == res.upper
+
+
 def test_solver_cap_enforced(rng):
     graph = random_graph(rng, 25, 0.5)
     with pytest.raises(ValueError):
@@ -154,37 +167,14 @@ def test_solver_cap_enforced(rng):
 ])
 def test_product_group_adjacency_matches_coordinatewise_oracle(moduli, members):
     g = make_group(moduli)
-    graph = CayleyView(g, ElementSet.from_indices(g, members)).to_graph()
+    view = CayleyView(g, ElementSet.from_indices(g, members))
+    graph = view.to_graph()
     coords = [tuple(map(int, np.unravel_index(i, moduli))) for i in range(g.order)]
     conn = {coords[i] for i in members}
     sym = conn | {tuple((-c) % n for c, n in zip(x, moduli)) for x in conn}
     sym.discard((0,) * len(moduli))
+    assert view.degree == len(sym)
     for u in range(g.order):
         for v in range(g.order):
             diff = tuple((b - a) % n for a, b, n in zip(coords[u], coords[v], moduli))
             assert graph.is_edge(u, v) == (diff in sym)
-
-
-def test_implicit_view_agrees_with_explicit():
-    g = make_group([3, 3, 3])
-    conn = ElementSet.from_indices(g, [1, 5, 9, 22])
-    sym = conn.symmetrized_without_zero()
-    explicit = CayleyView(g, conn)
-    implicit = ImplicitCayleyView(g, lambda d: sym.contains_index(g.coords_to_indices(np.array([d]))[0]))
-    for u in range(27):
-        for v in range(27):
-            cu, cv = tuple(g.from_index(u)), tuple(g.from_index(v))
-            assert implicit.adjacent_coords(cu, cv) == explicit.adjacent(u, v)
-
-
-def test_implicit_sampled_degree_close():
-    g = make_group([5, 5])
-    conn = ElementSet.from_indices(g, [1, 2, 7])
-    view = CayleyView(g, conn)
-    sym = conn.symmetrized_without_zero()
-    implicit = ImplicitCayleyView(
-        g, lambda d: sym.contains_index(int(g.coords_to_indices(np.array([d]))[0]))
-    )
-    est = implicit.sampled_degree((0, 0), samples=4000, seed=1)
-    true_degree = view.degree
-    assert abs(est - true_degree) <= 0.2 * max(true_degree, 1)

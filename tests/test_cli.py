@@ -95,6 +95,13 @@ def test_cayley_coordinate_connection_entries(tmp_path, capsys):
     assert code == 0
     res = rep["results"]
     assert (res["order"], res["connection_size"], res["edges"]) == (9, 2, 18)
+    # entries are reduced modulo each factor, also beyond the int64 range
+    code, rep, _ = invoke(tmp_path, capsys, "cayley",
+                          {"group": "Z(3)^2", "connection": [[4, -3], [0, 3 * 10**30 + 1]],
+                           "action": "greedy"})
+    assert code == 0
+    res = rep["results"]
+    assert (res["order"], res["connection_size"], res["edges"]) == (9, 2, 18)
 
 
 def test_cayley_connection_entry_of_wrong_length(tmp_path, capsys):

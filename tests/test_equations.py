@@ -8,9 +8,7 @@ import pytest
 from chroma.equations import (
     Equation,
     classify,
-    count_solutions_brute,
     count_solutions_brute_all,
-    count_solutions_dft,
     count_solutions_dft_all,
     dft,
     first_zero_sum_subset,
@@ -88,9 +86,9 @@ def test_count_solutions_small_frozen_case():
     eq = Equation((1, 1, -1))
     # hand enumeration: (0,0,0) (0,1,1) (1,0,1) (0,3,3) (3,0,3) -> 5 solutions,
     # every one of which repeats an entry, so the injective count is 0
-    assert count_solutions_brute(eq, a, 0) == 5
-    assert count_solutions_dft(eq, a, 0) == 5
-    assert count_solutions_brute(eq, a, 0, injective=True) == 0
+    assert count_solutions_brute_all(eq, a)[0] == 5
+    assert count_solutions_dft_all(eq, a)[0] == 5
+    assert count_solutions_brute_all(eq, a, injective=True)[0] == 0
     assert oracle_count_solutions((1, 1, -1), [0, 1, 3], 7, 0) == 5
     assert oracle_count_solutions((1, 1, -1), [0, 1, 3], 7, 0, injective=True) == 0
 
@@ -107,10 +105,10 @@ def test_count_matches_oracle_randomized(rng):
         y = int(rng.integers(0, p))
         want = oracle_count_solutions(coeffs, members, p, y)
         eq = Equation(coeffs)
-        assert count_solutions_brute(eq, a, y) == want
-        assert count_solutions_dft(eq, a, y) == want
+        assert count_solutions_brute_all(eq, a)[y] == want
+        assert count_solutions_dft_all(eq, a)[y] == want
         want_inj = oracle_count_solutions(coeffs, members, p, y, injective=True)
-        assert count_solutions_brute(eq, a, y, injective=True) == want_inj
+        assert count_solutions_brute_all(eq, a, injective=True)[y] == want_inj
 
 
 def test_count_all_sums_to_size_power(rng):

@@ -128,14 +128,14 @@ def test_classical_chromatic_identity_small():
 
 def test_embedding_coordinates():
     v = KneserVertex((frozenset({0, 1}),))
-    assert tuple(embed_vertex(v, 2, 4)) == (1, 1, 0, 0)
+    assert embed_vertex(v, 2, 4) == (1, 1, 0, 0)
     w = KneserVertex((frozenset({0, 1}), frozenset({2, 3})))
-    assert tuple(embed_vertex(w, 3, 6)) == (1, 1, 2, 2, 0, 0)
+    assert embed_vertex(w, 3, 6) == (1, 1, 2, 2, 0, 0)
 
 
 def test_embedding_injective():
     verts = kneser_vertices(KneserParams(6, 2, 2))
-    images = {tuple(embed_vertex(v, 3, 6)) for v in verts}
+    images = {embed_vertex(v, 3, 6) for v in verts}
     assert len(images) == len(verts)
 
 
