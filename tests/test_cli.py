@@ -336,3 +336,96 @@ def test_out_flag_writes_report_file(tmp_path, capsys):
     assert code == 0
     assert rep["results"]["rt"] is True
     assert capsys.readouterr().out == ""
+
+
+# Config check, table-driven: (command, config, accepted).  An accepted config
+# may still fail later in its handler; only the validation verdict is pinned.
+_CAYLEY = {"group": "Z(5)", "connection": [1], "action": "greedy"}
+_KNESER = {"n": 5, "k": 2, "m": 1, "action": "count"}
+_LIFT = {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13], "p": 431,
+         "core_threshold": "37/20", "extension_threshold": "1/12"}
+_BOHR = {"p": 101, "equation": "[1,1,-1,-1]", "set": {"indices": [1]}}
+_INDEP = {"p": 2, "n": 9}
+
+CONFIG_CHECK_ROWS = [
+    ("classify", {"equation": "[1,1,-1]"}, True),
+    ("classify", {}, False),
+    ("classify", {"equation": "[1,1,-1]", "typo": 1}, False),
+    ("classify", {"equation": 5}, False),
+    ("classify", ["[1,1,-1]"], False),
+    ("kneser", _KNESER, True),
+    ("kneser", {**_KNESER, "budget": "1s"}, True),
+    ("kneser", {"n": 5, "k": 2, "m": 1}, False),
+    ("kneser", {**_KNESER, "action": "bogus"}, False),
+    ("kneser", {**_KNESER, "n": True}, False),
+    ("kneser", {**_KNESER, "n": "five"}, False),
+    ("kneser", {**_KNESER, "budget": 30}, False),
+    ("cayley", _CAYLEY, True),
+    ("cayley", {**_CAYLEY, "connection": [[1]]}, True),
+    ("cayley", {**_CAYLEY, "connection": [1, [2]]}, True),
+    ("cayley", {**_CAYLEY, "connection": []}, True),
+    ("cayley", {**_CAYLEY, "cnf_colors": 3}, True),
+    ("cayley", {**_CAYLEY, "connection": [[[1]]]}, False),
+    ("cayley", {**_CAYLEY, "connection": [True]}, False),
+    ("cayley", {**_CAYLEY, "connection": [[True]]}, False),
+    ("cayley", {**_CAYLEY, "connection": "1"}, False),
+    ("cayley", {**_CAYLEY, "action": "color"}, False),
+    ("cayley", {**_CAYLEY, "cnf_colors": True}, False),
+    ("cayley", {**_CAYLEY, "dimacs": None}, False),
+    ("cayley", {"group": "Z(5)", "action": "greedy"}, False),
+    ("cayley", {**_CAYLEY, "typo": 1}, False),
+    ("construct", _LIFT, True),
+    ("construct", {**_LIFT, "p": "auto"}, True),
+    ("construct", {**_LIFT, "core_threshold": None}, True),
+    ("construct", {**_LIFT, "p": "automatic"}, False),
+    ("construct", {**_LIFT, "p": None}, False),
+    ("construct", {**_LIFT, "primes": []}, False),
+    ("construct", {**_LIFT, "primes": [11, "13"]}, False),
+    ("construct", {**_LIFT, "primes": 11}, False),
+    ("construct", {**_LIFT, "core_threshold": 1.5}, False),
+    ("construct", {**_LIFT, "q": True}, False),
+    ("construct", {**_LIFT, "golden": True}, False),
+    ("construct", {k: v for k, v in _LIFT.items() if k != "q"}, False),
+    ("bohr-color", _BOHR, True),
+    ("bohr-color", {**_BOHR, "nu": 1, "rho": 0.05, "s_index": None, "seed": 3}, True),
+    ("bohr-color", {**_BOHR, "set": {"random_density": 0.3}}, True),
+    ("bohr-color", {**_BOHR, "set": {}}, False),
+    ("bohr-color", {**_BOHR, "set": {"indices": [1], "random_density": 0.3}}, False),
+    ("bohr-color", {**_BOHR, "set": {"bogus": 1}}, False),
+    ("bohr-color", {**_BOHR, "set": {"indices": 1}}, False),
+    ("bohr-color", {**_BOHR, "set": [1]}, False),
+    ("bohr-color", {**_BOHR, "nu": True}, False),
+    ("bohr-color", {**_BOHR, "rho": "0.05"}, False),
+    ("bohr-color", {**_BOHR, "s_index": 1.5}, False),
+    ("bohr-color", {**_BOHR, "seed": True}, False),
+    ("bohr-color", {**_BOHR, "p": "101"}, False),
+    ("bohr-color", {"p": 101, "equation": "[1,1,-1,-1]"}, False),
+    ("indep-set", _INDEP, True),
+    ("indep-set", {**_INDEP, "radius_sq": None}, True),
+    ("indep-set", {**_INDEP, "radius_sq": "6"}, False),
+    ("indep-set", {**_INDEP, "cap": True}, False),
+    ("indep-set", {**_INDEP, "seed": None}, False),
+    ("indep-set", {"p": 2}, False),
+    ("certify-lift", {"golden": True}, True),
+    ("certify-lift", {"golden": True, "core_threshold": None}, True),
+    ("certify-lift", {}, True),
+    ("certify-lift", _LIFT, True),
+    ("certify-lift", {**_LIFT, "golden": False}, True),
+    ("certify-lift", {"golden": 1}, False),
+    ("certify-lift", {"golden": "yes"}, False),
+    ("certify-lift", {"golden": None}, False),
+    ("certify-lift", {**_LIFT, "primes": []}, False),
+    ("certify-lift", {**_LIFT, "p": "AUTO"}, False),
+    ("certify-lift", {**_LIFT, "extension_threshold": 0}, False),
+    ("certify-lift", {"golden": True, "typo": 1}, False),
+]
+
+
+@pytest.mark.parametrize("command, cfg, accepted", CONFIG_CHECK_ROWS)
+def test_config_check_table(tmp_path, capsys, command, cfg, accepted):
+    code, _, err = invoke(tmp_path, capsys, command, cfg)
+    if accepted:
+        assert "failed validation" not in err
+    else:
+        assert code == 1
+        assert "failed validation" in err
