@@ -3,8 +3,8 @@ Driving the toolkit from the command line
 =========================================
 
 Every capability is also reachable through the `chroma` command: each
-subcommand reads a small JSON config, validates it against a schema, and
-prints a JSON report.  Exit code 0 means the run completed and any claims
+subcommand reads a small JSON config, checks it against the command's field
+table, and prints a JSON report.  Exit code 0 means the run completed and any claims
 checked out; exit code 2 means the run completed but a certificate or claim
 failed (the report carries the witness); exit code 1 is an input error.
 

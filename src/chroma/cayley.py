@@ -156,19 +156,12 @@ class CayleyView:
             raise ValueError(f"group order {n} exceeds the adjacency cap {cap}")
         g = self.group
         masks = [0] * n
-        vs = np.arange(n, dtype=np.int64)
-        if g.rank == 1:
-            for a in self._sym_indices:
-                ts = (vs + a) % n
-                for v in range(n):
-                    masks[v] |= 1 << int(ts[v])
-        else:
-            vcoords = g.indices_to_coords(vs)
-            for a in self._sym_indices:
-                ac = g.indices_to_coords(np.array([a]))[0]
-                ts = g.coords_to_indices(vcoords + ac)
-                for v in range(n):
-                    masks[v] |= 1 << int(ts[v])
+        vcoords = g.indices_to_coords(np.arange(n, dtype=np.int64))
+        for a in self._sym_indices:
+            ac = g.indices_to_coords(np.array([a]))[0]
+            ts = g.coords_to_indices(vcoords + ac)
+            for v in range(n):
+                masks[v] |= 1 << int(ts[v])
         return Graph(n, masks)
 
 
@@ -312,12 +305,12 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None,
         col = Coloring((0,) * n)
         return ChromaticResult(1, 1, col, True, 0, "edgeless")
 
+    budget = _Budget(budget_s)
     clique = greedy_clique(graph)
     greedy = dsatur_coloring(graph)
     best_colors = list(greedy.colors)
     best = greedy.num_colors
     lb = max(2, len(clique))
-    budget = _Budget(budget_s)
 
     if lb < best:
         colors = [-1] * n
@@ -422,12 +415,12 @@ def independence_number_exact(graph: Graph, budget_s: float | None = None,
     if n == 0:
         return IndependenceResult(0, 0, VertexSet(()), True, 0)
 
+    budget = _Budget(budget_s)
     seed = _greedy_independent(graph)
     best = len(seed)
     best_mask = 0
     for v in seed:
         best_mask |= 1 << v
-    budget = _Budget(budget_s)
 
     def search(cand: int, cur: int, cur_size: int) -> None:
         nonlocal best, best_mask

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 One experiment per invocation: `chroma <command> --config file.json` reads a
-schema-validated JSON config, runs the named pipeline, and emits a JSON
-report (stdout by default, `--out` to write a file).  Reports are
-deterministic for a fixed (config, seed) apart from the `timing` block.
+JSON config, checks it against the command's field table, runs the named
+pipeline, and emits a JSON report (stdout by default, `--out` to write a
+file).  Reports are deterministic for a fixed (config, seed) apart from the
+`timing` block.
 
 Exit codes: 0 on success, 2 when a requested certificate or claim fails
 (a finding, with the evidence in the report), 1 on configuration or
@@ -14,14 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import cayley as cayley_mod
 from . import constructions as cons
@@ -32,114 +34,103 @@ from .exact import Surd
 from .groups import ElementSet, make_group, parse_group_literal
 from .primes import next_prime
 
-_INT = {"type": "integer"}
-_STR = {"type": "string"}
-_NUM = {"type": "number"}
-
-_SCHEMAS: dict[str, dict] = {
-    "classify": {
-        "type": "object",
-        "properties": {"equation": _STR},
-        "required": ["equation"],
-        "additionalProperties": False,
-    },
-    "kneser": {
-        "type": "object",
-        "properties": {
-            "n": _INT,
-            "k": _INT,
-            "m": _INT,
-            "action": {"enum": ["count", "chi-bound", "chi"]},
-            "budget": _STR,
-        },
-        "required": ["n", "k", "m", "action"],
-        "additionalProperties": False,
-    },
-    "cayley": {
-        "type": "object",
-        "properties": {
-            "group": _STR,
-            "connection": {
-                "type": "array",
-                "items": {
-                    "anyOf": [_INT, {"type": "array", "items": _INT}],
-                },
-            },
-            "action": {"enum": ["chi", "alpha", "greedy", "export"]},
-            "budget": _STR,
-            "dimacs": _STR,
-            "cnf": _STR,
-            "cnf_colors": _INT,
-        },
-        "required": ["group", "connection", "action"],
-        "additionalProperties": False,
-    },
-    "construct": {
-        "type": "object",
-        "properties": {
-            "equation": _STR,
-            "q": _INT,
-            "primes": {"type": "array", "items": _INT, "minItems": 1},
-            "p": {"anyOf": [_INT, {"const": "auto"}]},
-            "core_threshold": {"anyOf": [_STR, {"type": "null"}]},
-            "extension_threshold": {"anyOf": [_STR, {"type": "null"}]},
-        },
-        "required": ["equation", "q", "primes", "p"],
-        "additionalProperties": False,
-    },
-    "bohr-color": {
-        "type": "object",
-        "properties": {
-            "p": _INT,
-            "equation": _STR,
-            "set": {
-                "type": "object",
-                "properties": {
-                    "rle": _STR,
-                    "indices": {"type": "array", "items": _INT},
-                    "random_density": _NUM,
-                },
-                "additionalProperties": False,
-                "minProperties": 1,
-                "maxProperties": 1,
-            },
-            "nu": _NUM,
-            "rho": _NUM,
-            "s_index": {"anyOf": [_INT, {"type": "null"}]},
-            "seed": _INT,
-            "colors_out": _STR,
-        },
-        "required": ["p", "equation", "set"],
-        "additionalProperties": False,
-    },
-    "indep-set": {
-        "type": "object",
-        "properties": {
-            "p": _INT,
-            "n": _INT,
-            "radius_sq": {"anyOf": [_INT, {"type": "null"}]},
-            "cap": _INT,
-            "samples": _INT,
-            "seed": _INT,
-            "csv": _STR,
-        },
-        "required": ["p", "n"],
-        "additionalProperties": False,
-    },
-    "certify-lift": {
-        "type": "object",
-        "properties": {
-            "golden": {"type": "boolean"},
-            "equation": _STR,
-            "q": _INT,
-            "primes": {"type": "array", "items": _INT, "minItems": 1},
-            "p": {"anyOf": [_INT, {"const": "auto"}]},
-            "core_threshold": {"anyOf": [_STR, {"type": "null"}]},
-            "extension_threshold": {"anyOf": [_STR, {"type": "null"}]},
-        },
-        "additionalProperties": False,
-    },
+# Config fields, checked before any work.  A kind is one of the JSON type
+# names in _SCALARS, a frozenset of allowed strings, a tuple of alternative
+# kinds, a _ListOf, or an _Object.  "integer" means a JSON integer: never a
+# boolean and never a float, however integral.
+_SCALARS = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float),
+    "string": lambda v: type(v) is str,
+    "boolean": lambda v: type(v) is bool,
+    "null": lambda v: v is None,
 }
+
+
+@dataclass(frozen=True)
+class _ListOf:
+    item: object
+    nonempty: bool = False
+
+
+@dataclass(frozen=True)
+class _Object:
+    fields: dict
+    required: tuple[str, ...] = ()
+    exactly_one: bool = False   # the object sets exactly one of its fields
+
+
+_LIFT_REQUIRED = ("equation", "q", "primes", "p")
+_LIFT_FIELDS = {"equation": "string", "q": "integer",
+                "primes": _ListOf("integer", nonempty=True),
+                "p": ("integer", frozenset({"auto"})),
+                "core_threshold": ("string", "null"),
+                "extension_threshold": ("string", "null")}
+
+_CONFIGS: dict[str, _Object] = {
+    "classify": _Object({"equation": "string"}, ("equation",)),
+    "kneser": _Object({"n": "integer", "k": "integer", "m": "integer",
+                       "action": frozenset({"count", "chi-bound", "chi"}),
+                       "budget": "string"}, ("n", "k", "m", "action")),
+    "cayley": _Object({"group": "string",
+                       "connection": _ListOf(("integer", _ListOf("integer"))),
+                       "action": frozenset({"chi", "alpha", "greedy", "export"}),
+                       "budget": "string", "dimacs": "string", "cnf": "string",
+                       "cnf_colors": "integer"}, ("group", "connection", "action")),
+    "construct": _Object(_LIFT_FIELDS, _LIFT_REQUIRED),
+    "bohr-color": _Object({"p": "integer", "equation": "string",
+                           "set": _Object({"rle": "string", "indices": _ListOf("integer"),
+                                           "random_density": "number"}, exactly_one=True),
+                           "nu": "number", "rho": "number", "s_index": ("integer", "null"),
+                           "seed": "integer", "colors_out": "string"},
+                          ("p", "equation", "set")),
+    "indep-set": _Object({"p": "integer", "n": "integer", "radius_sq": ("integer", "null"),
+                          "cap": "integer", "samples": "integer", "seed": "integer",
+                          "csv": "string"}, ("p", "n")),
+    "certify-lift": _Object({"golden": "boolean", **_LIFT_FIELDS}),
+}
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(map(_describe, kind))
+    if isinstance(kind, frozenset):
+        return "one of " + ", ".join(map(repr, sorted(kind)))
+    return {_ListOf: "list", _Object: "object"}.get(type(kind), kind)
+
+
+def _config_errors(value, kind, path: str = "") -> list[str]:
+    """'<field path>: <message>' for each way value fails kind; [] if it fits."""
+    where = path or "<root>"
+    sub = (lambda key: f"{path}/{key}") if path else str
+    if isinstance(kind, tuple):
+        if any(not _config_errors(value, k, path) for k in kind):
+            return []
+    elif isinstance(kind, frozenset):
+        if type(value) is str and value in kind:
+            return []
+    elif isinstance(kind, str):
+        if _SCALARS[kind](value):
+            return []
+    elif isinstance(kind, _ListOf) and type(value) is list:
+        if kind.nonempty and not value:
+            return [f"{where}: must not be empty"]
+        return [e for i, item in enumerate(value)
+                for e in _config_errors(item, kind.item, sub(i))]
+    elif isinstance(kind, _Object) and type(value) is dict:
+        errors = []
+        for key, item in value.items():
+            if key in kind.fields:
+                errors += _config_errors(item, kind.fields[key], sub(key))
+            else:
+                errors.append(f"{sub(key)}: unknown field")
+        errors += [f"{sub(key)}: missing required field"
+                   for key in kind.required if key not in value]
+        if kind.exactly_one and len(value) != 1:
+            errors.append(f"{where}: needs exactly one of "
+                          + ", ".join(repr(k) for k in kind.fields))
+        return errors
+    return [f"{where}: expected {_describe(kind)}, got {json.dumps(value)}"]
 
 
 class CliError(Exception):
@@ -164,14 +155,9 @@ def _load_config(path: str, command: str) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-    validator = Draft202012Validator(_SCHEMAS[command])
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.path))
+    errors = _config_errors(cfg, _CONFIGS[command])
     if errors:
-        lines = "; ".join(
-            f"{'/'.join(str(p) for p in e.path) or '<root>'}: {e.message}"
-            for e in errors
-        )
-        raise CliError(f"config {path} failed validation: {lines}")
+        raise CliError(f"config {path} failed validation: {'; '.join(errors)}")
     return cfg
 
 
@@ -205,6 +191,13 @@ def _run_classify(cfg: dict) -> tuple[dict, int]:
     return {"equation": str(eq), "k": eq.k, **res.to_report()}, 0
 
 
+def _chi_report(res: cayley_mod.ChromaticResult) -> dict:
+    out = {"chi_lower": res.lower, "chi_upper": res.upper, "chi_exact": res.exact}
+    if res.exact:
+        out["chi"] = res.chromatic_number
+    return out
+
+
 def _run_kneser(cfg: dict) -> tuple[dict, int]:
     params = kneser.KneserParams(cfg["n"], cfg["k"], cfg["m"])
     out: dict = {
@@ -219,13 +212,8 @@ def _run_kneser(cfg: dict) -> tuple[dict, int]:
         out["chi_bound_ceil"] = -(-bound.numerator // bound.denominator)
     if action == "chi":
         _, graph = kneser.build_graph(params)
-        res = cayley_mod.chromatic_number_exact(
-            graph, budget_s=_parse_budget(cfg.get("budget")))
-        out["chi_lower"] = res.lower
-        out["chi_upper"] = res.upper
-        out["chi_exact"] = res.exact
-        if res.exact:
-            out["chi"] = res.chromatic_number
+        out.update(_chi_report(cayley_mod.chromatic_number_exact(
+            graph, budget_s=_parse_budget(cfg.get("budget")))))
     return out, 0
 
 
@@ -263,12 +251,7 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         out["clique"] = list(gb.clique)
     elif action == "chi":
         res = cayley_mod.chromatic_number_exact(graph, budget_s=budget)
-        out["chi_lower"] = res.lower
-        out["chi_upper"] = res.upper
-        out["chi_exact"] = res.exact
-        out["search_nodes"] = res.nodes
-        if res.exact:
-            out["chi"] = res.chromatic_number
+        out.update(_chi_report(res), search_nodes=res.nodes)
     elif action == "alpha":
         res = cayley_mod.independence_number_exact(graph, budget_s=budget)
         out["alpha_lower"] = res.lower
@@ -294,77 +277,60 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
     return out, 0
 
 
-def _construction_params(cfg: dict) -> cons.ConstructionParams:
+def _pinned_config(cfg: dict) -> cons.PinnedConfig:
     eq = cons.normalize_equation(Equation.parse(cfg["equation"])).eq
-    q = cfg["q"]
     primes = tuple(cfg["primes"])
     p = cfg["p"]
     if p == "auto":
         d = eq.abs_coeff_sum
-        m = 1
-        for pi in primes:
-            m *= pi
         # Smallest prime with the mixed nonzero-sum margin in force.
-        p = next_prime(d * d * (d + 1) * m)
-    return cons.ConstructionParams(eq=eq, q=q, primes=primes, p=int(p))
+        p = next_prime(d * d * (d + 1) * math.prod(primes))
+    params = cons.ConstructionParams(eq=eq, q=cfg["q"], primes=primes, p=int(p))
+    return cons.PinnedConfig(
+        params,
+        _threshold(cfg.get("core_threshold"), cons.default_core_threshold(params)),
+        _threshold(cfg.get("extension_threshold"),
+                   cons.default_extension_threshold(params)))
+
+
+def _lift_report(pinned: cons.PinnedConfig) -> dict:
+    """The report fields construct and certify-lift share."""
+    params = pinned.params
+    return {"equation": str(params.eq), "q": params.q, "primes": list(params.primes),
+            "m": params.m, "p": params.p,
+            "core_threshold": str(pinned.core_threshold),
+            "extension_threshold": str(pinned.extension_threshold)}
 
 
 def _run_construct(cfg: dict) -> tuple[dict, int]:
-    params = _construction_params(cfg)
-    core_t = _threshold(cfg.get("core_threshold"),
-                        cons.default_core_threshold(params))
-    ext_t = _threshold(cfg.get("extension_threshold"),
-                       cons.default_extension_threshold(params))
+    pinned = _pinned_config(cfg)
+    params, core_t, ext_t = pinned.params, pinned.core_threshold, pinned.extension_threshold
     e0 = cons.build_core_set(params, core_t)
     f0 = cons.build_extension_set(params, ext_t)
-    out = {
-        "equation": str(params.eq),
-        "q": params.q,
-        "primes": list(params.primes),
-        "m": params.m,
-        "p": params.p,
-        "core_threshold": str(core_t),
-        "extension_threshold": str(ext_t),
+    return {
+        **_lift_report(pinned),
         "core_size": e0.count,
         "core_density": e0.count / params.m,
         "extension_size": f0.count,
         "extension_density": f0.count / params.m,
         "scale_conditions": cons.scale_conditions(params, core_t, ext_t),
-    }
-    return out, 0
+    }, 0
 
 
 def _run_certify(cfg: dict) -> tuple[dict, int]:
     if cfg.get("golden"):
         pinned = cons.golden_config()
     else:
-        for key in ("equation", "q", "primes", "p"):
+        for key in _LIFT_REQUIRED:
             if key not in cfg:
                 raise CliError(
                     f"certify-lift needs either golden=true or the field {key!r}")
-        params = _construction_params(cfg)
-        pinned = cons.PinnedConfig(
-            params,
-            _threshold(cfg.get("core_threshold"),
-                       cons.default_core_threshold(params)),
-            _threshold(cfg.get("extension_threshold"),
-                       cons.default_extension_threshold(params)),
-        )
+        pinned = _pinned_config(cfg)
     e0, f0, lift = pinned.build()
     bundle = cons.certify_lift(
         pinned.params, e0, f0, lift,
         pinned.core_threshold, pinned.extension_threshold)
-    out = {
-        "equation": str(pinned.params.eq),
-        "q": pinned.params.q,
-        "primes": list(pinned.params.primes),
-        "m": pinned.params.m,
-        "p": pinned.params.p,
-        "core_threshold": str(pinned.core_threshold),
-        "extension_threshold": str(pinned.extension_threshold),
-        "interval": list(lift.interval),
-        **bundle.to_report(),
-    }
+    out = {**_lift_report(pinned), "interval": list(lift.interval), **bundle.to_report()}
     return out, 0 if bundle.all_passed else 2
 
 
@@ -470,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", required=True,
-                         help="JSON config file (schema-checked)")
+                         help="JSON config file (field-checked)")
         cmd.add_argument("--out", default=None,
                          help="write the JSON report here instead of stdout")
     return parser
@@ -492,12 +458,8 @@ def run(command: str, cfg: dict) -> tuple[dict, int]:
 
 def _jsonify(obj):
     """Let numpy scalars pass through json.dumps."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
@@ -506,10 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config, args.command)
         report, code = run(args.command, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify)

@@ -26,7 +26,7 @@ import numpy as np
 from . import config
 from .equations import Equation, classify, is_solution_free
 from .exact import Surd, max_int_le, min_int_ge
-from .groups import CrtSplit, ElementSet, GroupSpec, crt_split, make_group
+from .groups import ElementSet, GroupSpec, crt_split, make_group
 from .primes import check_distinct_primes, is_prime
 
 __all__ = [
@@ -266,10 +266,6 @@ class ConstructionParams:
     @property
     def group_p(self) -> GroupSpec:
         return make_group([self.p])
-
-    @property
-    def crt(self) -> CrtSplit:
-        return crt_split(self.m, list(self.primes))
 
 
 def default_core_threshold(params: ConstructionParams) -> Surd:

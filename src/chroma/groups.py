@@ -317,10 +317,6 @@ class CrtSplit:
     def product_group(self) -> GroupSpec:
         return make_group(self.primes)
 
-    @property
-    def line_group(self) -> GroupSpec:
-        return make_group([self.m])
-
     def to_coords(self, x: int) -> tuple[int, ...]:
         x %= self.m
         return tuple(x % p for p in self.primes)

@@ -1,10 +1,12 @@
 """Graphs, Cayley views, and the exact coloring/independence solvers."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
 
+from chroma import cayley
 from chroma.cayley import (
     CayleyView,
     Coloring,
@@ -155,6 +157,41 @@ def test_zero_budget_is_spent_on_the_first_node():
     assert res.coloring.num_colors == res.upper
 
 
+@pytest.fixture
+def seed_spends_budget(monkeypatch):
+    """A clock that ticks 1 ms per read, and greedy seeds that take 2 s of it."""
+    clock = [0.0]
+
+    def monotonic():
+        clock[0] += 1e-3
+        return clock[0]
+
+    def slow(seed):
+        def run(graph):
+            clock[0] += 2.0
+            return seed(graph)
+        return run
+
+    monkeypatch.setattr(cayley, "time", types.SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(cayley, "dsatur_coloring", slow(cayley.dsatur_coloring))
+    monkeypatch.setattr(cayley, "_greedy_independent", slow(cayley._greedy_independent))
+
+
+def test_budget_covers_the_greedy_seed(seed_spends_budget):
+    _, graph = build_graph(KneserParams(11, 2, 1))
+    res = chromatic_number_exact(graph, budget_s=1.0)
+    assert not res.exact and res.proof == "budget"
+    assert res.nodes == 1
+    assert res.lower <= 9 <= res.upper
+    res.coloring.validate(graph)
+    assert res.coloring.num_colors == res.upper
+    res = independence_number_exact(graph, budget_s=1.0)
+    assert not res.exact and res.nodes == 1
+    assert res.lower <= 10 <= res.upper     # alpha(KN(11,2)) = C(10,1)
+    res.vertex_set.validate_independent(graph)
+    assert res.vertex_set.size == res.lower
+
+
 def test_solver_cap_enforced(rng):
     graph = random_graph(rng, 25, 0.5)
     with pytest.raises(ValueError):
@@ -164,6 +201,8 @@ def test_solver_cap_enforced(rng):
 @pytest.mark.parametrize("moduli, members", [
     ((3, 3, 3), [1, 5, 9, 22]),
     ((2, 3, 4), [1, 5, 13, 23]),
+    ((13,), [1, 5]),
+    ((12,), [3, 6, 11]),
 ])
 def test_product_group_adjacency_matches_coordinatewise_oracle(moduli, members):
     g = make_group(moduli)

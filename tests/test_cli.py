@@ -1,6 +1,10 @@
-"""End-to-end runs of the `chroma` command-line front end (in-process)."""
+"""End-to-end runs of the `chroma` command-line front end (in-process but one)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -418,6 +422,19 @@ CONFIG_CHECK_ROWS = [
     ("certify-lift", {**_LIFT, "p": "AUTO"}, False),
     ("certify-lift", {**_LIFT, "extension_threshold": 0}, False),
     ("certify-lift", {"golden": True, "typo": 1}, False),
+    # an integer field takes JSON integers only, not integral floats
+    ("kneser", {**_KNESER, "n": 5.0}, False),
+    ("cayley", {**_CAYLEY, "cnf_colors": 3.0}, False),
+    ("cayley", {**_CAYLEY, "connection": [1.0]}, False),
+    ("cayley", {**_CAYLEY, "connection": [[1.0]]}, False),
+    ("construct", {**_LIFT, "q": 5.0}, False),
+    ("construct", {**_LIFT, "p": 431.0}, False),
+    ("bohr-color", {**_BOHR, "set": {"indices": [1.0]}}, False),
+    ("indep-set", {**_INDEP, "n": 9.0}, False),
+    ("indep-set", {"p": 3, "n": 6, "radius_sq": 6.0}, False),
+    ("indep-set", {"p": 3, "n": 6, "samples": 100.0}, False),
+    ("indep-set", {"p": 3, "n": 6, "seed": 1.0}, False),
+    ("certify-lift", {**_LIFT, "primes": [11.0, 13]}, False),
 ]
 
 
@@ -429,3 +446,35 @@ def test_config_check_table(tmp_path, capsys, command, cfg, accepted):
     else:
         assert code == 1
         assert "failed validation" in err
+
+
+def test_config_errors_name_each_field(tmp_path, capsys):
+    code, _, err = invoke(tmp_path, capsys, "cayley",
+                          {"group": "Z(5)", "connection": [1, [2.0]],
+                           "action": "paint", "typo": 1})
+    assert code == 1
+    assert err.strip() == (
+        f"error: config {tmp_path / 'cayley-config.json'} failed validation: "
+        "connection/1: expected integer or list, got [2.0]; "
+        "action: expected one of 'alpha', 'chi', 'export', 'greedy', got \"paint\"; "
+        "typo: unknown field")
+    code, _, err = invoke(tmp_path, capsys, "bohr-color",
+                          {"p": 11, "set": {"rle": "a", "indices": []}})
+    assert code == 1
+    assert err.strip().endswith(
+        "failed validation: set: needs exactly one of 'rle', 'indices', "
+        "'random_density'; equation: missing required field")
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    cfg = tmp_path / "classify.json"
+    cfg.write_text(json.dumps({"equation": "[1,1,-1]"}))
+    script = ("import sys; sys.modules['jsonschema'] = None\n"
+              "from chroma.cli import main\n"
+              f"sys.exit(main(['classify', '--config', {str(cfg)!r}]))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["rt"] is True
