@@ -22,7 +22,7 @@ against the actual adjacency, whether or not the degree bound held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -179,25 +179,7 @@ class ColoringReport:
     proper: bool
 
     def to_report(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "nu": self.nu,
-            "rho": str(self.rho),
-            "arc_count": self.arc_count,
-            "s_index": self.s_index,
-            "spectrum_size": self.spectrum_size,
-            "frequency_count": self.frequency_count,
-            "bohr_size": self.bohr_size,
-            "intersection_size": self.intersection_size,
-            "claim_passed": self.claim_passed,
-            "cells": self.cells,
-            "max_cell_degree": self.max_cell_degree,
-            "colors_used": self.colors_used,
-            "color_budget": self.color_budget,
-            "within_budget": self.within_budget,
-            "proper": self.proper,
-        }
+        return {**asdict(self), "rho": str(self.rho)}
 
 
 def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:

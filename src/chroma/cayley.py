@@ -82,10 +82,6 @@ class Graph:
             m &= m - 1
         return out
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, [(full ^ self.masks[v]) & ~(1 << v) for v in range(self.n)])
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -150,10 +146,11 @@ class CayleyView:
     def degree(self) -> int:
         return self.symmetric.count
 
-    def to_graph(self, cap: int = config.ADJACENCY_CAP) -> Graph:
+    def to_graph(self) -> Graph:
         n = self.order
-        if n > cap:
-            raise ValueError(f"group order {n} exceeds the adjacency cap {cap}")
+        if n > config.ADJACENCY_CAP:
+            raise ValueError(
+                f"group order {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
         g = self.group
         masks = [0] * n
         vcoords = g.indices_to_coords(np.arange(n, dtype=np.int64))
@@ -287,8 +284,7 @@ class ChromaticResult:
         return self.upper
 
 
-def chromatic_number_exact(graph: Graph, budget_s: float | None = None,
-                           cap: int = config.EXACT_SOLVER_CAP) -> ChromaticResult:
+def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> ChromaticResult:
     """Exact chromatic number by DSATUR branch and bound with a clique seed.
 
     Within budget the result is exact (lower == upper) and carries a validated
@@ -297,8 +293,9 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None,
     returned instead, flagged exact=False.
     """
     n = graph.n
-    if n > cap:
-        raise ValueError(f"vertex count {n} exceeds the exact-solver cap {cap}")
+    if n > config.EXACT_SOLVER_CAP:
+        raise ValueError(
+            f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
     if n == 0:
         return ChromaticResult(0, 0, Coloring(()), True, 0, "empty")
     if graph.edge_count() == 0:
@@ -406,12 +403,13 @@ def _greedy_independent(graph: Graph) -> list[int]:
     return sorted(out)
 
 
-def independence_number_exact(graph: Graph, budget_s: float | None = None,
-                              cap: int = config.EXACT_SOLVER_CAP) -> IndependenceResult:
+def independence_number_exact(graph: Graph,
+                              budget_s: float | None = None) -> IndependenceResult:
     """Exact maximum independent set by bitset branch and bound."""
     n = graph.n
-    if n > cap:
-        raise ValueError(f"vertex count {n} exceeds the exact-solver cap {cap}")
+    if n > config.EXACT_SOLVER_CAP:
+        raise ValueError(
+            f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
     if n == 0:
         return IndependenceResult(0, 0, VertexSet(()), True, 0)
 

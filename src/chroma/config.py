@@ -1,9 +1,9 @@
-"""Default resource caps.
+"""Resource caps.
 
-Every expensive routine takes an explicit cap/budget argument; these are the
-defaults.  They bound memory (materialized bitmaps), CPU (brute-force scans),
-and exact-solver size, so that desk-scale runs stay interactive and anything
-larger fails loudly instead of hanging.
+Expensive routines read these caps at call time and raise ValueError before
+any work starts when an input is over one.  They bound memory (materialized
+bitmaps), CPU (brute-force scans), and exact-solver size, so that desk-scale
+runs stay interactive and anything larger fails loudly instead of hanging.
 """
 
 from __future__ import annotations

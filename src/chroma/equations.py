@@ -72,10 +72,14 @@ class Equation:
         """Parse "[1, 1, -1]" or "1*x1 + 1*x2 - 1*x3 = 0"."""
         text = text.strip()
         if text.startswith("["):
-            vals = ast.literal_eval(text)
-            if not isinstance(vals, (list, tuple)):
-                raise ValueError(f"bad equation literal {text!r}")
-            return Equation(tuple(int(v) for v in vals))
+            try:
+                vals = ast.literal_eval(text)
+            except SyntaxError as exc:
+                raise ValueError(f"bad equation literal {text!r}") from exc
+            # bool is an int subclass and floats would truncate: exact ints only
+            if not isinstance(vals, list) or any(type(v) is not int for v in vals):
+                raise ValueError(f"equation literal {text!r} needs integer coefficients")
+            return Equation(tuple(vals))
         lhs, _, rhs = text.partition("=")
         if rhs and rhs.strip() != "0":
             raise ValueError("equation right-hand side must be 0")
@@ -476,16 +480,17 @@ def _injective_by_enumeration(group: GroupSpec, eq: Equation, A: ElementSet) -> 
 # ---------------------------------------------------------------------------
 
 
-def dft(values: np.ndarray, cap: int = config.DFT_CAP) -> np.ndarray:
+def dft(values: np.ndarray) -> np.ndarray:
     """Normalized transform fhat(xi) = (1/p) * sum_x f(x) e(-x*xi/p).
 
     Implemented with an FFT; identical (up to rounding) to the direct O(p^2)
-    sum, which the test suite keeps as an oracle.  `cap` bounds the length.
+    sum, which the test suite keeps as an oracle.  `config.DFT_CAP` bounds
+    the length.
     """
     values = np.asarray(values)
     p = values.shape[0]
-    if p > cap:
-        raise ValueError(f"transform length {p} exceeds cap {cap}")
+    if p > config.DFT_CAP:
+        raise ValueError(f"transform length {p} exceeds cap {config.DFT_CAP}")
     return np.fft.fft(values) / p
 
 
@@ -495,11 +500,9 @@ def idft(table: np.ndarray) -> np.ndarray:
     return np.fft.ifft(table) * table.shape[0]
 
 
-def _dft_product(eq: Equation, A: ElementSet, cap: int) -> tuple[int, np.ndarray]:
+def _dft_product(eq: Equation, A: ElementSet) -> tuple[int, np.ndarray]:
     p = _require_prime_field(eq, A)
-    if p > cap:
-        raise ValueError(f"p = {p} exceeds the transform cap {cap}")
-    ahat = dft(A.mask().astype(np.float64), cap=cap)
+    ahat = dft(A.mask().astype(np.float64))
     xi = np.arange(p, dtype=np.int64)
     prod = np.ones(p, dtype=np.complex128)
     for c in eq.coeffs:
@@ -507,14 +510,13 @@ def _dft_product(eq: Equation, A: ElementSet, cap: int) -> tuple[int, np.ndarray
     return p, prod
 
 
-def count_solutions_dft_all(eq: Equation, A: ElementSet,
-                            cap: int = config.DFT_CAP) -> np.ndarray:
+def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
     """All-targets Fourier solution count, rounded to exact integers.
 
     Raises ArithmeticError if any rounded value strays from an integer by more
     than 1e-6 * p^(k-1) (the documented instability tolerance).
     """
-    p, prod = _dft_product(eq, A, cap)
+    p, prod = _dft_product(eq, A)
     raw = (p ** (eq.k - 1)) * idft(prod)
     tol = 1e-6 * p ** (eq.k - 1)
     rounded = np.rint(raw.real)

@@ -29,6 +29,8 @@ def read_dimacs(path) -> Graph:
                     raise ValueError(f"bad DIMACS problem line {line!r}")
                 n = int(parts[2])
             elif parts[0] == "e":
+                if len(parts) != 3:
+                    raise ValueError(f"bad DIMACS edge line {line!r}")
                 if n is None:
                     raise ValueError("edge line before problem line")
                 u, v = int(parts[1]) - 1, int(parts[2]) - 1

@@ -330,25 +330,6 @@ class CrtSplit:
             x = (x + (r % p) * big * pow(big, -1, p)) % self.m
         return x
 
-    def coords_table(self) -> np.ndarray:
-        """(m, n) residue table; requires m within the materialization cap."""
-        if self.m > config.MATERIALIZE_CAP:
-            raise ValueError(f"m={self.m} exceeds the materialization cap")
-        xs = np.arange(self.m, dtype=np.int64)
-        return np.stack([xs % p for p in self.primes], axis=1)
-
-    def index_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(to_product, to_line): inverse index maps between Z_m and the product.
-
-        to_product[x] is the mixed-radix index of the residue vector of x;
-        to_line[i] recovers x from a product-group index i.
-        """
-        tab = self.coords_table()
-        to_product = self.product_group.coords_to_indices(tab)
-        to_line = np.empty(self.m, dtype=np.int64)
-        to_line[to_product] = np.arange(self.m, dtype=np.int64)
-        return to_product, to_line
-
 
 def crt_split(m: int, primes: Sequence[int]) -> CrtSplit:
     """Validated CRT split of Z_m along an explicit list of prime factors."""

@@ -103,11 +103,11 @@ def count_vertices(params: KneserParams) -> int:
     )
 
 
-def kneser_vertices(params: KneserParams, cap: int = _VERTEX_CAP) -> list[KneserVertex]:
+def kneser_vertices(params: KneserParams) -> list[KneserVertex]:
     """All vertices in lexicographic order of their part tuples."""
     total = count_vertices(params)
-    if total > cap:
-        raise ValueError(f"vertex count {total} exceeds cap {cap}")
+    if total > _VERTEX_CAP:
+        raise ValueError(f"vertex count {total} exceeds cap {_VERTEX_CAP}")
     n, k, m = params.n, params.k, params.m
     ground = list(range(n))
     out: list[KneserVertex] = []
@@ -164,13 +164,13 @@ def kneser_adjacent(a: KneserVertex, b: KneserVertex) -> bool:
     return _adjacent_masks(pa, sa, pb, sb)
 
 
-def build_graph(params: KneserParams,
-                cap: int = config.ADJACENCY_CAP) -> tuple[list[KneserVertex], Graph]:
+def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
     """Materialize the graph; vertices indexed in lexicographic order."""
+    n = count_vertices(params)
+    if n > config.ADJACENCY_CAP:
+        raise ValueError(
+            f"vertex count {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
     verts = kneser_vertices(params)
-    n = len(verts)
-    if n > cap:
-        raise ValueError(f"vertex count {n} exceeds the adjacency cap {cap}")
     cascades = []
     for v in verts:
         pref, suf = _cascade_masks(v.masks())
@@ -336,10 +336,10 @@ class HammingBallSet:
         d = sum(1 for c in coords if c % self.p != 1)
         return d <= self.distance_cutoff()
 
-    def to_element_set(self, cap: int = config.MATERIALIZE_CAP) -> ElementSet:
+    def to_element_set(self) -> ElementSet:
         group = self.group
-        if group.order > cap:
-            raise ValueError(f"order {group.order} exceeds cap {cap}")
+        if group.order > config.MATERIALIZE_CAP:
+            raise ValueError(f"order {group.order} exceeds cap {config.MATERIALIZE_CAP}")
         idx = np.arange(group.order, dtype=np.int64)
         coords = group.indices_to_coords(idx)
         dist = (coords != 1).sum(axis=1)

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from chroma import cayley
+from chroma import cayley, config, kneser
 from chroma.cayley import (
     CayleyView,
     Coloring,
@@ -18,8 +18,9 @@ from chroma.cayley import (
     greedy_clique,
     independence_number_exact,
 )
+from chroma.equations import Equation, count_solutions_dft_all, dft
 from chroma.groups import ElementSet, make_group
-from chroma.kneser import KneserParams, build_graph
+from chroma.kneser import KneserParams, build_graph, hamming_ball, kneser_vertices
 
 
 def random_graph(rng, n, density):
@@ -192,10 +193,43 @@ def test_budget_covers_the_greedy_seed(seed_spends_budget):
     assert res.vertex_set.size == res.lower
 
 
-def test_solver_cap_enforced(rng):
-    graph = random_graph(rng, 25, 0.5)
-    with pytest.raises(ValueError):
-        chromatic_number_exact(graph, cap=20)
+def _cycle(n):
+    return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def _z13_set():
+    return ElementSet.from_indices(make_group([13]), [1, 3, 9])
+
+
+# entry point -> (module holding its cap, cap name, input size, call)
+_CAPPED = {
+    "CayleyView.to_graph": (config, "ADJACENCY_CAP", 13,
+                            lambda: CayleyView(make_group([13]), _z13_set()).to_graph()),
+    "chromatic_number_exact": (config, "EXACT_SOLVER_CAP", 7,
+                               lambda: chromatic_number_exact(_cycle(7))),
+    "independence_number_exact": (config, "EXACT_SOLVER_CAP", 7,
+                                  lambda: independence_number_exact(_cycle(7))),
+    "kneser_vertices": (kneser, "_VERTEX_CAP", 10,
+                        lambda: kneser_vertices(KneserParams(5, 2, 1))),
+    "kneser.build_graph": (config, "ADJACENCY_CAP", 10,
+                           lambda: build_graph(KneserParams(5, 2, 1))),
+    "HammingBallSet.to_element_set": (config, "MATERIALIZE_CAP", 9,
+                                      lambda: hamming_ball(3, 2).to_element_set()),
+    "dft": (config, "DFT_CAP", 13, lambda: dft(np.ones(13))),
+    "count_solutions_dft_all": (config, "DFT_CAP", 13,
+                                lambda: count_solutions_dft_all(Equation((1, 1, -1)),
+                                                                _z13_set())),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CAPPED))
+def test_caps_are_read_at_call_time(monkeypatch, entry):
+    module, name, size, call = _CAPPED[entry]
+    monkeypatch.setattr(module, name, size)
+    call()                                      # an input at the cap runs
+    monkeypatch.setattr(module, name, size - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        call()
 
 
 @pytest.mark.parametrize("moduli, members", [

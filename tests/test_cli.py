@@ -478,3 +478,19 @@ def test_cli_runs_without_jsonschema(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["rt"] is True
+
+
+def test_package_root_stays_lean():
+    script = ("import sys, chroma\n"
+              "heavy = ['cayley', 'kneser', 'bohr', 'constructions', 'graphio',\n"
+              "         'exact', 'cli']\n"
+              "print([m for m in heavy if 'chroma.' + m in sys.modules])\n"
+              "print([chroma.ElementSet.__name__, chroma.make_group.__name__,\n"
+              "       chroma.Equation.__name__, chroma.classify.__name__])\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['ElementSet', 'make_group', 'Equation', 'classify']"]

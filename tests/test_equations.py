@@ -27,7 +27,8 @@ def test_parse_bracket_and_symbolic_forms():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["", "[]", "[1, a]", "x1+x1", "3x2", "x0+x1", "[1,0,2]"]:
+    for bad in ["", "[]", "[1, a]", "x1+x1", "3x2", "x0+x1", "[1,0,2]",
+                "[1.5, 1, -1]", "[1, 1, 1e20]", "[True, 1, -1]", "[1, 1"]:
         with pytest.raises(ValueError):
             Equation.parse(bad)
 

@@ -57,6 +57,9 @@ def test_dimacs_rejects_malformed(tmp_path):
     bad.write_text("q edge 3 0\n")
     with pytest.raises(ValueError):
         read_dimacs(bad)
+    bad.write_text("p edge 3 1\ne 1\n")
+    with pytest.raises(ValueError, match="e 1"):
+        read_dimacs(bad)
 
 
 def test_cnf_encoding_semantics(tmp_path):

@@ -39,12 +39,6 @@ def test_crt_split_is_additive_bijection():
             cx, cy = split.to_coords(x), split.to_coords(y)
             s = [(a + b) % m for a, b, m in zip(cx, cy, (3, 5, 7))]
             assert split.to_scalar(s) == (x + y) % 105
-    # vectorized index maps agree with the scalar route
-    to_product, to_line = split.index_maps()
-    product_coords = split.product_group.indices_to_coords(to_product)
-    for x in range(105):
-        assert to_line[to_product[x]] == x
-        assert tuple(product_coords[x].tolist()) == split.to_coords(x)
 
 
 def test_literal_roundtrip():
