@@ -9,12 +9,7 @@ are then too light to reach the ball: I is independent in Cay(Z_p^n, S).
 """
 
 from chroma.exact import Surd
-from chroma.kneser import (
-    classical_binary_independent_set,
-    hamming_ball,
-    independent_set,
-    ones_weight,
-)
+from chroma.kneser import hamming_ball, independent_set, ones_weight
 
 # -- the coordinate weight behind both sets ---------------------------------
 
@@ -41,9 +36,9 @@ res = independent_set(3, 8, Surd.sqrt(1, 8))
 print("relaxed radius sqrt(8): %d members, exact=%s" % (res.count, res.exact))
 print("one member:", res.members_coords()[-1].tolist())
 
-# -- the binary variant collapses to a single weight cutoff -----------------
+# -- at p = 2 the weight is the Hamming weight and x = -x ------------------
 
-res = classical_binary_independent_set(9)
+res = independent_set(2, 9)                   # default radius sqrt(n) at p = 2
 print("\nZ_2^9, radius sqrt(9): %d members (vectors of weight <= %s)"
       % (res.count, res.threshold))
 

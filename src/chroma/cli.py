@@ -382,13 +382,9 @@ def _run_indep(cfg: dict) -> tuple[dict, int]:
     kwargs = {}
     if "cap" in cfg:
         kwargs["cap"] = cfg["cap"]
-    if p == 2:
-        res = kneser.classical_binary_independent_set(n, radius, **kwargs)
-    else:
-        if "samples" in cfg:
-            kwargs["mc_samples"] = cfg["samples"]
-        res = kneser.independent_set(p, n, radius, seed=cfg.get("seed", 0),
-                                     **kwargs)
+    if "samples" in cfg:
+        kwargs["mc_samples"] = cfg["samples"]
+    res = kneser.independent_set(p, n, radius, seed=cfg.get("seed", 0), **kwargs)
     out = {
         "p": res.p,
         "n": res.n,

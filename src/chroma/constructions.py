@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config
 from .equations import Equation, classify, is_solution_free
-from .exact import Surd, max_int_le, min_int_ge
+from .exact import Surd
 from .groups import ElementSet, GroupSpec, crt_split, make_group
 from .primes import check_distinct_primes, is_prime
 
@@ -295,9 +295,7 @@ def build_core_set(params: ConstructionParams,
     if m > config.MATERIALIZE_CAP:
         raise ValueError(f"m = {m} exceeds the materialization cap")
     nums = norm_numerators(ctx, np.arange(m, dtype=np.int64), 1)
-    denom = ctx.denominator(1)
-    hi = params.n * denom
-    cutoff = min_int_ge(threshold.scaled(denom), -hi - 1, hi)
+    cutoff = threshold.scaled(ctx.denominator(1)).ceil()
     return ElementSet.from_mask(params.group_m, nums >= cutoff)
 
 
@@ -357,9 +355,7 @@ def build_extension_set(params: ConstructionParams,
     ys = np.arange(m, dtype=np.int64)
     pos = norm_numerators(ctx, (c1 * ys) % m, big_c)
     neg = norm_numerators(ctx, (-c1 * ys) % m, big_c)
-    denom = ctx.denominator(big_c)
-    hi = params.n * denom
-    cutoff = max_int_le(threshold.scaled(denom), -1, hi)
+    cutoff = threshold.scaled(ctx.denominator(big_c)).floor()
     return ElementSet.from_mask(params.group_m, (pos <= cutoff) & (neg <= cutoff))
 
 

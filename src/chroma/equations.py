@@ -402,7 +402,7 @@ def count_solutions_brute_all(eq: Equation, A: ElementSet, injective: bool = Fal
 
 
 def _conv_count_table(group: GroupSpec, coeffs: Sequence[int], A: ElementSet) -> np.ndarray:
-    """Iterated shift-and-add convolution; exact in int64.
+    """Iterated shift-and-add convolution over nonzero coefficients; exact in int64.
 
     Cost is |A| * order per coefficient; guarded by the brute-force cap.
     """
@@ -415,9 +415,6 @@ def _conv_count_table(group: GroupSpec, coeffs: Sequence[int], A: ElementSet) ->
     acc.flat[0] = 1
     coords = group.indices_to_coords(idx)
     for c in coeffs:
-        if c == 0:
-            acc = acc * idx.size  # free variable ranging over A
-            continue
         nxt = np.zeros_like(acc)
         for a in coords:
             shift = tuple(int((c * ai) % ni) for ai, ni in zip(a, shape))

@@ -101,6 +101,24 @@ class Surd:
     def shifted(self, d) -> "Surd":
         return Surd(self.a + _as_fraction(d), self.b, self.under)
 
+    def floor(self) -> int:
+        """Largest integer <= self, in integer arithmetic only.
+
+        With D the common denominator of a and b, self = (A + B*sqrt(u))/D for
+        integers A, B; floor(B*sqrt(u)) comes from isqrt(B^2*u), and flooring
+        that numerator by D gives the floor of the whole.
+        """
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        a, b = int(self.a * d), int(self.b * d)
+        sq = b * b * self.under
+        r = math.isqrt(sq)
+        root = r if b >= 0 else -r - (r * r < sq)   # floor(b*sqrt(u))
+        return (a + root) // d
+
+    def ceil(self) -> int:
+        """Smallest integer >= self, in integer arithmetic only."""
+        return -Surd(-self.a, -self.b, self.under).floor()
+
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.under)
 
@@ -109,39 +127,3 @@ class Surd:
             return str(self.a)
         return f"{self.a} + {self.b}*sqrt({self.under})"
 
-
-def min_int_ge(value: Surd, lo: int, hi: int) -> int:
-    """Smallest integer N in [lo, hi] with N >= value; returns hi+1 if none.
-
-    Used to turn an exact surd threshold into an integer cutoff so that bulk
-    comparisons can run vectorized on integer arrays.
-    """
-    if value.cmp(hi) > 0:
-        return hi + 1
-    if value.cmp(lo) <= 0:
-        return lo
-    # invariant: value > lo_, value <= hi_
-    lo_, hi_ = lo, hi
-    while hi_ - lo_ > 1:
-        mid = (lo_ + hi_) // 2
-        if value.cmp(mid) <= 0:
-            hi_ = mid
-        else:
-            lo_ = mid
-    return hi_
-
-
-def max_int_le(value: Surd, lo: int, hi: int) -> int:
-    """Largest integer N in [lo, hi] with N <= value; returns lo-1 if none."""
-    if value.cmp(lo) < 0:
-        return lo - 1
-    if value.cmp(hi) >= 0:
-        return hi
-    lo_, hi_ = lo, hi
-    while hi_ - lo_ > 1:
-        mid = (lo_ + hi_) // 2
-        if value.cmp(mid) >= 0:
-            lo_ = mid
-        else:
-            hi_ = mid
-    return lo_

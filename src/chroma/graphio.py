@@ -27,7 +27,7 @@ def read_dimacs(path) -> Graph:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] not in ("edge", "col"):
                     raise ValueError(f"bad DIMACS problem line {line!r}")
-                n = int(parts[2])
+                n, m = int(parts[2]), int(parts[3])
             elif parts[0] == "e":
                 if len(parts) != 3:
                     raise ValueError(f"bad DIMACS edge line {line!r}")
@@ -39,6 +39,8 @@ def read_dimacs(path) -> Graph:
                 raise ValueError(f"unrecognized DIMACS line {line!r}")
     if n is None:
         raise ValueError("missing DIMACS problem line")
+    if len(edges) != m:
+        raise ValueError(f"DIMACS header says m = {m}, but the file has {len(edges)} edge lines")
     return Graph.from_edges(n, edges)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .cayley import Graph
-from .exact import Surd, max_int_le
+from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group
 from .primes import is_prime
 
@@ -43,7 +43,6 @@ __all__ = [
     "ones_weight",
     "hamming_ball",
     "independent_set",
-    "classical_binary_independent_set",
 ]
 
 _VERTEX_CAP = 200_000
@@ -204,14 +203,10 @@ def chi_lower_bound(params: KneserParams) -> Fraction:
 
 
 def embedding_k(p: int, n: int) -> int:
-    """Smallest integer k with k >= (n - sqrt(n))/p (exact comparison)."""
+    """Smallest positive integer k with k >= (n - sqrt(n))/p (exact)."""
     if p < 2 or n < 1:
         raise ValueError("need p >= 2 and n >= 1")
-    sqrt_n = Surd.sqrt(1, n)
-    for k in range(1, n + 1):
-        if sqrt_n >= n - p * k:     # sqrt(n) >= n - pk  <=>  k >= (n - sqrt(n))/p
-            return k
-    raise AssertionError("unreachable")
+    return max(1, Surd(Fraction(n, p), Fraction(-1, p), n).ceil())
 
 
 def embed_vertex(v: KneserVertex, p: int, n: int) -> tuple[int, ...]:
@@ -330,7 +325,7 @@ class HammingBallSet:
 
     def distance_cutoff(self) -> int:
         """Largest integer distance inside the ball (exact)."""
-        return max_int_le(self.radius, 0, self.n)
+        return self.radius.floor()
 
     def contains_coords(self, coords) -> bool:
         d = sum(1 for c in coords if c % self.p != 1)
@@ -394,8 +389,6 @@ def _weight_numerators(coords: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _wilson_interval(hits: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    if total == 0:
-        return (0.0, 1.0)
     ph = hits / total
     denom = 1 + z * z / total
     center = (ph + z * z / (2 * total)) / denom
@@ -408,28 +401,30 @@ def independent_set(p: int, n: int, radius: Surd | None = None,
                     seed: int = 0) -> IndependentSetResult:
     """The two-sided weight set {x : w(x) <= n/2 - r and w(-x) <= n/2 - r}.
 
-    Defaults to r = p*sqrt(n), which pairs with the Hamming ball of the same
-    radius: the difference of two members always has weight below n - 2r while
-    ball members weigh at least n - r, so the set is independent in
-    Cay(Z_p^n, ball) for any positive radius.  At desk scale the default
-    threshold n/2 - p*sqrt(n) is often negative — the set is then empty and
-    flagged degenerate; pass a smaller exact radius (still paired with the
-    same-radius ball) to get a nonempty set with the same independence
-    guarantee.
+    Defaults to r = p*sqrt(n) (r = sqrt(n) at p = 2), which pairs with the
+    Hamming ball of the same radius: the difference of two members always has
+    weight below n - 2r while ball members weigh at least n - r, so the set is
+    independent in Cay(Z_p^n, ball) for any positive radius.  At desk scale
+    the default threshold n/2 - p*sqrt(n) is often negative — the set is then
+    empty and flagged degenerate; pass a smaller exact radius (still paired
+    with the same-radius ball) to get a nonempty set with the same
+    independence guarantee.
 
-    For p = 2 use classical_binary_independent_set, whose documented threshold
-    is n/2 - sqrt(n).
+    At p = 2 the weight is the Hamming weight and x = -x, so this is the
+    classical set {x in Z_2^n : wt(x) <= n/2 - r}.  Above `cap` group
+    elements the density is a Monte-Carlo estimate over `mc_samples` draws.
     """
-    if p < 3:
-        raise ValueError("independent_set expects p >= 3; "
-                         "for p = 2 use classical_binary_independent_set")
+    if p < 2:
+        raise ValueError("independent_set expects p >= 2")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be positive, got {mc_samples}")
     if radius is None:
-        radius = Surd.sqrt(p, n)
+        radius = Surd.sqrt(1 if p == 2 else p, n)
     threshold = Surd(Fraction(n, 2) - radius.a, -radius.b, radius.under)
     degenerate = threshold < 0
     order = p ** n
     # weight numerators are integers in [0, n*(p-1)]; cut at an exact integer
-    cutoff = max_int_le(threshold.scaled(p - 1), -1, n * (p - 1))
+    cutoff = threshold.scaled(p - 1).floor()
 
     if order <= cap:
         group = make_group([p] * n)
@@ -454,32 +449,4 @@ def independent_set(p: int, n: int, radius: Surd | None = None,
         exact=False, count=None, member_indices=None,
         density=hits / mc_samples, ci_low=lo, ci_high=hi,
         samples=mc_samples, seed=seed,
-    )
-
-
-def classical_binary_independent_set(n: int, radius: Surd | None = None,
-                                     cap: int = 1 << 21) -> IndependentSetResult:
-    """Binary variant: {x in Z_2^n : wt(x) <= n/2 - r}, default r = sqrt(n).
-
-    In Z_2^n the coordinate weight degenerates to the Hamming weight and
-    x = -x, so the two-sided condition collapses to a single cutoff.
-    """
-    p = 2
-    if radius is None:
-        radius = Surd.sqrt(1, n)
-    threshold = Surd(Fraction(n, 2) - radius.a, -radius.b, radius.under)
-    degenerate = threshold < 0
-    order = p ** n
-    if order > cap:
-        raise ValueError(f"2^{n} exceeds cap {cap}")
-    cutoff = max_int_le(threshold, -1, n)    # weights are plain integers here
-    group = make_group([p] * n)
-    coords = group.indices_to_coords(np.arange(order, dtype=np.int64))
-    wt = coords.sum(axis=1)
-    members = np.flatnonzero(wt <= cutoff).astype(np.int64)
-    return IndependentSetResult(
-        p=p, n=n, radius=radius, threshold=threshold, degenerate=degenerate,
-        exact=True, count=int(members.size), member_indices=members,
-        density=members.size / order, ci_low=None, ci_high=None,
-        samples=None, seed=None,
     )

@@ -231,6 +231,25 @@ def test_indep_set_binary_variant(tmp_path, capsys):
     assert rep["results"]["exact"] is True
 
 
+def test_indep_set_binary_honours_cap_and_samples(tmp_path, capsys):
+    code, rep, _ = invoke(tmp_path, capsys, "indep-set",
+                          {"p": 2, "n": 9, "cap": 100, "samples": 500, "seed": 3})
+    assert code == 0
+    res = rep["results"]
+    assert res["exact"] is False
+    assert res["count"] is None
+    assert (res["samples"], res["seed"]) == (500, 3)
+
+
+def test_indep_set_zero_samples_is_an_error(tmp_path, capsys):
+    code, rep, err = invoke(tmp_path, capsys, "indep-set",
+                            {"p": 3, "n": 8, "cap": 10, "samples": 0})
+    assert code == 1
+    assert rep is None
+    assert err.startswith("error:") and "mc_samples" in err
+    assert "Traceback" not in err
+
+
 def test_certify_lift_pinned_small(tmp_path, capsys):
     code, rep, _ = invoke(tmp_path, capsys, "certify-lift",
                           {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13],

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chroma.exact import Surd, max_int_le, min_int_ge
+from chroma.exact import Surd
 
 
 def test_rational_surd_roundtrip():
@@ -50,19 +50,41 @@ def test_scaled_and_shifted():
     assert t < Fraction(12321, 10**4)
 
 
-def test_min_int_ge_and_max_int_le():
+def test_floor_and_ceil():
     root2 = Surd.sqrt(1, 2)
-    assert min_int_ge(root2, 0, 10) == 2
-    assert max_int_le(root2, 0, 10) == 1
+    assert root2.floor() == 1
+    assert root2.ceil() == 2
     exact6 = Surd.sqrt(3, 4)
-    assert min_int_ge(exact6, 0, 10) == 6
-    assert max_int_le(exact6, 0, 10) == 6
+    assert exact6.floor() == 6
+    assert exact6.ceil() == 6
     neg = Surd.rational(Fraction(-3, 2))
-    assert min_int_ge(neg, 0, 10) == 0     # clamped to the range floor
-    assert max_int_le(neg, 0, 10) == -1    # nothing in range: lo - 1
+    assert neg.floor() == -2
+    assert neg.ceil() == -1
     big = Surd.rational(11)
-    assert min_int_ge(big, 0, 10) == 11    # nothing in range: hi + 1
-    assert max_int_le(big, 0, 10) == 10
+    assert big.floor() == 11
+    assert big.ceil() == 11
+
+
+def test_floor_and_ceil_bracket_random_surds(rng):
+    # u = 10**18 - 1: float sqrt rounds to 10**9, but the floor is 999_999_999
+    edge = Surd.sqrt(1, 10**18 - 1)
+    assert edge.floor() == 999_999_999 and edge.ceil() == 10**9
+    cases = [edge, Surd.sqrt(-1, 10**18 - 1), Surd(Fraction(7, 3), 5, 0),
+             Surd(Fraction(-1, 2), Fraction(-3, 4), 16)]
+    for _ in range(2000):
+        a = Fraction(int(rng.integers(-500, 500)), int(rng.integers(1, 30)))
+        b = Fraction(int(rng.integers(-500, 500)), int(rng.integers(1, 30)))
+        u = int(rng.integers(0, 40))
+        kind = rng.random()
+        if kind < 0.3:
+            u = u * u                     # perfect squares, including 0
+        elif kind < 0.4:
+            u = int(rng.integers(1, 10**9)) ** 2 - 1   # just below a large square
+        cases.append(Surd(a, b, u))
+    for s in cases:
+        f, c = s.floor(), s.ceil()
+        assert s.cmp(f) >= 0 > s.cmp(f + 1), s
+        assert s.cmp(c) <= 0 < s.cmp(c - 1), s
 
 
 def test_cmp_matches_float_on_random_surds(rng):

@@ -60,6 +60,12 @@ def test_dimacs_rejects_malformed(tmp_path):
     bad.write_text("p edge 3 1\ne 1\n")
     with pytest.raises(ValueError, match="e 1"):
         read_dimacs(bad)
+    bad.write_text("p edge 3 5\ne 1 2\ne 1 2\n")
+    with pytest.raises(ValueError, match="m = 5"):
+        read_dimacs(bad)
+    bad.write_text("p edge 3 1\n")
+    with pytest.raises(ValueError, match="m = 1"):
+        read_dimacs(bad)
 
 
 def test_cnf_encoding_semantics(tmp_path):

@@ -15,7 +15,6 @@ from chroma.kneser import (
     build_graph,
     check_embedding_edge,
     chi_lower_bound,
-    classical_binary_independent_set,
     count_vertices,
     embed_vertex,
     embedding_k,
@@ -220,11 +219,32 @@ def test_independent_set_members_avoid_ball(rng):
 
 
 def test_classical_binary_independent_set():
-    res = classical_binary_independent_set(9)
+    res = independent_set(2, 9)
     assert res.exact
     assert res.count == 10  # weight <= 9/2 - 3 means weight <= 1
-    res4 = classical_binary_independent_set(4)  # 2 - 2 = 0: only the origin
+    res4 = independent_set(2, 4)  # 2 - 2 = 0: only the origin
     assert res4.count == 1
+
+
+def _binary_weight_oracle(n, radius_sq):
+    """Vectors of Z_2^n with Hamming weight <= n/2 - sqrt(radius_sq)."""
+    out = set()
+    for x in itertools.product((0, 1), repeat=n):
+        slack = Fraction(n, 2) - sum(x)
+        if slack >= 0 and radius_sq <= slack * slack:
+            out.add(x)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_binary_weight_set_matches_hamming_oracle(n):
+    radii = [(Surd.sqrt(1, n), n), (Surd.rational(1), 1), (Surd.rational(0), 0),
+             (Surd.sqrt(2, n), 4 * n)]
+    for radius, radius_sq in radii:
+        res = independent_set(2, n, radius)
+        got = {tuple(int(c) for c in row) for row in res.members_coords()}
+        assert res.exact and res.count == len(got)
+        assert got == _binary_weight_oracle(n, radius_sq), (n, radius_sq)
 
 
 def test_monte_carlo_estimate_reasonable():
@@ -233,3 +253,12 @@ def test_monte_carlo_estimate_reasonable():
     assert not res.exact
     truth = 17 / 3**8
     assert res.ci_low <= truth <= res.ci_high
+
+
+def test_binary_monte_carlo_estimate():
+    # p = 2 above the cap is an estimate too, at the same exact cutoff
+    res = independent_set(2, 12, radius=Surd.rational(2), cap=100, mc_samples=20000, seed=7)
+    assert not res.exact and res.samples == 20000
+    truth = len(_binary_weight_oracle(12, 4)) / 2**12
+    # a 5-sigma band, so the check does not hang on one seed's 95% interval
+    assert abs(res.density - truth) < 5 * (truth * (1 - truth) / 20000) ** 0.5
