@@ -9,6 +9,7 @@ which is what the branch-and-bound solvers operate on.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import sys
 import time
 import warnings
@@ -94,10 +95,16 @@ class Coloring:
         return len(set(self.colors))
 
     def validate(self, graph: Graph) -> None:
+        """Raise on the first monochromatic edge in `graph.edges()` order."""
         if len(self.colors) != graph.n:
             raise ValueError("coloring length does not match vertex count")
-        for u, v in graph.edges():
-            if self.colors[u] == self.colors[v]:
+        classes: dict[int, int] = {}
+        for v, c in enumerate(self.colors):
+            classes[c] = classes.get(c, 0) | 1 << v
+        for u, c in enumerate(self.colors):
+            clash = (graph.masks[u] & classes[c]) >> (u + 1)
+            if clash:
+                v = u + (clash & -clash).bit_length()
                 raise ValueError(f"edge ({u},{v}) is monochromatic")
 
 
@@ -112,16 +119,31 @@ class VertexSet:
         return len(self.members)
 
     def validate_independent(self, graph: Graph) -> None:
-        ms = sorted(self.members)
-        for i, u in enumerate(ms):
-            for v in ms[i + 1:]:
-                if graph.is_edge(u, v):
-                    raise ValueError(f"vertices {u},{v} are adjacent")
+        """Raise on the first adjacent pair, in ascending (u, v) order."""
+        members = 0
+        for v in self.members:
+            members |= 1 << v
+        for u in sorted(self.members):
+            clash = (graph.masks[u] & members) >> (u + 1)
+            if clash:
+                v = u + (clash & -clash).bit_length()
+                raise ValueError(f"vertices {u},{v} are adjacent")
+
+
+def _masks_from_packed(packed: np.ndarray) -> list[int]:
+    """Bitset rows from uint8 rows packed with bitorder="little": bit j of a
+    row is bit j % 8 of byte j // 8, so the bytes read as one little-endian int."""
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # ---------------------------------------------------------------------------
 # Cayley views
 # ---------------------------------------------------------------------------
+
+
+# Upper bound on the entries of one block of `CayleyView.to_graph`: its packed
+# rows plus its target coordinates.  The rows are built a block at a time.
+_BLOCK_ENTRIES = 1 << 20
 
 
 class CayleyView:
@@ -152,13 +174,20 @@ class CayleyView:
             raise ValueError(
                 f"group order {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
         g = self.group
-        masks = [0] * n
-        vcoords = g.indices_to_coords(np.arange(n, dtype=np.int64))
-        for a in self._sym_indices:
-            ac = g.indices_to_coords(np.array([a]))[0]
-            ts = g.coords_to_indices(vcoords + ac)
-            for v in range(n):
-                masks[v] |= 1 << int(ts[v])
+        width = (n + 7) // 8
+        scoords = g.indices_to_coords(self._sym_indices)
+        rows = max(1, _BLOCK_ENTRIES // (width + scoords.size))
+        # one buffer serves every block, so no block writes to freshly mapped pages
+        block = np.empty((min(rows, n), width), dtype=np.uint8)
+        masks: list[int] = []
+        for start in range(0, n, rows):
+            vs = np.arange(start, min(start + rows, n), dtype=np.int64)
+            ts = g.coords_to_indices(g.indices_to_coords(vs)[:, None, :] + scoords)
+            packed = block[:vs.size]
+            packed.fill(0)
+            np.bitwise_or.at(packed, (np.arange(vs.size)[:, None], ts >> 3),
+                             np.left_shift(1, ts & 7).astype(np.uint8))
+            masks.extend(_masks_from_packed(packed))
         return Graph(n, masks)
 
 
@@ -195,26 +224,35 @@ def greedy_clique(graph: Graph) -> list[int]:
 
 
 def dsatur_coloring(graph: Graph) -> Coloring:
-    """Greedy DSATUR coloring (no search). Ties break on lowest vertex index."""
+    """Greedy DSATUR coloring (no search). Ties break on lowest vertex index.
+
+    Each step colors the uncolored vertex with the largest (saturation,
+    degree, -v) (Brelaz 1979).  It comes from a lazy heap of (-saturation,
+    -degree, v): a vertex is pushed again whenever a neighbour takes a color
+    new to it.  Its newest entry has its highest saturation, so it pops
+    before the vertex's older entries, which are dropped once it is colored.
+    """
     n = graph.n
     colors = [-1] * n
     neighbor_colors = [0] * n   # bitmask of colors used by neighbors
+    degrees = [graph.degree(v) for v in range(n)]
+    heap = [(0, -degrees[v], v) for v in range(n)]
+    heapq.heapify(heap)
     for _ in range(n):
-        pick, pick_key = -1, None
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            key = (neighbor_colors[v].bit_count(), graph.degree(v), -v)
-            if pick_key is None or key > pick_key:
-                pick, pick_key = v, key
+        pick = heapq.heappop(heap)[2]
+        while colors[pick] != -1:
+            pick = heapq.heappop(heap)[2]
         free = ~neighbor_colors[pick]
         c = (free & -free).bit_length() - 1
         colors[pick] = c
+        bit = 1 << c
         m = graph.masks[pick]
         while m:
             u = (m & -m).bit_length() - 1
-            neighbor_colors[u] |= 1 << c
             m &= m - 1
+            if colors[u] == -1 and not neighbor_colors[u] & bit:
+                neighbor_colors[u] |= bit
+                heapq.heappush(heap, (-neighbor_colors[u].bit_count(), -degrees[u], u))
     return Coloring(tuple(colors))
 
 

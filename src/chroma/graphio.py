@@ -27,6 +27,8 @@ def read_dimacs(path) -> Graph:
             if parts[0] == "p":
                 if len(parts) != 4 or parts[1] not in ("edge", "col"):
                     raise ValueError(f"bad DIMACS problem line {line!r}")
+                if n is not None:
+                    raise ValueError(f"second DIMACS problem line {line!r}")
                 n, m = int(parts[2]), int(parts[3])
             elif parts[0] == "e":
                 if len(parts) != 3:

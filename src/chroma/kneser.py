@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .cayley import Graph
+from .cayley import Graph, _masks_from_packed
 from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group
 from .primes import is_prime
@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _VERTEX_CAP = 200_000
+
+# Upper bound on the uint64 entries of one block's cascade test in
+# `build_graph`; the rows are built a block at a time.
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -163,6 +167,21 @@ def kneser_adjacent(a: KneserVertex, b: KneserVertex) -> bool:
     return _adjacent_masks(pa, sa, pb, sb)
 
 
+def _cascade_words(verts: list[KneserVertex], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix and suffix unions of every vertex as uint64 words, shape (m*W, V)
+    with W = ceil(n/64): row t*W + w holds word w of each vertex's cut-t union."""
+    parts = np.array([v.parts for v in verts], dtype=np.int64)     # (V, m, k)
+    nv, m = parts.shape[:2]
+    words = (n + 63) // 64
+    member = np.zeros((nv, m, 64 * words), dtype=bool)
+    member[np.arange(nv)[:, None, None], np.arange(m)[None, :, None], parts] = True
+    pref = np.logical_or.accumulate(member, axis=1)
+    suf = np.logical_or.accumulate(member[:, ::-1], axis=1)[:, ::-1]
+    return tuple(np.ascontiguousarray(
+        np.packbits(x, axis=2, bitorder="little").view("<u8").reshape(nv, m * words).T)
+        for x in (pref, suf))
+
+
 def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
     """Materialize the graph; vertices indexed in lexicographic order."""
     n = count_vertices(params)
@@ -170,18 +189,16 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
         raise ValueError(
             f"vertex count {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
     verts = kneser_vertices(params)
-    cascades = []
-    for v in verts:
-        pref, suf = _cascade_masks(v.masks())
-        cascades.append((pref, suf))
-    masks = [0] * n
-    for i in range(n):
-        pa, sa = cascades[i]
-        for j in range(i + 1, n):
-            pb, sb = cascades[j]
-            if _adjacent_masks(pa, sa, pb, sb):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    pref, suf = _cascade_words(verts, params.n)
+    rows = max(1, _BLOCK_ENTRIES // pref.size)
+    masks: list[int] = []
+    for start in range(0, n, rows):
+        blk = slice(start, start + rows)
+        # a cascade fails when some cut's prefix meets the other side's suffix
+        fwd_fails = (pref[:, blk, None] & suf[:, None]).any(axis=0)
+        rev_fails = (suf[:, blk, None] & pref[:, None]).any(axis=0)
+        adjacent = ~(fwd_fails & rev_fails)
+        masks.extend(_masks_from_packed(np.packbits(adjacent, axis=1, bitorder="little")))
     return verts, Graph(n, masks)
 
 

@@ -11,6 +11,7 @@ from chroma.cayley import (
     CayleyView,
     Coloring,
     Graph,
+    VertexSet,
     _Budget,
     chromatic_number_exact,
     dsatur_coloring,
@@ -128,6 +129,56 @@ def test_dsatur_is_deterministic(rng):
     assert c1.colors == c2.colors
 
 
+def rescan_dsatur(graph):
+    """DSATUR that rescans every uncolored vertex for each pick."""
+    n = graph.n
+    colors = [-1] * n
+    neighbor_colors = [0] * n
+    for _ in range(n):
+        pick, pick_key = -1, None
+        for v in range(n):
+            if colors[v] != -1:
+                continue
+            key = (bin(neighbor_colors[v]).count("1"), graph.degree(v), -v)
+            if pick_key is None or key > pick_key:
+                pick, pick_key = v, key
+        c = 0
+        while neighbor_colors[pick] >> c & 1:
+            c += 1
+        colors[pick] = c
+        for u in graph.neighbors(pick):
+            neighbor_colors[u] |= 1 << c
+    return tuple(colors)
+
+
+def _cayley_graph(moduli, members):
+    g = make_group(moduli)
+    return CayleyView(g, ElementSet.from_indices(g, members)).to_graph()
+
+
+_DSATUR_CASES = {
+    **{f"kneser{p}": lambda p=p: build_graph(KneserParams(*p))[1]
+       for p in [(5, 2, 1), (7, 2, 1), (6, 2, 2), (7, 1, 3)]},
+    **{f"cayley{m}": lambda m=m, s=s: _cayley_graph(m, s)
+       for m, s in [((73,), [1, 5, 11, 20, 27]), ((101,), [3, 7, 50]),
+                    ((3, 3, 3, 3), [1, 3, 9, 27, 40]), ((2, 3, 4), [1, 5, 13, 23]),
+                    ((2, 2, 2, 2, 2), [1, 2, 4, 8, 16, 31])]},
+    **{f"random{n}-{d}": lambda n=n, d=d: random_graph(np.random.default_rng(n), n, d)
+       for n, d in [(30, 0.0), (30, 1.0), (40, 0.1), (60, 0.5), (80, 0.9)]},
+    # ten disjoint K4s: every vertex has degree 3, so picks tie on degree throughout
+    "disjoint-k4s": lambda: Graph.from_edges(
+        40, [(b + i, b + j) for b in range(0, 40, 4) for i, j in itertools.combinations(range(4), 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DSATUR_CASES))
+def test_dsatur_matches_rescan_loop(name):
+    graph = _DSATUR_CASES[name]()
+    coloring = dsatur_coloring(graph)
+    assert coloring.colors == rescan_dsatur(graph)
+    coloring.validate(graph)
+
+
 def test_coloring_validate_rejects_improper():
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
     Coloring((0, 1, 0)).validate(graph)
@@ -135,6 +186,26 @@ def test_coloring_validate_rejects_improper():
         Coloring((0, 0, 1)).validate(graph)
     with pytest.raises(ValueError):
         Coloring((0, 1)).validate(graph)
+
+
+def test_validators_name_the_first_bad_pair_in_edge_order(rng):
+    for _ in range(40):
+        graph = random_graph(rng, 25, 0.3)
+        colors = tuple(int(c) for c in rng.integers(0, 4, graph.n))
+        bad = [(u, v) for u, v in graph.edges() if colors[u] == colors[v]]
+        if bad:
+            with pytest.raises(ValueError, match=rf"^edge \({bad[0][0]},{bad[0][1]}\) "):
+                Coloring(colors).validate(graph)
+        else:
+            Coloring(colors).validate(graph)
+        members = sorted(int(v) for v in rng.choice(graph.n, 6, replace=False))
+        bad = [(u, v) for u, v in itertools.combinations(members, 2) if graph.is_edge(u, v)]
+        vs = VertexSet(tuple(rng.permutation(members).tolist()))
+        if bad:
+            with pytest.raises(ValueError, match=rf"^vertices {bad[0][0]},{bad[0][1]} "):
+                vs.validate_independent(graph)
+        else:
+            vs.validate_independent(graph)
 
 
 def test_budget_exhaustion_returns_bracket(rng):
@@ -241,7 +312,29 @@ def test_caps_are_read_at_call_time(monkeypatch, entry):
 def test_product_group_adjacency_matches_coordinatewise_oracle(moduli, members):
     g = make_group(moduli)
     view = CayleyView(g, ElementSet.from_indices(g, members))
+    _assert_coordinatewise_adjacency(view, view.to_graph(), moduli, members)
+
+
+@pytest.mark.parametrize("block_rows", [1, 5])
+@pytest.mark.parametrize("moduli, members", [
+    ((2, 3, 4), [1, 5, 13, 23]),
+    ((13,), [1, 5]),
+    ((3, 3, 3), [1, 5, 9, 22]),
+])
+def test_to_graph_rows_across_block_boundaries(monkeypatch, block_rows, moduli, members):
+    # 5 divides none of the orders, so the last block is short
+    g = make_group(moduli)
+    view = CayleyView(g, ElementSet.from_indices(g, members))
+    row_entries = (g.order + 7) // 8 + view.degree * g.rank
+    monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", block_rows * row_entries)
     graph = view.to_graph()
+    _assert_coordinatewise_adjacency(view, graph, moduli, members)
+    monkeypatch.undo()
+    assert graph.masks == view.to_graph().masks
+
+
+def _assert_coordinatewise_adjacency(view, graph, moduli, members):
+    g = view.group
     coords = [tuple(map(int, np.unravel_index(i, moduli))) for i in range(g.order)]
     conn = {coords[i] for i in members}
     sym = conn | {tuple((-c) % n for c, n in zip(x, moduli)) for x in conn}

@@ -66,6 +66,9 @@ def test_dimacs_rejects_malformed(tmp_path):
     bad.write_text("p edge 3 1\n")
     with pytest.raises(ValueError, match="m = 1"):
         read_dimacs(bad)
+    bad.write_text("p edge 3 1\ne 1 2\np edge 2 1\n")
+    with pytest.raises(ValueError, match="second DIMACS problem line 'p edge 2 1'"):
+        read_dimacs(bad)
 
 
 def test_cnf_encoding_semantics(tmp_path):

@@ -110,6 +110,28 @@ def test_build_graph_agrees_with_pairwise_adjacency():
         assert graph.is_edge(i, j) == kneser_adjacent(verts[i], verts[j])
 
 
+@pytest.mark.parametrize("n, k, m", [(7, 2, 1), (6, 2, 2), (7, 1, 3)])
+def test_build_graph_matches_adjacency_on_every_pair(n, k, m):
+    verts, graph = build_graph(KneserParams(n, k, m))
+    assert graph.n == len(verts) == count_vertices(KneserParams(n, k, m))
+    for i, a in enumerate(verts):
+        want = sum(1 << j for j, b in enumerate(verts) if j != i and kneser_adjacent(a, b))
+        assert graph.masks[i] == want
+        assert not graph.masks[i] >> i & 1
+
+
+@pytest.mark.parametrize("n, k, m", [(9, 2, 3), (70, 2, 1), (65, 1, 2)])
+def test_build_graph_rows_of_a_sample(n, k, m):
+    # n > 64 puts each cascade union in two uint64 words
+    verts, graph = build_graph(KneserParams(n, k, m))
+    sample = np.random.default_rng(n).choice(len(verts), 12, replace=False)
+    for i in sorted(sample.tolist()) + [0, len(verts) - 1]:
+        a = verts[i]
+        want = sum(1 << j for j, b in enumerate(verts) if j != i and kneser_adjacent(a, b))
+        assert graph.masks[i] == want
+    assert not any(mask >> i & 1 for i, mask in enumerate(graph.masks))
+
+
 def test_chi_lower_bound_values():
     assert chi_lower_bound(KneserParams(125, 5, 4)) == Fraction(1)
     assert chi_lower_bound(KneserParams(5, 2, 1)) == Fraction(1, 4)
