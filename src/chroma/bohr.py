@@ -299,9 +299,7 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     bounds = np.flatnonzero(change) + 1
     num_cells = bounds.size + 1
 
-    a_mask = a_set.mask()
-    conn = np.flatnonzero(a_mask | a_mask[(-np.arange(p)) % p])
-    conn = conn[conn != 0]
+    conn = a_set.symmetrized_without_zero().indices()
 
     colors = np.full(p, -1, dtype=np.int64)
     local = np.full(p, -1, dtype=np.int64)

@@ -358,11 +358,7 @@ def _run_bohr(cfg: dict) -> tuple[dict, int]:
     p = cfg["p"]
     eq = Equation.parse(cfg["equation"])
     a_set = _bohr_input_set(cfg, p)
-    params = SpectrumParams(
-        nu=cfg.get("nu", 0.1),
-        rho=cfg.get("rho", 0.05),
-        s_index=cfg.get("s_index"),
-    )
+    params = SpectrumParams(**{k: cfg[k] for k in ("nu", "rho", "s_index") if k in cfg})
     colors, report = bohr_color(a_set, eq, params)
     out = {"set_size": a_set.count, **report.to_report()}
     if "colors_out" in cfg:

@@ -406,8 +406,7 @@ def scale_conditions(params: ConstructionParams,
     if extension_threshold is None:
         extension_threshold = default_extension_threshold(params)
     n, q, d, m, p = params.n, params.q, params.abs_sum, params.m, params.p
-    lo = -(-p // (d + 1))
-    hi = p // d
+    lo, hi = _interval(params)
     return {
         "q_exceeds_abs_coeff_sum": q > d,
         "primes_exceed_qn": all(pi > q * n for pi in params.primes),

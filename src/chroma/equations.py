@@ -1,7 +1,8 @@
 """Homogeneous linear equations c1*x1 + ... + ck*xk = 0 over finite groups.
 
 The module classifies equations by their zero-sum subset structure, tests
-whether a subset of a prime field is free of injective solutions, and counts
+whether a subset of a cyclic group is free of injective solutions (one scan
+over x1..x_{k-1} for every k, meet-in-the-middle for k = 4), and counts
 solutions two independent ways: exact brute-force convolution and a
 Fourier-analytic counter (the two are cross-checked in the test suite).
 
@@ -221,7 +222,6 @@ def first_zero_sum_subset(eq: Equation, min_size: int = 3) -> tuple[int, ...] | 
     if k > 24:
         raise ValueError("lexicographic subset scan supports k <= 24")
     coeffs = eq.coeffs
-    found: list[tuple[int, ...]] = []
 
     def dfs(start: int, prefix: list[int], total: int) -> tuple[int, ...] | None:
         if len(prefix) >= min_size and total == 0:
@@ -289,10 +289,11 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     """True iff no injective tuple in A^k solves the equation modulo |G|.
 
     Works over any cyclic group whose order is coprime to all coefficients
-    (prime fields and products of large primes alike).  Strategy: vectorized
-    final-coordinate scan for k=3, meet-in-the-middle over coordinate halves
-    for k=4, DFS with a final-coordinate lookup beyond.  Any returned witness
-    is re-verified before being handed back.
+    (prime fields and products of large primes alike).  Strategy:
+    meet-in-the-middle over coordinate halves for k=4 when |A|^2 <= 4e6,
+    otherwise a scan that enumerates x1..x_{k-1}, the last two vectorized,
+    and solves for x_k.  Any returned witness is re-verified before being
+    handed back.
     """
     p = _require_invertible_modulus(eq, A)
     elems = A.indices()
@@ -300,17 +301,14 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     if n < eq.k:
         return SolutionFreeResult(True, None)
 
-    witness = None
-    if eq.k == 3:
-        witness = _find_injective_k3(eq, p, elems, A.mask())
-    elif eq.k == 4 and n * n <= 4_000_000:
+    if eq.k == 4 and n * n <= 4_000_000:
         witness = _find_injective_mitm4(eq, p, elems)
     else:
-        if n ** (eq.k - 1) > config.BRUTE_TUPLE_CAP:
+        if eq.k > 3 and n ** (eq.k - 1) > config.BRUTE_TUPLE_CAP:
             raise ValueError(
                 f"|A|^(k-1) = {n}^{eq.k - 1} exceeds the brute-force cap"
             )
-        witness = _find_injective_dfs(eq, p, elems)
+        witness = _find_injective_scan(eq, p, elems, A.mask())
 
     if witness is None:
         return SolutionFreeResult(True, None)
@@ -318,18 +316,31 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     return SolutionFreeResult(False, tuple(witness))
 
 
-def _find_injective_k3(eq, p, elems, in_a):
-    c1, c2, c3 = eq.coeffs
-    inv3 = mod_inverse(c3, p)
-    block = max(1, 4_000_000 // max(1, elems.size))
-    for lo in range(0, elems.size, block):
-        e1 = elems[lo:lo + block, None]
-        e2 = elems[None, :]
-        x3 = (-inv3 * (c1 * e1 + c2 * e2)) % p
-        ok = in_a[x3] & (x3 != e1) & (x3 != e2) & (e1 != e2)
-        if ok.any():
-            i, j = np.argwhere(ok)[0]
-            return (int(e1[i, 0]), int(elems[j]), int(x3[i, j]))
+def _find_injective_scan(eq, p, elems, in_a):
+    """First injective solution, lexicographic in (x1, ..., x_{k-1}).
+
+    Python loops over the (x1..x_{k-3}) prefixes; for each, numpy tests
+    every (x_{k-2}, x_{k-1}) pair of the remaining elements in row blocks
+    and solves for x_k, which is unique because c_k is invertible.
+    """
+    *head, ca, cb, ck = eq.coeffs
+    inv = mod_inverse(ck, p)
+    block = max(1, 4_000_000 // elems.size)
+    free = in_a.copy()   # A minus the prefix
+    for prefix in itertools.permutations(elems.tolist(), len(head)):
+        taken = list(prefix)
+        free[taken] = False
+        rest = elems[free[elems]]
+        acc = sum(c * x for c, x in zip(head, prefix)) % p
+        e2 = rest[None, :]
+        for lo in range(0, rest.size, block):
+            e1 = rest[lo:lo + block, None]
+            xk = (-inv * (acc + ca * e1 + cb * e2)) % p
+            ok = free[xk] & (xk != e1) & (xk != e2) & (e1 != e2)
+            if ok.any():
+                i, j = np.argwhere(ok)[0]
+                return (*prefix, int(e1[i, 0]), int(rest[j]), int(xk[i, j]))
+        free[taken] = True
     return None
 
 
@@ -346,44 +357,13 @@ def _find_injective_mitm4(eq, p, elems):
     want = (-right_sum) % p
     starts = np.searchsorted(ls, want, side="left")
     ends = np.searchsorted(ls, want, side="right")
-    for r in range(want.size):
-        a, b = starts[r], ends[r]
-        if a == b:
-            continue
+    for r in np.flatnonzero(ends > starts):
         x3, x4 = elems[ii[r]], elems[jj[r]]
-        for t in range(a, b):
+        for t in range(starts[r], ends[r]):
             x1, x2 = elems[li[t]], elems[lj[t]]
             if len({int(x1), int(x2), int(x3), int(x4)}) == 4:
                 return (int(x1), int(x2), int(x3), int(x4))
     return None
-
-
-def _find_injective_dfs(eq, p, elems):
-    k = eq.k
-    ck = eq.coeffs[-1]
-    by_value: dict[int, list[int]] = {}
-    for a in elems.tolist():
-        by_value.setdefault((ck * a) % p, []).append(a)
-    pool = elems.tolist()
-
-    def rec(depth: int, chosen: list[int], acc: int):
-        if depth == k - 1:
-            for a in by_value.get((-acc) % p, ()):
-                if a not in chosen:
-                    return (*chosen, a)
-            return None
-        c = eq.coeffs[depth]
-        for a in pool:
-            if a in chosen:
-                continue
-            chosen.append(a)
-            hit = rec(depth + 1, chosen, (acc + c * a) % p)
-            if hit is not None:
-                return hit
-            chosen.pop()
-        return None
-
-    return rec(0, [], 0)
 
 
 # ---------------------------------------------------------------------------

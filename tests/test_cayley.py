@@ -19,7 +19,7 @@ from chroma.cayley import (
     greedy_clique,
     independence_number_exact,
 )
-from chroma.equations import Equation, count_solutions_dft_all, dft
+from chroma.equations import Equation, count_solutions_dft_all, dft, is_solution_free
 from chroma.groups import ElementSet, make_group
 from chroma.kneser import KneserParams, build_graph, hamming_ball, kneser_vertices
 
@@ -290,6 +290,10 @@ _CAPPED = {
     "count_solutions_dft_all": (config, "DFT_CAP", 13,
                                 lambda: count_solutions_dft_all(Equation((1, 1, -1)),
                                                                 _z13_set())),
+    "is_solution_free": (config, "BRUTE_TUPLE_CAP", 5 ** 4,
+                         lambda: is_solution_free(Equation((1, 1, 1, 1, -1)),
+                                                  ElementSet.from_indices(make_group([13]),
+                                                                          [1, 2, 3, 5, 8]))),
 }
 
 

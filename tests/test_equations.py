@@ -192,12 +192,30 @@ def test_solution_free_scan_composite_modulus():
         is_solution_free(Equation((1, -1, 3)), ElementSet.from_indices(make_group([9]), [1]))
 
 
-def test_solution_free_matches_brute_four_vars(rng):
-    eq = Equation((1, 1, -1, -1))
+def test_solution_free_matches_brute(rng):
     g = make_group([13])
-    for _ in range(20):
-        members = sorted(set(map(int, rng.integers(0, 13, size=6))))
-        a = ElementSet.from_indices(g, members)
-        res = is_solution_free(eq, a)
-        want = oracle_count_solutions(eq.coeffs, members, 13, 0, injective=True) == 0
-        assert res.free == want
+    for eq in (Equation((1, 1, -1, -1)), Equation((1, 2, 1, -1, -2)),
+               Equation((1, 1, 1, -1, -1, 2))):
+        for _ in range(20):
+            members = sorted(set(map(int, rng.integers(0, 13, size=6))))
+            a = ElementSet.from_indices(g, members)
+            res = is_solution_free(eq, a)
+            want = oracle_count_solutions(eq.coeffs, members, 13, 0, injective=True) == 0
+            assert res.free == want
+
+
+@pytest.mark.parametrize("mod, coeffs", [
+    (31, (1, 2, -3)), (31, (1, 1, -1, -1)), (31, (1, 2, -1, 3, -2)),
+    (31, (1, -1, 2, -2, 3, 1)), (10, (1, 3, -7)), (10, (1, -1, 3, -3)),
+    (10, (1, 3, -1, 7, 9)), (10, (1, -1, 1, 3, -3, 9)),
+])
+def test_solution_free_witness_is_first_in_scan_order(mod, coeffs):
+    # The scan returns the lexicographically first injective solution; the
+    # k = 4 meet-in-the-middle path orders by (x3, x4) first, then (x1, x2).
+    eq = Equation(coeffs)
+    members = [1, 2, 3, 4, 6, 7, 8] if mod == 10 else [2, 3, 5, 7, 11, 13, 17, 19]
+    key = (lambda t: (t[2], t[3], t[0], t[1])) if eq.k == 4 else (lambda t: t)
+    solutions = [t for t in itertools.permutations(members, eq.k)
+                 if sum(c * x for c, x in zip(coeffs, t)) % mod == 0]
+    res = is_solution_free(eq, ElementSet.from_indices(make_group([mod]), members))
+    assert solutions and res.witness == min(solutions, key=key)
