@@ -292,8 +292,10 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     (prime fields and products of large primes alike).  Strategy:
     meet-in-the-middle over coordinate halves for k=4 when |A|^2 <= 4e6,
     otherwise a scan that enumerates x1..x_{k-1}, the last two vectorized,
-    and solves for x_k.  Any returned witness is re-verified before being
-    handed back.
+    and solves for x_k.  For k >= 4 the scan first checks |A|^(k-1) against
+    BRUTE_TUPLE_CAP, which at its default rejects every k=4 set too large
+    for meet-in-the-middle.  Any returned witness is re-verified before
+    being handed back.
     """
     p = _require_invertible_modulus(eq, A)
     elems = A.indices()
@@ -321,21 +323,26 @@ def _find_injective_scan(eq, p, elems, in_a):
 
     Python loops over the (x1..x_{k-3}) prefixes; for each, numpy tests
     every (x_{k-2}, x_{k-1}) pair of the remaining elements in row blocks
-    and solves for x_k, which is unique because c_k is invertible.
+    and solves for x_k, which is unique because c_k is invertible.  With
+    m = -c_k^-1, x_k = (ma*x_{k-2} + base) % p + mb*x_{k-1} % p, then mod p;
+    ma, mb and base are reduced first, so int64 intermediates stay below
+    p^2 + p (exact for p < 3e9).
     """
     *head, ca, cb, ck = eq.coeffs
-    inv = mod_inverse(ck, p)
+    m = -mod_inverse(ck, p)
+    ma, mb = m * ca % p, m * cb % p
     block = max(1, 4_000_000 // elems.size)
     free = in_a.copy()   # A minus the prefix
     for prefix in itertools.permutations(elems.tolist(), len(head)):
         taken = list(prefix)
         free[taken] = False
         rest = elems[free[elems]]
-        acc = sum(c * x for c, x in zip(head, prefix)) % p
+        base = m * sum(c * x for c, x in zip(head, prefix)) % p
         e2 = rest[None, :]
+        v = mb * e2 % p
         for lo in range(0, rest.size, block):
             e1 = rest[lo:lo + block, None]
-            xk = (-inv * (acc + ca * e1 + cb * e2)) % p
+            xk = ((ma * e1 + base) % p + v) % p
             ok = free[xk] & (xk != e1) & (xk != e2) & (e1 != e2)
             if ok.any():
                 i, j = np.argwhere(ok)[0]
@@ -345,7 +352,7 @@ def _find_injective_scan(eq, p, elems, in_a):
 
 
 def _find_injective_mitm4(eq, p, elems):
-    c1, c2, c3, c4 = eq.coeffs
+    c1, c2, c3, c4 = (c % p for c in eq.coeffs)
     n = elems.size
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     distinct = ii != jj

@@ -219,3 +219,17 @@ def test_solution_free_witness_is_first_in_scan_order(mod, coeffs):
                  if sum(c * x for c, x in zip(coeffs, t)) % mod == 0]
     res = is_solution_free(eq, ElementSet.from_indices(make_group([mod]), members))
     assert solutions and res.witness == min(solutions, key=key)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 100000, -1), (1, 1, 1, 100000, -1)])
+def test_solution_free_scan_is_exact_for_large_coefficients(coeffs):
+    # c * x reaches 1e12 and c_k^-1 is about p, so an unreduced product
+    # would pass 2^63; the scan must still agree with exact Python ints.
+    p = 10_000_019
+    head = [p - 11, p - 7, p - 5, p - 3][:len(coeffs) - 1]
+    planted = -sum(c * x for c, x in zip(coeffs, head)) * pow(coeffs[-1], -1, p) % p
+    members = sorted({*head, planted, p - 2, p - 13})
+    solutions = [t for t in itertools.permutations(members, len(coeffs))
+                 if sum(c * x for c, x in zip(coeffs, t)) % p == 0]
+    res = is_solution_free(Equation(coeffs), ElementSet.from_indices(make_group([p]), members))
+    assert solutions and res.witness == min(solutions)
