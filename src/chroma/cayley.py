@@ -4,6 +4,13 @@ Cay(G, A) has the group elements as vertices and an edge {u, v} whenever
 v - u lies in the symmetrized connection set A u (-A) minus the identity.
 Graphs up to the adjacency cap are materialized as bitset rows (Python ints),
 which is what the branch-and-bound solvers operate on.
+
+The chromatic solver is DSATUR branch and bound (Brelaz 1979) seeded with a
+greedy clique; it finds each node's branching vertex in per-saturation
+bitset buckets instead of rescanning the vertices.  The independence solver
+is MCS/BBMC maximum-clique search (Tomita-Seki 2003; San Segundo et al.
+2011) on the complement graph: a greedy clique cover of the candidates
+bounds each node, and the root cover bounds alpha when the budget runs out.
 """
 
 from __future__ import annotations
@@ -325,6 +332,13 @@ class ChromaticResult:
 def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> ChromaticResult:
     """Exact chromatic number by DSATUR branch and bound with a clique seed.
 
+    Each node branches on the uncolored vertex with the largest (saturation,
+    degree, -v), as in `dsatur_coloring` (Brelaz 1979).  The uncolored
+    vertices sit in one bitset per saturation value, numbered by (-degree, v),
+    so the pick is the lowest bit of the highest non-empty bucket.  Coloring
+    a vertex moves its uncolored neighbours up one bucket where the color is
+    new to them, and backtracking moves them back.
+
     Within budget the result is exact (lower == upper) and carries a validated
     Coloring plus an exhausted-search proof for upper-1 colors.  On budget
     exhaustion a bracket [lower, upper] with the best coloring found is
@@ -350,11 +364,22 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     if lb < best:
         colors = [-1] * n
         neighbor_colors = [0] * n
+        nbrs = [graph.neighbors(v) for v in range(n)]
+        order = sorted(range(n), key=lambda v: (-len(nbrs[v]), v))
+        rank_bit = [0] * n
+        for r, v in enumerate(order):
+            rank_bit[v] = 1 << r
         # Symmetry breaking: fix distinct colors on a maximal greedy clique.
         for c, v in enumerate(clique):
             colors[v] = c
-            for u in graph.neighbors(v):
+            for u in nbrs[v]:
                 neighbor_colors[u] |= 1 << c
+        # buckets[s]: uncolored vertices of saturation s, as bits of rank_bit;
+        # saturation never exceeds the colors in use, which stay below best
+        buckets = [0] * (best + 1)
+        for v in range(n):
+            if colors[v] == -1:
+                buckets[neighbor_colors[v].bit_count()] |= rank_bit[v]
         uncolored = n - len(clique)
 
         def search(uncolored: int, used: int) -> None:
@@ -367,29 +392,39 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
                 best = used
                 best_colors = colors.copy()
                 return
-            pick, pick_key = -1, None
-            for v in range(n):
-                if colors[v] == -1:
-                    key = (neighbor_colors[v].bit_count(), graph.degree(v), -v)
-                    if pick_key is None or key > pick_key:
-                        pick, pick_key = v, key
+            sat = used
+            while not buckets[sat]:
+                sat -= 1
+            low = buckets[sat] & -buckets[sat]
+            pick = order[low.bit_length() - 1]
+            buckets[sat] ^= low
             limit = min(used + 1, best - 1)
             forbidden = neighbor_colors[pick]
             for c in range(limit):
                 if forbidden >> c & 1:
                     continue
                 colors[pick] = c
+                bit = 1 << c
                 touched = []
-                for u in graph.neighbors(pick):
-                    if not neighbor_colors[u] >> c & 1:
-                        neighbor_colors[u] |= 1 << c
+                for u in nbrs[pick]:
+                    if not neighbor_colors[u] & bit:
+                        if colors[u] == -1:
+                            s = neighbor_colors[u].bit_count()
+                            buckets[s] ^= rank_bit[u]
+                            buckets[s + 1] |= rank_bit[u]
+                        neighbor_colors[u] |= bit
                         touched.append(u)
                 search(uncolored - 1, max(used, c + 1))
                 colors[pick] = -1
                 for u in touched:
-                    neighbor_colors[u] &= ~(1 << c)
+                    neighbor_colors[u] ^= bit
+                    if colors[u] == -1:
+                        s = neighbor_colors[u].bit_count()
+                        buckets[s + 1] ^= rank_bit[u]
+                        buckets[s] |= rank_bit[u]
                 if best <= lb or budget.exhausted:
                     break
+            buckets[sat] |= low
 
         with _search_stack(uncolored):
             search(uncolored, len(clique))
@@ -441,9 +476,36 @@ def _greedy_independent(graph: Graph) -> list[int]:
     return sorted(out)
 
 
+def _clique_cover(masks: list[int], cand: int) -> list[tuple[int, int]]:
+    """Greedy clique cover of `cand`: each class starts at the lowest vertex
+    left and is narrowed to its neighbours, lowest first.  Returns
+    (vertex, class number) in cover order, so the vertices up to any entry
+    lie in that many cliques and hold at most that many independent ones."""
+    cover = []
+    k = 0
+    while cand:
+        k += 1
+        q = cand
+        while q:
+            v = (q & -q).bit_length() - 1
+            cover.append((v, k))
+            cand ^= 1 << v
+            q &= masks[v]
+    return cover
+
+
 def independence_number_exact(graph: Graph,
                               budget_s: float | None = None) -> IndependenceResult:
-    """Exact maximum independent set by bitset branch and bound."""
+    """Exact maximum independent set by bitset branch and bound.
+
+    This is the MCS/BBMC maximum-clique search (Tomita-Seki 2003; San Segundo
+    et al. 2011) run on the complement graph.  Each node covers its
+    candidates greedily with cliques (`_clique_cover`) and branches on them
+    in reverse cover order.  It prunes as soon as the current set plus the
+    class number of the next vertex cannot beat the best set, since an
+    independent set meets each clique at most once.  On budget exhaustion
+    the bracket's upper end is the number of cliques in the root cover.
+    """
     n = graph.n
     if n > config.EXACT_SOLVER_CAP:
         raise ValueError(
@@ -452,43 +514,39 @@ def independence_number_exact(graph: Graph,
         return IndependenceResult(0, 0, VertexSet(()), True, 0)
 
     budget = _Budget(budget_s)
+    masks = graph.masks
     seed = _greedy_independent(graph)
     best = len(seed)
     best_mask = 0
     for v in seed:
         best_mask |= 1 << v
 
-    def search(cand: int, cur: int, cur_size: int) -> None:
+    def search(cand: int, cur: int, cur_size: int, cover: list[tuple[int, int]]) -> None:
         nonlocal best, best_mask
         if budget.tick():
             return
-        if cur_size + cand.bit_count() <= best:
+        if not cand:
+            if cur_size > best:
+                best = cur_size
+                best_mask = cur
             return
-        if cand == 0:
-            best = cur_size
-            best_mask = cur
-            return
-        # branch on the candidate with maximum residual degree
-        pick, pick_key = -1, None
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            key = ((graph.masks[v] & cand).bit_count(), -v)
-            if pick_key is None or key > pick_key:
-                pick, pick_key = v, key
-        # include pick
-        search(cand & ~(graph.masks[pick] | (1 << pick)), cur | (1 << pick), cur_size + 1)
-        # exclude pick
-        if not budget.exhausted:
-            search(cand & ~(1 << pick), cur, cur_size)
+        for v, bound in reversed(cover):
+            if cur_size + bound <= best:
+                return
+            cand ^= 1 << v
+            child = cand & ~masks[v]
+            search(child, cur | 1 << v, cur_size + 1, _clique_cover(masks, child))
+            if budget.exhausted:
+                return
 
+    full = (1 << n) - 1
+    root_cover = _clique_cover(masks, full)
     with _search_stack(n):
-        search((1 << n) - 1, 0, 0)
+        search(full, 0, 0, root_cover)
 
     members = tuple(v for v in range(n) if best_mask >> v & 1)
     vs = VertexSet(members)
     vs.validate_independent(graph)
     if budget.exhausted:
-        return IndependenceResult(best, n, vs, False, budget.nodes)
+        return IndependenceResult(best, root_cover[-1][1], vs, False, budget.nodes)
     return IndependenceResult(best, best, vs, True, budget.nodes)

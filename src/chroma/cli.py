@@ -259,6 +259,7 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         out["alpha_exact"] = res.exact
         if res.exact:
             out["alpha"] = res.lower
+        out["search_nodes"] = res.nodes
     elif action == "export":
         if "dimacs" not in cfg and "cnf" not in cfg:
             raise CliError("export action needs 'dimacs' and/or 'cnf' paths")

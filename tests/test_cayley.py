@@ -109,6 +109,89 @@ def test_exact_alpha_matches_oracle_on_random_graphs(rng):
             assert got.lower == got.upper == want
             got.vertex_set.validate_independent(graph)
             assert got.vertex_set.size == want
+            res = independence_number_exact(graph, budget_s=0)
+            assert not res.exact and res.nodes == 1
+            assert res.lower <= want <= res.upper
+
+
+def test_exact_alpha_matches_oracle_on_circulants(rng):
+    # Cay(Z_n, S) for every 5 <= n <= 16, with one to three seeded generators
+    circulants = [(n, sorted({int(x) for x in rng.integers(1, n, size)}))
+                  for n in range(5, 17) for size in (1, 2, 3)]
+    for n, members in circulants:
+        graph = _cayley_graph((n,), members)
+        want = oracle_independence(graph)
+        got = independence_number_exact(graph)
+        assert got.exact and got.lower == got.upper == want, (n, members)
+        got.vertex_set.validate_independent(graph)
+        assert got.vertex_set.size == want
+        # a spent budget leaves the root clique cover as the upper end
+        res = independence_number_exact(graph, budget_s=0)
+        assert not res.exact and res.nodes == 1
+        assert res.lower <= want <= res.upper < n, (n, members)
+        res.vertex_set.validate_independent(graph)
+
+
+@pytest.mark.parametrize("moduli, members, alpha", [
+    ((73,), [1, 5, 11, 20, 27], 22),
+    ((3, 3, 3, 3), [1, 3, 9, 27, 40], 27),     # +-{e1, e2, e3, e4, (1,1,1,1)}
+])
+def test_exact_alpha_on_pinned_cayley_graphs(moduli, members, alpha):
+    graph = _cayley_graph(moduli, members)
+    res = independence_number_exact(graph)
+    assert res.exact and res.lower == res.upper == alpha
+    res.vertex_set.validate_independent(graph)
+    assert res.vertex_set.size == alpha
+
+
+# KN(n, k, 1) -> (search nodes, coloring with one digit per vertex).  Any
+# change to the branching vertex or its tie-breaks changes one of them.
+_PINNED_CHI_SEARCH = {
+    (13, 6, 1): (415, (
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000010100100000100000000010000000000000222212011111211112111211211211"
+        "111211112111211211211111111111111111111111111111111111111112111121112112"
+        "112111111111111111111111111111111111111111111111111111111111111111111111"
+        "111111111111111111111111111111111111111112111121112112112111111111111111"
+        "111111111111111111111111111111111111111111111111111111111111111111111111"
+        "111111111111111111111111111111111111111111111111111111111111111111111111"
+        "111111111111111111111111111111111111111111111111111111111111111111111111"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000000000000000000000000000000000000000000000000000000000000000000"
+        "000000000120100100010000100000222222222222222222202222222222222222222222"
+        "222222222222222222222222222222222222222222222222222222222222222222222222"
+        "222222222222222222222222222222222222222222222222222222222222222222222222"
+        "222222222222222222222222222222222222222222222122122122212222122222222222"
+        "222222222222222222222222222222222222222222222222222222222222222222222222"
+        "222222222222222222222222222122122122212222122222222222222222222222222222"
+        "222222222221221221222122221222221221221222122221222221121111"
+    )),
+    (10, 2, 1): (26859, (
+        "000000000512733461255545111111222227746346464"
+    )),
+    (9, 3, 1): (2225, (
+        "000000000000000000000000000031422213233111124422213333111144422411113333"
+        "331111114442"
+    )),
+}
+
+
+@pytest.mark.parametrize("params", sorted(_PINNED_CHI_SEARCH),
+                         ids=lambda p: "KN({},{},{})".format(*p))
+def test_chi_search_tree_is_pinned(params):
+    nodes, digits = _PINNED_CHI_SEARCH[params]
+    _, graph = build_graph(KneserParams(*params))
+    res = chromatic_number_exact(graph)
+    assert (res.exact, res.proof, res.nodes) == (True, "exhausted-search", nodes)
+    assert res.lower == res.upper == params[0] - 2 * params[1] + 2    # Lovasz
+    assert res.coloring.colors == tuple(map(int, digits))
 
 
 def test_greedy_bounds_bracket(rng):

@@ -79,6 +79,20 @@ def test_cayley_exact_chi_and_alpha(tmp_path, capsys):
     assert code == 0
     assert rep["results"]["alpha_exact"] is True
     assert rep["results"]["alpha"] == 4
+    assert rep["results"]["search_nodes"] >= 1
+
+
+def test_cayley_alpha_budget_reports_the_cover_bound(tmp_path, capsys):
+    # Cay(Z_127, +-{1,5,11,20,27,40}) stays open at a zero budget; the root
+    # clique cover still bounds alpha well below the vertex count
+    code, rep, _ = invoke(tmp_path, capsys, "cayley",
+                          {"group": "Z(127)", "connection": [1, 5, 11, 20, 27, 40],
+                           "action": "alpha", "budget": "0s"})
+    assert code == 0
+    res = rep["results"]
+    assert res["alpha_exact"] is False and "alpha" not in res
+    assert res["search_nodes"] == 1
+    assert res["alpha_lower"] <= res["alpha_upper"] < 127
 
 
 def test_cayley_greedy_bracket(tmp_path, capsys):
