@@ -192,10 +192,12 @@ def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
     """Proper iff no difference of like-colored vertices lands in conn = A u -A.
 
     conn is symmetric, and d and p - d test the same pairs, so only the
-    differences d <= p // 2 are rolled.
+    differences d <= p // 2 are checked: v against v + d without wrapping,
+    then the last d vertices against the first d.
     """
-    for d in conn[conn <= colors.size // 2]:
-        if np.any(colors == np.roll(colors, -int(d))):
+    p = colors.size
+    for d in conn[conn <= p // 2].tolist():
+        if np.any(colors[d:] == colors[:p - d]) or np.any(colors[:d] == colors[p - d:]):
             return False
     return True
 
@@ -312,8 +314,9 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     # neighbours sharing a vertex's cell, counted one connection element at
     # a time for all vertices at once
     cell_degree = np.zeros(p, dtype=np.int64)
-    for d in conn:
-        cell_degree += np.roll(cell_of, -int(d)) == cell_of
+    for d in conn.tolist():
+        cell_degree[:p - d] += cell_of[d:] == cell_of[:p - d]
+        cell_degree[p - d:] += cell_of[:d] == cell_of[p - d:]
     max_cell_degree = int(cell_degree.max())
 
     budget = (2 * k - 1) * arc_count ** len(frequencies)

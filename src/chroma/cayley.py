@@ -2,8 +2,10 @@
 
 Cay(G, A) has the group elements as vertices and an edge {u, v} whenever
 v - u lies in the symmetrized connection set A u (-A) minus the identity.
-Graphs up to the adjacency cap are materialized as bitset rows (Python ints),
-which is what the branch-and-bound solvers operate on.
+Graphs up to the adjacency cap are materialized as sorted CSR neighbour rows
+(int32), row v being v + (A u -A); the greedy bounds, the validators and
+DIMACS I/O run on those.  The branch-and-bound solvers work on bitset rows
+(Python ints), which a graph builds from its CSR rows only when first asked.
 
 The chromatic solver is DSATUR branch and bound (Brelaz 1979) seeded with a
 greedy clique; it finds each node's branching vertex in per-saturation
@@ -11,6 +13,8 @@ bitset buckets instead of rescanning the vertices.  The independence solver
 is MCS/BBMC maximum-clique search (Tomita-Seki 2003; San Segundo et al.
 2011) on the complement graph: a greedy clique cover of the candidates
 bounds each node, and the root cover bounds alpha when the budget runs out.
+Cayley graphs are vertex-transitive, so the independence search fixes
+vertex 0 there and the clique-coclique bound alpha * omega <= n applies.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,51 +49,111 @@ __all__ = [
 ]
 
 
-class Graph:
-    """Undirected graph on vertices 0..n-1 with bitset adjacency rows."""
+# Upper bound on the entries of one block of rows: the target coordinates of
+# a `CayleyView.to_graph` block, or the packed bytes plus the neighbour entries
+# of a `Graph.masks` block.  Both build their rows a block at a time.
+_BLOCK_ENTRIES = 1 << 20
 
-    def __init__(self, n: int, masks: list[int]):
-        if len(masks) != n:
-            raise ValueError("adjacency row count does not match vertex count")
+
+class Graph:
+    """Undirected graph on vertices 0..n-1, stored as CSR neighbour rows.
+
+    Row v is `indices[indptr[v]:indptr[v + 1]]`: the neighbours of v as
+    ascending int32.  This is the graph's one representation; the builders,
+    greedy bounds, validators and DIMACS I/O all read it.  The exact solvers
+    need n-bit adjacency rows (Python ints); `masks` builds them from the CSR
+    rows on first use and keeps them.
+
+    `vertex_transitive` says that the automorphism group is transitive on
+    the vertices.  Only builders that know it set it (Cayley views and
+    Kneser graphs); the independence solver then fixes vertex 0.
+    """
+
+    def __init__(self, n: int, indptr, indices, vertex_transitive: bool = False):
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int32)
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("row pointers do not match the vertex count and neighbour array")
         self.n = n
-        self.masks = masks
+        self.indptr = indptr
+        self.indices = indices
+        self.vertex_transitive = vertex_transitive
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        masks = [0] * n
-        for u, v in edges:
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        u, v = pairs.T
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
+        if bad.any():
+            u, v = pairs[bad.argmax()].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, masks)
+            raise ValueError(f"edge ({u},{v}) out of range")
+        # both directions of every edge, deduplicated and in (row, column) order
+        arcs = np.unique(np.concatenate((u * n + v, v * n + u)))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(arcs // n, minlength=n))))
+        return cls(n, indptr, arcs % n)
 
-    def is_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
+    @cached_property
+    def masks(self) -> list[int]:
+        """Bitset rows: bit u of row v is set when uv is an edge."""
+        return _bitset_rows(self.indptr, self.indices, self.n)
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
+        return int(self.indptr[v + 1] - self.indptr[v])
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            m = self.masks[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                yield (u, v)
-                m &= m - 1
-
-    def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+    def row(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def neighbors(self, v: int) -> list[int]:
-        m = self.masks[v]
-        out = []
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return out
+        return self.row(v).tolist()
+
+    def is_edge(self, u: int, v: int) -> bool:
+        row = self.row(u)
+        i = int(row.searchsorted(v))
+        return i < row.size and int(row[i]) == v
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge (u, v) once, u < v, ascending by u and then v."""
+        rows, cols = self._gather(np.arange(self.n))
+        up = cols > rows
+        return zip(rows[up].tolist(), cols[up].tolist())
+
+    def edge_count(self) -> int:
+        return self.indices.size // 2
+
+    def _gather(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(owner, neighbour) for every entry of the rows of vs, row by row."""
+        starts = self.indptr[vs]
+        lens = self.indptr[vs + 1] - starts
+        ends = np.cumsum(lens)
+        offsets = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lens, lens)
+        return np.repeat(vs, lens), self.indices[offsets]
+
+
+def _bitset_rows(indptr: np.ndarray, indices: np.ndarray, n: int) -> list[int]:
+    """Python-int bitsets of n bits from CSR rows, packed a block of rows at a
+    time; a block holds at most `_BLOCK_ENTRIES` packed bytes and entries."""
+    count = indptr.size - 1
+    width = (n + 7) // 8
+    lens = np.diff(indptr)
+    rows = max(1, _BLOCK_ENTRIES // max(1, width + int(lens.max(initial=0))))
+    # one buffer serves every block, so no block writes to freshly mapped pages
+    block = np.empty((min(rows, count), width), dtype=np.uint8)
+    masks: list[int] = []
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        cols = indices[indptr[start]:indptr[stop]]
+        packed = block[:stop - start]
+        packed.fill(0)
+        np.bitwise_or.at(packed, (np.repeat(np.arange(stop - start), lens[start:stop]), cols >> 3),
+                         np.left_shift(1, cols & 7).astype(np.uint8))
+        # bit j of a row is bit j % 8 of byte j // 8: the bytes read as one little-endian int
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -105,14 +170,11 @@ class Coloring:
         """Raise on the first monochromatic edge in `graph.edges()` order."""
         if len(self.colors) != graph.n:
             raise ValueError("coloring length does not match vertex count")
-        classes: dict[int, int] = {}
-        for v, c in enumerate(self.colors):
-            classes[c] = classes.get(c, 0) | 1 << v
-        for u, c in enumerate(self.colors):
-            clash = (graph.masks[u] & classes[c]) >> (u + 1)
-            if clash:
-                v = u + (clash & -clash).bit_length()
-                raise ValueError(f"edge ({u},{v}) is monochromatic")
+        colors = np.asarray(self.colors, dtype=np.int64)
+        rows, cols = graph._gather(np.arange(graph.n))
+        clash = np.flatnonzero((cols > rows) & (colors[rows] == colors[cols]))
+        if clash.size:
+            raise ValueError(f"edge ({rows[clash[0]]},{cols[clash[0]]}) is monochromatic")
 
 
 @dataclass(frozen=True)
@@ -127,30 +189,18 @@ class VertexSet:
 
     def validate_independent(self, graph: Graph) -> None:
         """Raise on the first adjacent pair, in ascending (u, v) order."""
-        members = 0
-        for v in self.members:
-            members |= 1 << v
-        for u in sorted(self.members):
-            clash = (graph.masks[u] & members) >> (u + 1)
-            if clash:
-                v = u + (clash & -clash).bit_length()
-                raise ValueError(f"vertices {u},{v} are adjacent")
-
-
-def _masks_from_packed(packed: np.ndarray) -> list[int]:
-    """Bitset rows from uint8 rows packed with bitorder="little": bit j of a
-    row is bit j % 8 of byte j // 8, so the bytes read as one little-endian int."""
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        members = np.unique(np.asarray(self.members, dtype=np.int64))
+        inside = np.zeros(graph.n, dtype=bool)
+        inside[members] = True
+        rows, cols = graph._gather(members)
+        clash = np.flatnonzero((cols > rows) & inside[cols])
+        if clash.size:
+            raise ValueError(f"vertices {rows[clash[0]]},{cols[clash[0]]} are adjacent")
 
 
 # ---------------------------------------------------------------------------
 # Cayley views
 # ---------------------------------------------------------------------------
-
-
-# Upper bound on the entries of one block of `CayleyView.to_graph`: its packed
-# rows plus its target coordinates.  The rows are built a block at a time.
-_BLOCK_ENTRIES = 1 << 20
 
 
 class CayleyView:
@@ -181,21 +231,17 @@ class CayleyView:
             raise ValueError(
                 f"group order {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
         g = self.group
-        width = (n + 7) // 8
+        d = self.degree
         scoords = g.indices_to_coords(self._sym_indices)
-        rows = max(1, _BLOCK_ENTRIES // (width + scoords.size))
-        # one buffer serves every block, so no block writes to freshly mapped pages
-        block = np.empty((min(rows, n), width), dtype=np.uint8)
-        masks: list[int] = []
+        rows = max(1, _BLOCK_ENTRIES // max(1, scoords.size))
+        # row v is v + (A u -A), sorted; every row has the same length d
+        indices = np.empty(n * d, dtype=np.int32)
         for start in range(0, n, rows):
             vs = np.arange(start, min(start + rows, n), dtype=np.int64)
             ts = g.coords_to_indices(g.indices_to_coords(vs)[:, None, :] + scoords)
-            packed = block[:vs.size]
-            packed.fill(0)
-            np.bitwise_or.at(packed, (np.arange(vs.size)[:, None], ts >> 3),
-                             np.left_shift(1, ts & 7).astype(np.uint8))
-            masks.extend(_masks_from_packed(packed))
-        return Graph(n, masks)
+            ts.sort(axis=1)
+            indices[start * d:(start + vs.size) * d] = ts.ravel()
+        return Graph(n, np.arange(n + 1) * d, indices, vertex_transitive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +251,18 @@ class CayleyView:
 
 def greedy_clique(graph: Graph) -> list[int]:
     """Deterministic greedy clique, best over a few degree-ordered seeds."""
-    if graph.n == 0:
-        return []
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    n = graph.n
     best: list[int] = []
-    for seed_pos in range(min(graph.n, 24)):
-        seed = order[seed_pos]
+    for seed in np.argsort(-graph.degrees(), kind="stable")[:24].tolist():
         clique = [seed]
-        cand = graph.masks[seed]
-        while cand:
-            # pick the candidate with most neighbors among remaining candidates
-            pick, pick_score = -1, (-1, 0)
-            m = cand
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                score = ((graph.masks[v] & cand).bit_count(), -v)
-                if score > pick_score:
-                    pick, pick_score = v, score
+        cand = graph.row(seed)
+        while cand.size:
+            # pick the candidate with most neighbors among the candidates,
+            # lowest index first; cand ascends and argmax takes the first
+            score = np.bincount(graph._gather(cand)[1], minlength=n)[cand]
+            pick = int(cand[score.argmax()])
             clique.append(pick)
-            cand &= graph.masks[pick]
+            cand = np.intersect1d(cand, graph.row(pick), assume_unique=True)
         if len(clique) > len(best):
             best = clique
     return sorted(best)
@@ -242,7 +280,8 @@ def dsatur_coloring(graph: Graph) -> Coloring:
     n = graph.n
     colors = [-1] * n
     neighbor_colors = [0] * n   # bitmask of colors used by neighbors
-    degrees = [graph.degree(v) for v in range(n)]
+    degrees = graph.degrees().tolist()
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     heap = [(0, -degrees[v], v) for v in range(n)]
     heapq.heapify(heap)
     for _ in range(n):
@@ -253,10 +292,7 @@ def dsatur_coloring(graph: Graph) -> Coloring:
         c = (free & -free).bit_length() - 1
         colors[pick] = c
         bit = 1 << c
-        m = graph.masks[pick]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
+        for u in indices[indptr[pick]:indptr[pick + 1]]:
             if colors[u] == -1 and not neighbor_colors[u] & bit:
                 neighbor_colors[u] |= bit
                 heapq.heappush(heap, (-neighbor_colors[u].bit_count(), -degrees[u], u))
@@ -476,22 +512,45 @@ def _greedy_independent(graph: Graph) -> list[int]:
     return sorted(out)
 
 
-def _clique_cover(masks: list[int], cand: int) -> list[tuple[int, int]]:
+def _clique_cover(masks: list[int], cand: int, skip: int = 0) -> list[tuple[int, int]]:
     """Greedy clique cover of `cand`: each class starts at the lowest vertex
     left and is narrowed to its neighbours, lowest first.  Returns
     (vertex, class number) in cover order, so the vertices up to any entry
-    lie in that many cliques and hold at most that many independent ones."""
+    lie in that many cliques and hold at most that many independent ones.
+    The first `skip` classes are built but not returned."""
     cover = []
     k = 0
     while cand:
         k += 1
         q = cand
+        if k <= skip:
+            while q:
+                low = q & -q
+                cand ^= low
+                q &= masks[low.bit_length() - 1]
+            continue
         while q:
-            v = (q & -q).bit_length() - 1
+            low = q & -q
+            v = low.bit_length() - 1
             cover.append((v, k))
-            cand ^= 1 << v
+            cand ^= low
             q &= masks[v]
     return cover
+
+
+def _induced(graph: Graph, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the subgraph induced on vs, with each vertex numbered by
+    its position in vs (rows keep vs's order; a row's entries need not ascend)."""
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[vs] = np.arange(vs.size)
+    rows, cols = graph._gather(vs)
+    keep = pos[cols] >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(pos[rows[keep]], minlength=vs.size))))
+    return indptr, pos[cols[keep]]
+
+
+def _cover_size(cover: list[tuple[int, int]]) -> int:
+    return cover[-1][1] if cover else 0
 
 
 def independence_number_exact(graph: Graph,
@@ -503,8 +562,18 @@ def independence_number_exact(graph: Graph,
     candidates greedily with cliques (`_clique_cover`) and branches on them
     in reverse cover order.  It prunes as soon as the current set plus the
     class number of the next vertex cannot beat the best set, since an
-    independent set meets each clique at most once.  On budget exhaustion
-    the bracket's upper end is the number of cliques in the root cover.
+    independent set meets each clique at most once.
+
+    On a vertex-transitive graph some maximum independent set holds vertex
+    0, so alpha(G) = 1 + alpha(G - N[0]) and the search starts from {0} with
+    the non-neighbours of 0 as candidates; otherwise it starts from nothing
+    with every vertex.  Either way the root's candidates are renumbered by
+    ascending (degree among the candidates, index) before the search.
+
+    On budget exhaustion the bracket's upper end is the smallest of the
+    clique cover of G, the root's size plus the cover of its candidates,
+    and, on a vertex-transitive graph, n // omega for the greedy clique
+    (alpha * omega <= n there).
     """
     n = graph.n
     if n > config.EXACT_SOLVER_CAP:
@@ -514,39 +583,51 @@ def independence_number_exact(graph: Graph,
         return IndependenceResult(0, 0, VertexSet(()), True, 0)
 
     budget = _Budget(budget_s)
-    masks = graph.masks
     seed = _greedy_independent(graph)
     best = len(seed)
-    best_mask = 0
-    for v in seed:
-        best_mask |= 1 << v
+    best_found = None           # the best set the search finds, in local bits
+    root = [0] if graph.vertex_transitive else []
+    cands = np.setdiff1d(np.arange(n), root + graph.neighbors(0)) if root else np.arange(n)
+    order = cands[np.argsort(np.diff(_induced(graph, cands)[0]), kind="stable")]
+    masks = _bitset_rows(*_induced(graph, order), order.size)
 
     def search(cand: int, cur: int, cur_size: int, cover: list[tuple[int, int]]) -> None:
-        nonlocal best, best_mask
+        nonlocal best, best_found
         if budget.tick():
             return
         if not cand:
             if cur_size > best:
                 best = cur_size
-                best_mask = cur
+                best_found = cur
             return
         for v, bound in reversed(cover):
             if cur_size + bound <= best:
                 return
             cand ^= 1 << v
             child = cand & ~masks[v]
-            search(child, cur | 1 << v, cur_size + 1, _clique_cover(masks, child))
+            # classes at or below best - cur_size - 1 can never be branched on
+            search(child, cur | 1 << v, cur_size + 1,
+                   _clique_cover(masks, child, best - cur_size - 1))
             if budget.exhausted:
                 return
 
-    full = (1 << n) - 1
+    full = (1 << order.size) - 1
     root_cover = _clique_cover(masks, full)
-    with _search_stack(n):
-        search(full, 0, 0, root_cover)
+    with _search_stack(order.size):
+        search(full, 0, len(root), root_cover)
 
-    members = tuple(v for v in range(n) if best_mask >> v & 1)
-    vs = VertexSet(members)
+    if best_found is not None:
+        seed = root + [int(v) for i, v in enumerate(order) if best_found >> i & 1]
+    vs = VertexSet(tuple(sorted(seed)))
     vs.validate_independent(graph)
-    if budget.exhausted:
-        return IndependenceResult(best, root_cover[-1][1], vs, False, budget.nodes)
-    return IndependenceResult(best, best, vs, True, budget.nodes)
+    if not budget.exhausted:
+        return IndependenceResult(best, best, vs, True, budget.nodes)
+    upper = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
+                len(root) + _cover_size(root_cover))
+    if graph.vertex_transitive:
+        clique = greedy_clique(graph)
+        members = sum(1 << v for v in clique)
+        if any((graph.masks[v] | 1 << v) & members != members for v in clique):
+            raise AssertionError("greedy clique is not a clique; solver bug")
+        upper = min(upper, n // len(clique))
+    return IndependenceResult(best, upper, vs, False, budget.nodes)

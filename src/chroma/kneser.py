@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .cayley import Graph, _masks_from_packed
+from .cayley import Graph
 from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group
 from .primes import is_prime
@@ -183,7 +183,12 @@ def _cascade_words(verts: list[KneserVertex], n: int) -> tuple[np.ndarray, np.nd
 
 
 def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
-    """Materialize the graph; vertices indexed in lexicographic order."""
+    """Materialize the graph; vertices indexed in lexicographic order.
+
+    The graph is vertex-transitive: a permutation of the ground set applied
+    to every part preserves the unions and intersections the cascades test,
+    and the symmetric group is transitive on the vertices.
+    """
     n = count_vertices(params)
     if n > config.ADJACENCY_CAP:
         raise ValueError(
@@ -191,15 +196,18 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
     verts = kneser_vertices(params)
     pref, suf = _cascade_words(verts, params.n)
     rows = max(1, _BLOCK_ENTRIES // pref.size)
-    masks: list[int] = []
+    lens, cols = [], []
     for start in range(0, n, rows):
         blk = slice(start, start + rows)
         # a cascade fails when some cut's prefix meets the other side's suffix
         fwd_fails = (pref[:, blk, None] & suf[:, None]).any(axis=0)
         rev_fails = (suf[:, blk, None] & pref[:, None]).any(axis=0)
         adjacent = ~(fwd_fails & rev_fails)
-        masks.extend(_masks_from_packed(np.packbits(adjacent, axis=1, bitorder="little")))
-    return verts, Graph(n, masks)
+        lens.append(np.count_nonzero(adjacent, axis=1))
+        # the column of an adjacent pair is its flat index less its row's offset
+        cols.append(np.flatnonzero(adjacent) - np.repeat(np.arange(0, adjacent.size, n), lens[-1]))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(lens))))
+    return verts, Graph(n, indptr, np.concatenate(cols), vertex_transitive=True)
 
 
 def chi_lower_bound(params: KneserParams) -> Fraction:

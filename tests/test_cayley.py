@@ -1,5 +1,6 @@
 """Graphs, Cayley views, and the exact coloring/independence solvers."""
 
+import hashlib
 import itertools
 import types
 
@@ -135,6 +136,7 @@ def test_exact_alpha_matches_oracle_on_circulants(rng):
 @pytest.mark.parametrize("moduli, members, alpha", [
     ((73,), [1, 5, 11, 20, 27], 22),
     ((3, 3, 3, 3), [1, 3, 9, 27, 40], 27),     # +-{e1, e2, e3, e4, (1,1,1,1)}
+    ((127,), [1, 5, 11, 20, 27, 40], 38),
 ])
 def test_exact_alpha_on_pinned_cayley_graphs(moduli, members, alpha):
     graph = _cayley_graph(moduli, members)
@@ -142,6 +144,18 @@ def test_exact_alpha_on_pinned_cayley_graphs(moduli, members, alpha):
     assert res.exact and res.lower == res.upper == alpha
     res.vertex_set.validate_independent(graph)
     assert res.vertex_set.size == alpha
+    assert 0 in res.vertex_set.members      # the search on a Cayley graph fixes vertex 0
+
+
+def test_alpha_budget_takes_the_clique_coclique_bound():
+    # Cay(Z_127, +-{1,5,11,20,27,40}): alpha = 38 and omega = 3, so
+    # alpha <= 127 // 3 = 42 beats both clique covers when the budget is spent
+    graph = _cayley_graph((127,), [1, 5, 11, 20, 27, 40])
+    assert len(greedy_clique(graph)) == 3
+    res = independence_number_exact(graph, budget_s=0)
+    assert not res.exact and res.nodes == 1
+    assert res.lower <= 38 <= res.upper == 42
+    res.vertex_set.validate_independent(graph)
 
 
 # KN(n, k, 1) -> (search nodes, coloring with one digit per vertex).  Any
@@ -192,6 +206,23 @@ def test_chi_search_tree_is_pinned(params):
     assert (res.exact, res.proof, res.nodes) == (True, "exhausted-search", nodes)
     assert res.lower == res.upper == params[0] - 2 * params[1] + 2    # Lovasz
     assert res.coloring.colors == tuple(map(int, digits))
+
+
+def test_greedy_bounds_on_a_large_circulant_builds_no_bitsets(monkeypatch):
+    # Cay(Z_65521, 30 seeded elements) runs greedy bounds on the neighbour
+    # rows alone; the coloring's SHA-256 prefix was recorded with the bitset
+    # DSATUR that walked n-bit rows
+    def no_bitsets(*args):
+        raise AssertionError("bitset rows built")
+
+    monkeypatch.setattr(cayley, "_bitset_rows", no_bitsets)
+    gens = np.sort(np.random.default_rng(2026).choice(np.arange(1, 32761), 15, replace=False))
+    graph = _cayley_graph((65521,), gens.tolist())
+    gb = greedy_bounds(graph)
+    assert (gb.clique, gb.clique_lower, gb.dsatur_upper) == ((0, 866), 2, 11)
+    colors = np.array(gb.coloring.colors, dtype="<i4").tobytes()
+    assert hashlib.sha256(colors).hexdigest()[:16] == "2bbf27c4307addc1"
+    assert "masks" not in vars(graph)
 
 
 def test_greedy_bounds_bracket(rng):
@@ -416,8 +447,9 @@ def test_to_graph_rows_across_block_boundaries(monkeypatch, block_rows, moduli, 
     monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", block_rows * row_entries)
     graph = view.to_graph()
     _assert_coordinatewise_adjacency(view, graph, moduli, members)
+    masks = graph.masks                     # the bitset rows, also built in blocks
     monkeypatch.undo()
-    assert graph.masks == view.to_graph().masks
+    assert masks == view.to_graph().masks
 
 
 def _assert_coordinatewise_adjacency(view, graph, moduli, members):

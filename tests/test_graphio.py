@@ -1,11 +1,15 @@
 """DIMACS round trips and the CNF k-colorability encoding."""
 
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
-from chroma.cayley import Graph
+from chroma.cayley import CayleyView, Graph
 from chroma.graphio import read_dimacs, write_coloring_cnf, write_dimacs
+from chroma.groups import ElementSet, make_group
+from chroma.kneser import KneserParams, build_graph
 
 
 def read_cnf(path):
@@ -44,6 +48,81 @@ def test_dimacs_roundtrip(tmp_path, rng):
     back = read_dimacs(path)
     assert back.n == graph.n
     assert sorted(back.edges()) == sorted(graph.edges())
+
+
+def _cayley(moduli, members):
+    g = make_group(moduli)
+    return CayleyView(g, ElementSet.from_indices(g, members)).to_graph()
+
+
+# graph -> (edge count, SHA-256 prefixes of its bitset rows and of its DIMACS
+# file), recorded with the builders that stored only bitset rows
+_PINNED_FORMS = {
+    "Z211": (lambda: _cayley((211,), [14, 38, 40, 42, 51, 123, 124, 195, 199]),
+             1899, "b89f01871b380dd7", "fbc9c5547c51cd0c"),
+    "Z1009": (lambda: _cayley((1009,), [3, 108, 260, 301, 315, 354, 420, 469, 473, 543,
+                                        723, 785, 856, 892]),
+              14126, "8faeb02ab86c138e", "4acc65680688fe76"),
+    "Z4xZ6xZ9": (lambda: _cayley((4, 6, 9), [14, 37, 64, 71, 87, 139, 182, 184, 191, 199,
+                                             202]),
+                 2376, "5e74645ab5e19eb1", "1c9c904896090d9e"),
+    "Z2^9": (lambda: _cayley((2,) * 9, [11, 68, 102, 129, 202, 289, 357, 387, 390, 393,
+                                         432, 483]),
+             3072, "b5fa3a692d44474f", "c5e5bcc32f082e13"),
+    "KN(7,2,2)": (lambda: build_graph(KneserParams(7, 2, 2))[1],
+                  1890, "da022fad1b50aa6c", "a20a713170e03e2a"),
+    "KN(9,3,1)": (lambda: build_graph(KneserParams(9, 3, 1))[1],
+                  840, "2ea517ceaa493366", "50f95874c378acde"),
+    "KN(8,2,1)": (lambda: build_graph(KneserParams(8, 2, 1))[1],
+                  210, "2b1da25b37bbb62d", "a3338fa7062092ef"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FORMS))
+def test_graph_forms_match_the_bitset_builders(tmp_path, name):
+    build, edge_count, masks_digest, dimacs_digest = _PINNED_FORMS[name]
+    graph = build()
+    assert graph.vertex_transitive
+    width = (graph.n + 7) // 8
+    packed = b"".join(m.to_bytes(width, "little") for m in graph.masks)
+    assert hashlib.sha256(packed).hexdigest()[:16] == masks_digest
+    # edges, degrees and neighbours read off the bitset rows bit by bit
+    rows = [[v for v in range(graph.n) if m >> v & 1] for m in graph.masks]
+    assert list(graph.edges()) == [(u, v) for u in range(graph.n) for v in rows[u] if v > u]
+    assert graph.edge_count() == edge_count
+    assert graph.degrees().tolist() == [len(r) for r in rows]
+    assert [graph.neighbors(v) for v in range(graph.n)] == rows
+    path = tmp_path / "g.dimacs"
+    write_dimacs(graph, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == dimacs_digest
+    back = read_dimacs(path)
+    assert not back.vertex_transitive
+    assert back.masks == graph.masks
+    assert np.array_equal(back.indptr, graph.indptr)
+    assert np.array_equal(back.indices, graph.indices)
+
+
+def test_only_builders_that_know_it_flag_vertex_transitivity(tmp_path):
+    # C_5 is vertex-transitive, but nothing that reads an edge list knows it
+    cycle = [(v, (v + 1) % 5) for v in range(5)]
+    assert _cayley((5,), [1]).vertex_transitive
+    assert not Graph.from_edges(5, cycle).vertex_transitive
+    path = tmp_path / "c5.dimacs"
+    write_dimacs(Graph.from_edges(5, cycle), path)
+    assert not read_dimacs(path).vertex_transitive
+
+
+def test_from_edges_merges_repeats_and_rejects_bad_edges():
+    graph = Graph.from_edges(4, [(2, 0), (0, 2), (3, 1), (0, 2)])
+    assert list(graph.edges()) == [(0, 2), (1, 3)]
+    assert graph.degrees().tolist() == [1, 1, 1, 1]
+    assert Graph.from_edges(3, []).edge_count() == 0
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"edge \(0,5\) out of range"):
+        Graph.from_edges(3, [(0, 1), (0, 5), (1, 1)])
+    with pytest.raises(ValueError, match=r"edge \(-1,2\) out of range"):
+        Graph.from_edges(3, [(-1, 2)])
 
 
 def test_dimacs_rejects_malformed(tmp_path):

@@ -120,6 +120,22 @@ def test_build_graph_matches_adjacency_on_every_pair(n, k, m):
         assert not graph.masks[i] >> i & 1
 
 
+@pytest.mark.parametrize("n, k, m", [(7, 2, 2), (9, 3, 1)])
+def test_ground_set_permutations_preserve_build_graph_rows(rng, n, k, m):
+    # a permutation of {0..n-1} applied to every part maps the graph onto
+    # itself, which is why build_graph may flag it vertex-transitive
+    verts, graph = build_graph(KneserParams(n, k, m))
+    assert graph.vertex_transitive
+    index = {v.parts: i for i, v in enumerate(verts)}
+    for _ in range(4):
+        perm = rng.permutation(n).tolist()
+        image = [index[tuple(tuple(sorted(perm[j] for j in part)) for part in v.parts)]
+                 for v in verts]
+        assert sorted(image) == list(range(len(verts)))
+        for i in range(len(verts)):
+            assert graph.neighbors(image[i]) == sorted(image[u] for u in graph.neighbors(i))
+
+
 @pytest.mark.parametrize("n, k, m", [(9, 2, 3), (70, 2, 1), (65, 1, 2)])
 def test_build_graph_rows_of_a_sample(n, k, m):
     # n > 64 puts each cascade union in two uint64 words
