@@ -21,7 +21,6 @@ against the actual adjacency, whether or not the degree bound held.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -42,7 +41,6 @@ __all__ = [
     "claim_ab_test",
     "phase_partition",
     "bohr_color",
-    "rho_from_supersaturation",
 ]
 
 
@@ -55,7 +53,9 @@ class SpectrumParams:
     least 4 by the rho bound).  s_index, when given, fixes which equation
     coefficient pulls the spectrum back; by default the first index of the
     lexicographically first zero-sum subset of size >= 3 is used, and if the
-    equation has none, an explicit s_index is required.
+    equation has none, an explicit s_index is required.  The paper takes
+    nu = delta/6 and rho = delta^3/(216*pi*D'), with delta a supersaturation
+    constant and D' the sum of |c_i| outside the zero-sum subset.
     """
 
     nu: float = 0.1
@@ -331,25 +331,3 @@ def bohr_color(a_set: ElementSet, eq: Equation,
         within_budget=next_color <= budget, proper=proper,
     )
     return colors, report
-
-
-def rho_from_supersaturation(delta: float, eq: Equation,
-                             zero_sum_subset: tuple[int, ...]) -> tuple[float, float]:
-    """(nu, rho) from a supersaturation constant delta for the given subset.
-
-    nu = delta/6 and rho = delta^3 / (216*pi*D') where D' sums |c_i| outside
-    the zero-sum subset.  delta itself comes from a removal-lemma argument
-    and is not computable here; this helper just applies the two formulas.
-    """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    outside = [c for i, c in enumerate(eq.coeffs) if i not in set(zero_sum_subset)]
-    d_out = sum(abs(c) for c in outside)
-    if d_out == 0:
-        raise ValueError(
-            "zero-sum subset covers every index; the phase partition route "
-            "is not needed in that regime"
-        )
-    nu = delta / 6
-    rho = delta ** 3 / (216 * math.pi * d_out)
-    return nu, rho

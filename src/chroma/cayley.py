@@ -24,7 +24,7 @@ import heapq
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -232,6 +232,9 @@ class CayleyView:
                 f"group order {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
         g = self.group
         d = self.degree
+        if n * d > config.CSR_ENTRY_CAP:
+            raise ValueError(f"CSR of {n} rows of {d} neighbours exceeds "
+                             f"the entry cap {config.CSR_ENTRY_CAP}")
         scoords = g.indices_to_coords(self._sym_indices)
         rows = max(1, _BLOCK_ENTRIES // max(1, scoords.size))
         # row v is v + (A u -A), sorted; every row has the same length d

@@ -20,6 +20,10 @@ EXACT_SOLVER_CAP = 2000
 # Largest vertex count for which Cayley adjacency rows are materialized.
 ADJACENCY_CAP = 1 << 16
 
+# Largest CSR entry count a graph builder allocates: 2^27 int32 entries are
+# the 512 MiB that bitset rows took at ADJACENCY_CAP vertices.
+CSR_ENTRY_CAP = ADJACENCY_CAP ** 2 // 32
+
 # Work budget (number of tuples) for brute-force solution scans.
 BRUTE_TUPLE_CAP = 40_000_000
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import config
 from .equations import Equation, classify, is_solution_free
 from .exact import Surd
-from .groups import ElementSet, GroupSpec, crt_split, make_group
+from .groups import ElementSet, GroupSpec, make_group
 from .primes import check_distinct_primes, is_prime
 
 __all__ = [
@@ -39,21 +39,17 @@ __all__ = [
     "CertificateBundle",
     "normalize_equation",
     "norm",
-    "coordinate_norm",
     "norm_numerators",
     "default_core_threshold",
     "default_extension_threshold",
     "build_core_set",
     "core_norm_bound",
-    "check_core_norm_bound",
     "build_extension_set",
     "extension_gap_check",
-    "discretize_grid_point",
     "scale_conditions",
     "std_normal_cdf",
     "gauss_alpha",
     "lift_to_prime_field",
-    "unrestricted_extension_indices",
     "certify_lift",
     "golden_config",
     "transfer_config",
@@ -136,16 +132,6 @@ def norm(ctx: NormContext, y: int, j: int | None = None) -> Fraction:
     return Fraction(num, ctx.denominator(j))
 
 
-def coordinate_norm(ctx: NormContext, y: int, i: int,
-                    j: int | None = None) -> Fraction:
-    """Exact slope-j term contributed by the i-th prime coordinate."""
-    j = ctx._slope(j)
-    p_i = ctx.primes[i]
-    r = int(y) % p_i
-    return min(Fraction(ctx.q * r, j * p_i),
-               Fraction(ctx.q * (p_i - r), (ctx.q - j) * p_i))
-
-
 # ---------------------------------------------------------------------------
 # Equation normalization and construction parameters
 # ---------------------------------------------------------------------------
@@ -153,21 +139,12 @@ def coordinate_norm(ctx: NormContext, y: int, i: int,
 
 @dataclass(frozen=True)
 class NormalizedEquation:
-    """Equation reordered so c1 + c2 = 0, globally negated so sum(c) >= 1.
-
-    permutation[i] is the original position of the coefficient now at slot i,
-    so witnesses found for the normalized order can be mapped back.
-    """
+    """Equation reordered so c1 + c2 = 0, globally negated so sum(c) >= 1;
+    permutation[i] is the original position of the coefficient now at slot i."""
 
     eq: Equation
     permutation: tuple[int, ...]
     negated: bool
-
-    def restore_witness(self, xs: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * len(xs)
-        for i, orig in enumerate(self.permutation):
-            out[orig] = xs[i]
-        return tuple(out)
 
 
 def normalize_equation(eq: Equation) -> NormalizedEquation:
@@ -316,28 +293,6 @@ def core_norm_bound(params: ConstructionParams,
                 (q - 1) * d * threshold.b, threshold.under)
 
 
-def check_core_norm_bound(params: ConstructionParams, xs: Sequence[int],
-                          threshold: Surd | None = None) -> Fraction:
-    """Exact slope-C norm of sum c_i x_i; asserts the guaranteed lower bound.
-
-    The x_i must be members of the core set built at the same threshold.
-    A failure here would mean the implementation (not the mathematics) is
-    wrong, hence the hard error.
-    """
-    cs = params.eq.coeffs
-    if len(xs) != len(cs):
-        raise ValueError(f"expected {len(cs)} elements, got {len(xs)}")
-    combo = sum(c * int(x) for c, x in zip(cs, xs)) % params.m
-    value = norm(params.context, combo, params.coeff_sum)
-    bound = core_norm_bound(params, threshold)
-    if bound.cmp(value) > 0:
-        raise AssertionError(
-            f"norm {value} of the combination fell below the guaranteed "
-            f"bound {bound}"
-        )
-    return value
-
-
 def build_extension_set(params: ConstructionParams,
                         threshold: Surd | None = None) -> ElementSet:
     """{y : slope-C norms of c1*y and -c1*y are both <= threshold}.
@@ -375,15 +330,6 @@ def extension_gap_check(params: ConstructionParams,
     diff = Surd(bound.a - 2 * extension_threshold.a,
                 bound.b - 2 * extension_threshold.b, bound.under)
     return diff.cmp(0) > 0
-
-
-def discretize_grid_point(ctx: NormContext, coords: Sequence[int]) -> int:
-    """CRT-combine floor(x_i * p_i / q) for a point x in {0..q-1}^n."""
-    if len(coords) != ctx.n:
-        raise ValueError(f"expected {ctx.n} coordinates")
-    images = [((int(x) % ctx.q) * p) // ctx.q for x, p in zip(coords, ctx.primes)]
-    split = crt_split(ctx.m, list(ctx.primes))
-    return split.to_scalar(images)
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +472,6 @@ def lift_to_prime_field(params: ConstructionParams, core_m: ElementSet,
             f"{int(overlap.indices()[0])}); increase p beyond (D+1)*m"
         )
     return LiftResult(params, core, ext, core.union(ext), (lo, hi))
-
-
-def unrestricted_extension_indices(params: ConstructionParams,
-                                   extension_m: ElementSet) -> np.ndarray:
-    """All of {x in F_p : x mod m in F0}, ignoring the interval window.
-
-    Negative control for the mixed-solution certificate: dropping the window
-    typically re-admits solutions, demonstrating the window is load-bearing.
-    """
-    xs = np.arange(params.p, dtype=np.int64)
-    return xs[extension_m.mask()[xs % params.m]]
 
 
 # ---------------------------------------------------------------------------

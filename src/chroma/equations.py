@@ -292,10 +292,10 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     (prime fields and products of large primes alike).  Strategy:
     meet-in-the-middle over coordinate halves for k=4 when |A|^2 <= 4e6,
     otherwise a scan that enumerates x1..x_{k-1}, the last two vectorized,
-    and solves for x_k.  For k >= 4 the scan first checks |A|^(k-1) against
-    BRUTE_TUPLE_CAP, which at its default rejects every k=4 set too large
-    for meet-in-the-middle.  Any returned witness is re-verified before
-    being handed back.
+    and solves for x_k.  Both return the lexicographically first injective
+    solution, re-verified.  For k >= 4 the scan first checks |A|^(k-1)
+    against BRUTE_TUPLE_CAP, which at its default rejects every k=4 set
+    too large for meet-in-the-middle.
     """
     p = _require_invertible_modulus(eq, A)
     elems = A.indices()
@@ -353,23 +353,21 @@ def _find_injective_scan(eq, p, elems, in_a):
 
 def _find_injective_mitm4(eq, p, elems):
     c1, c2, c3, c4 = (c % p for c in eq.coeffs)
-    n = elems.size
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    distinct = ii != jj
-    ii, jj = ii[distinct], jj[distinct]
+    ii, jj = np.nonzero(~np.eye(elems.size, dtype=bool))   # pairs i != j in index order
     left_sum = (c1 * elems[ii] + c2 * elems[jj]) % p
     right_sum = (c3 * elems[ii] + c4 * elems[jj]) % p
-    order = np.argsort(left_sum, kind="stable")
-    ls, li, lj = left_sum[order], ii[order], jj[order]
-    want = (-right_sum) % p
-    starts = np.searchsorted(ls, want, side="left")
-    ends = np.searchsorted(ls, want, side="right")
-    for r in np.flatnonzero(ends > starts):
-        x3, x4 = elems[ii[r]], elems[jj[r]]
-        for t in range(starts[r], ends[r]):
-            x1, x2 = elems[li[t]], elems[lj[t]]
-            if len({int(x1), int(x2), int(x3), int(x4)}) == 4:
-                return (int(x1), int(x2), int(x3), int(x4))
+    order = np.argsort(right_sum, kind="stable")
+    rs, ri, rj = right_sum[order], ii[order], jj[order]
+    want = (-left_sum) % p
+    starts = np.searchsorted(rs, want, side="left")
+    ends = np.searchsorted(rs, want, side="right")
+    # left pairs in index order, each against its right pairs, which the
+    # stable sort keeps in index order: the first hit is the lex-first solution
+    for t in np.flatnonzero(ends > starts):
+        for r in range(starts[t], ends[t]):
+            xs = tuple(int(elems[i]) for i in (ii[t], jj[t], ri[r], rj[r]))
+            if len(set(xs)) == 4:
+                return xs
     return None
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "ElementSet",
     "CrtSplit",
     "make_group",
-    "crt_split",
     "parse_group_literal",
 ]
 
@@ -105,7 +104,7 @@ def parse_group_literal(text: str) -> GroupSpec:
     """Parse a group literal: "Z(7)", "Z(3)^4", "Z(2)xZ(3)", "Zm(15015)".
 
     The Zm(...) form denotes a single cyclic group whose modulus is expected to
-    be squarefree; pair it with crt_split to get the coordinate view.
+    be squarefree; pair it with CrtSplit to get the coordinate view.
     """
     text = text.strip().replace(" ", "")
     if not text:
@@ -329,8 +328,3 @@ class CrtSplit:
             big = self.m // p
             x = (x + (r % p) * big * pow(big, -1, p)) % self.m
         return x
-
-
-def crt_split(m: int, primes: Sequence[int]) -> CrtSplit:
-    """Validated CRT split of Z_m along an explicit list of prime factors."""
-    return CrtSplit(int(m), tuple(int(p) for p in primes))

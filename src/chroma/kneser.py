@@ -204,6 +204,9 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
         rev_fails = (suf[:, blk, None] & pref[:, None]).any(axis=0)
         adjacent = ~(fwd_fails & rev_fails)
         lens.append(np.count_nonzero(adjacent, axis=1))
+        if start == 0 and n * int(lens[0][0]) > config.CSR_ENTRY_CAP:   # rows match row 0
+            raise ValueError(f"CSR of {n} rows of {int(lens[0][0])} neighbours "
+                             f"exceeds the entry cap {config.CSR_ENTRY_CAP}")
         # the column of an adjacent pair is its flat index less its row's offset
         cols.append(np.flatnonzero(adjacent) - np.repeat(np.arange(0, adjacent.size, n), lens[-1]))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(lens))))

@@ -14,7 +14,6 @@ from chroma.bohr import (
     claim_ab_test,
     large_spectrum,
     phase_partition,
-    rho_from_supersaturation,
 )
 from chroma.constructions import golden_config, transfer_config
 from chroma.equations import Equation, first_zero_sum_subset
@@ -451,17 +450,3 @@ def test_color_golden_lift_pinned():
         "9a4f117bc3588a31615f52b0493502cb13e4cb3a793dc9bee810429124646f6a"
     )
 
-
-def test_supersaturation_parameter_formulas():
-    import math
-
-    eq = Equation([1, -2, 1, 5])
-    nu, rho = rho_from_supersaturation(0.6, eq, (0, 1, 2))
-    assert math.isclose(nu, 0.1)
-    assert math.isclose(rho, 0.6**3 / (216 * math.pi * 5))
-    with pytest.raises(ValueError):
-        rho_from_supersaturation(0.0, eq, (0, 1, 2))
-    with pytest.raises(ValueError):
-        rho_from_supersaturation(1.5, eq, (0, 1, 2))
-    with pytest.raises(ValueError):  # subset covers every index
-        rho_from_supersaturation(0.5, Equation([1, -1]), (0, 1))

@@ -390,6 +390,9 @@ def _z13_set():
 _CAPPED = {
     "CayleyView.to_graph": (config, "ADJACENCY_CAP", 13,
                             lambda: CayleyView(make_group([13]), _z13_set()).to_graph()),
+    # Cay(Z_13, +-{1, 3, 9}) has 13 rows of 6 neighbours
+    "CayleyView.to_graph CSR": (config, "CSR_ENTRY_CAP", 13 * 6,
+                                lambda: CayleyView(make_group([13]), _z13_set()).to_graph()),
     "chromatic_number_exact": (config, "EXACT_SOLVER_CAP", 7,
                                lambda: chromatic_number_exact(_cycle(7))),
     "independence_number_exact": (config, "EXACT_SOLVER_CAP", 7,
@@ -398,6 +401,9 @@ _CAPPED = {
                         lambda: kneser_vertices(KneserParams(5, 2, 1))),
     "kneser.build_graph": (config, "ADJACENCY_CAP", 10,
                            lambda: build_graph(KneserParams(5, 2, 1))),
+    # the Petersen graph has 10 rows of 3 neighbours
+    "kneser.build_graph CSR": (config, "CSR_ENTRY_CAP", 10 * 3,
+                               lambda: build_graph(KneserParams(5, 2, 1))),
     "HammingBallSet.to_element_set": (config, "MATERIALIZE_CAP", 9,
                                       lambda: hamming_ball(3, 2).to_element_set()),
     "dft": (config, "DFT_CAP", 13, lambda: dft(np.ones(13))),

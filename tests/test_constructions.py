@@ -12,12 +12,9 @@ from chroma.constructions import (
     build_core_set,
     build_extension_set,
     certify_lift,
-    check_core_norm_bound,
-    coordinate_norm,
     core_norm_bound,
     default_core_threshold,
     default_extension_threshold,
-    discretize_grid_point,
     extension_gap_check,
     gauss_alpha,
     golden_config,
@@ -27,11 +24,10 @@ from chroma.constructions import (
     normalize_equation,
     scale_conditions,
     transfer_config,
-    unrestricted_extension_indices,
 )
 from chroma.equations import Equation, is_solution_free
 from chroma.exact import Surd
-from chroma.groups import ElementSet, make_group
+from chroma.groups import CrtSplit, ElementSet, make_group
 
 
 def oracle_coordinate_norm(q, p, r, j):
@@ -76,8 +72,8 @@ def test_zero_and_range():
         for j in (1, 2, 3, 4):
             v = norm(ctx, y, j)
             assert 0 <= v <= 2
-            for i in range(2):
-                assert 0 <= coordinate_norm(ctx, y, i, j) <= 1
+            for p in ctx.primes:
+                assert 0 <= oracle_coordinate_norm(5, p, y % p, j) <= 1
 
 
 def test_norm_matches_oracle_randomized(rng):
@@ -121,10 +117,10 @@ def test_triangle_inequality_vectorized(rng):
 def test_discretized_all_ones_lands_high():
     # the grid image of the all-ones point has every coordinate norm > 1 - 1/n
     ctx = NormContext(3, (13, 17, 19, 23))
-    y = discretize_grid_point(ctx, (1, 1, 1, 1))
+    y = CrtSplit(ctx.m, ctx.primes).to_scalar([p // ctx.q for p in ctx.primes])
     n = 4
-    for i in range(n):
-        assert coordinate_norm(ctx, y, i, 1) > 1 - Fraction(1, n)
+    for p in ctx.primes:
+        assert oracle_coordinate_norm(3, p, y % p, 1) > 1 - Fraction(1, n)
     assert norm(ctx, y, 1) > n - 1
 
 
@@ -148,14 +144,12 @@ def test_normalize_negates_when_sum_nonpositive():
 
 
 def test_normalize_witness_roundtrip():
-    res = normalize_equation(Equation((3, 1, -1)))
-    # a witness in normalized variable order maps back to original order
-    wit = (10, 20, 30)
-    back = res.restore_witness(wit)
-    orig = Equation((3, 1, -1))
-    s_norm = sum(c * x for c, x in zip(res.eq.coeffs, wit))
-    s_orig = sum(c * x for c, x in zip(orig.coeffs, back))
-    assert s_orig == (-s_norm if res.negated else s_norm)
+    # permutation and negated rebuild the original coefficients
+    for coeffs in ((3, 1, -1), (-1, 1, -1), (2, 5, -3, -5)):
+        res = normalize_equation(Equation(coeffs))
+        sign = -1 if res.negated else 1
+        assert sorted(res.permutation) == list(range(len(coeffs)))
+        assert [coeffs[i] for i in res.permutation] == [sign * c for c in res.eq.coeffs]
 
 
 def test_normalize_rejects_pairless_equations():
@@ -205,7 +199,7 @@ def test_golden_core_set_frozen_count_and_membership(rng):
         assert (oracle_norm(5, (101, 103), y, 1) >= theta) == (y in members)
     assert 0 not in members
     # the discretized all-ones grid point is a member
-    assert discretize_grid_point(ctx, (1, 1)) in members
+    assert CrtSplit(ctx.m, ctx.primes).to_scalar([p // ctx.q for p in ctx.primes]) in members
 
 
 def test_golden_extension_set_frozen_count_and_membership(rng):
@@ -231,9 +225,10 @@ def test_core_norm_bound_value_and_random_tuples(rng):
     e0 = build_core_set(cfg.params, cfg.core_threshold)
     idx = e0.indices()
     for _ in range(300):
-        xs = [int(x) for x in rng.choice(idx, size=3, replace=False)]
-        val = check_core_norm_bound(cfg.params, xs, cfg.core_threshold)
-        assert val >= Fraction(2, 7)
+        xs = rng.choice(idx, size=3, replace=False).tolist()
+        combo = sum(c * x for c, x in zip(cfg.params.eq.coeffs, xs)) % cfg.params.m
+        val = norm(cfg.params.context, combo, cfg.params.coeff_sum)
+        assert bound.cmp(val) <= 0 and val >= Fraction(2, 7)
 
 
 def test_extension_gap_and_scale_conditions():
@@ -328,7 +323,8 @@ def test_negative_control_unrestricted_extension_breaks():
     for cfg in (transfer_config(), golden_config()):
         e0, f0, lift = cfg.build()
         p = cfg.params.p
-        unres = unrestricted_extension_indices(cfg.params, f0)
+        xs = np.arange(p)
+        unres = xs[f0.mask()[xs % cfg.params.m]]
         g = make_group([p])
         loose = ElementSet.from_indices(
             g, sorted(set(lift.core.indices().tolist()) | set(unres.tolist())))

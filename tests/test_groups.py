@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chroma.groups import (
+    CrtSplit,
     ElementSet,
-    crt_split,
     make_group,
     parse_group_literal,
 )
@@ -26,7 +26,7 @@ def test_index_coords_roundtrip_exhaustive():
 
 
 def test_crt_split_is_additive_bijection():
-    split = crt_split(105, [3, 5, 7])
+    split = CrtSplit(105, (3, 5, 7))
     seen = set()
     for x in range(105):
         coords = split.to_coords(x)
