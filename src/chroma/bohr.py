@@ -14,6 +14,9 @@ colors them a run at a time rather than one by one: a run of cell vertices
 spanning less than the smallest nonzero element of A u -A holds no edge,
 so each of its vertices takes the smallest color free among neighbours
 colored before the run, exactly as it would in the vertex-by-vertex pass.
+Only earlier neighbours can hold a color: for d in A u -A above the run's
+last vertex, every v - d wraps mod p to a vertex after v, still uncolored,
+so the pass reads colors only through d up to that vertex.
 
 Everything is checked after the fact: the emitted coloring is re-validated
 against the actual adjacency, whether or not the degree bound held.
@@ -213,6 +216,9 @@ def _color_cell(verts: np.ndarray, conn: np.ndarray, local: np.ndarray) -> np.nd
     local is scratch space that reads -1 on every vertex outside the cell,
     before and after the call.  A run spans less than min(conn), so it holds
     no edge and its vertices see only colors given before the run starts.
+    Those colors sit on vertices below the run, so only the d in conn up to
+    the run's last vertex are gathered: a larger d takes v - d below 0,
+    which wraps mod p to a vertex after v, uncolored, and would read -1.
     """
     max_rows = max(1, _GATHER_ENTRIES // max(1, conn.size))
     ends = np.searchsorted(verts, verts + (int(conn[0]) if conn.size else local.size))
@@ -221,8 +227,9 @@ def _color_cell(verts: np.ndarray, conn: np.ndarray, local: np.ndarray) -> np.nd
     while start < verts.size:
         stop = min(int(ends[start]), start + max_rows)
         blk = verts[start:stop]
-        # negative indices wrap mod p, so v - d reaches v + (p - d) = v - d mod p
-        seen = local[blk[:, None] - conn]
+        # a larger d wraps every v - d to an uncolored vertex after v (-1)
+        near = conn[:int(conn.searchsorted(blk[-1], "right"))]
+        seen = local[blk[:, None] - near]
         # row i of taken spans flat slots i*width .. i*width + used + 1; an
         # uncolored neighbour (-1) lands in the spare last slot of the row
         # before it (row 0: of the last row), which the argmin never reads,

@@ -111,11 +111,6 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return self.row(v).tolist()
 
-    def is_edge(self, u: int, v: int) -> bool:
-        row = self.row(u)
-        i = int(row.searchsorted(v))
-        return i < row.size and int(row[i]) == v
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge (u, v) once, u < v, ascending by u and then v."""
         rows, cols = self._gather(np.arange(self.n))

@@ -6,6 +6,14 @@ over x1..x_{k-1} for every k, meet-in-the-middle for k = 4), and counts
 solutions two independent ways: exact brute-force convolution and a
 Fourier-analytic counter (the two are cross-checked in the test suite).
 
+The k = 4 meet-in-the-middle joins ordered pairs through p-byte membership
+bitmaps of the pair sums: a set whose left pairs want no right sum is free
+before anything is sorted, and otherwise only right pairs with a wanted sum
+are sorted.  Matches are tested for injectivity in chunks taken in (left
+pair, right pair) index order, so the first hit is the lexicographically
+first solution.  It holds two p-byte bitmaps and at most three n^2 int64
+arrays, where a sort of every pair sum took ten such arrays.
+
 Counting conventions: the Fourier counter and the default brute counter count
 all tuples in A^k, coordinates not necessarily distinct.  Injective counting
 (pairwise-distinct coordinates) is available behind the `injective` flag.
@@ -296,6 +304,13 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     solution, re-verified.  For k >= 4 the scan first checks |A|^(k-1)
     against BRUTE_TUPLE_CAP, which at its default rejects every k=4 set
     too large for meet-in-the-middle.
+
+    The meet-in-the-middle marks the right pair sums in a p-byte bitmap and
+    returns at once when no left pair i != j hits it; otherwise it sorts
+    only the right pairs whose sum a hit left pair wants, and tests the
+    matches for injectivity in chunks in (left, right) index order, so the
+    first injective match is the lexicographically first solution.  Memory:
+    two p-byte bitmaps and at most three |A|^2 int64 arrays.
     """
     p = _require_invertible_modulus(eq, A)
     elems = A.indices()
@@ -351,23 +366,81 @@ def _find_injective_scan(eq, p, elems, in_a):
     return None
 
 
+# Upper bound on the (left, right) matches tested at once by the k = 4 join,
+# and on the left pairs whose match ranges are looked up at once.
+_MATCH_ENTRIES = 1 << 18
+
+
 def _find_injective_mitm4(eq, p, elems):
+    """First injective solution, lexicographic in (x1, x2, x3, x4).
+
+    Meet in the middle over ordered pairs i != j of the ascending elements,
+    numbered t = i*n + j: left pair (x1, x2) wants a right pair (x3, x4)
+    with c3*x3 + c4*x4 = -(c1*x1 + c2*x2) mod p.  A p-byte bitmap of the
+    right sums tells each left pair whether any right pair fits; when none
+    does the set is free, with nothing sorted.  Otherwise a second bitmap
+    marks the sums the hit left pairs want, and only the right pairs with
+    such a sum are sorted, once, by the key sum*n^2 + t, which keeps the
+    pairs of one sum in index order.  The hit left pairs are taken in index
+    order, and their matches are expanded and tested for injectivity in
+    chunks of at most _MATCH_ENTRIES (a single left pair may exceed it).
+    Chunks follow (left t, right t) order, so the first injective match is
+    the lexicographically first solution.  Memory: the two bitmaps (p is at
+    most MATERIALIZE_CAP, the size of A's own mask) plus at most three n^2
+    int64 arrays and three n^2-byte masks live at once, and
+    O(_MATCH_ENTRIES) per chunk.
+    """
     c1, c2, c3, c4 = (c % p for c in eq.coeffs)
-    ii, jj = np.nonzero(~np.eye(elems.size, dtype=bool))   # pairs i != j in index order
-    left_sum = (c1 * elems[ii] + c2 * elems[jj]) % p
-    right_sum = (c3 * elems[ii] + c4 * elems[jj]) % p
-    order = np.argsort(right_sum, kind="stable")
-    rs, ri, rj = right_sum[order], ii[order], jj[order]
-    want = (-left_sum) % p
-    starts = np.searchsorted(rs, want, side="left")
-    ends = np.searchsorted(rs, want, side="right")
-    # left pairs in index order, each against its right pairs, which the
-    # stable sort keeps in index order: the first hit is the lex-first solution
-    for t in np.flatnonzero(ends > starts):
-        for r in range(starts[t], ends[t]):
-            xs = tuple(int(elems[i]) for i in (ii[t], jj[t], ri[r], rj[r]))
-            if len(set(xs)) == 4:
-                return xs
+    m1, m2 = -c1 % p, -c2 % p
+    n = elems.size
+    nn = n * n
+
+    def pair_sums(a, b):
+        # a*x_i + b*x_j mod p at [i, j]; below 2p^2, exact in int64
+        s = a * elems[:, None] + b * elems[None, :]
+        return np.remainder(s, p, out=s)
+
+    off = ~np.eye(n, dtype=bool)   # pairs i != j
+    right = pair_sums(c3, c4)
+    has_right = np.zeros(p, dtype=bool)
+    has_right[right[off]] = True
+    want = pair_sums(m1, m2)
+    hit = has_right[want] & off
+    if not hit.any():
+        return None
+    wanted = np.zeros(p, dtype=bool)
+    wanted[want[hit]] = True
+    del want
+    left = np.flatnonzero(hit)
+    del hit
+    keep = wanted[right] & off
+    # key sum*n^2 + i*n + j: sorted, the pairs of one sum stay in index order
+    right *= nn
+    right += n * np.arange(n)[:, None]
+    right += np.arange(n)
+    keys = right[keep]
+    del right, keep
+    keys.sort()
+
+    for b in range(0, left.size, _MATCH_ENTRIES):
+        li, lj = np.divmod(left[b:b + _MATCH_ENTRIES], n)
+        w = (m1 * elems[li] + m2 * elems[lj]) % p * nn
+        first = keys.searchsorted(w)
+        count = keys.searchsorted(w + nn) - first
+        ends = np.cumsum(count)
+        a = 0
+        while a < li.size:
+            done = int(ends[a - 1]) if a else 0
+            z = max(a + 1, int(ends.searchsorted(done + _MATCH_ENTRIES, "right")))
+            c = count[a:z]
+            at = np.repeat(first[a:z] - (ends[a:z] - c), c) + np.arange(done, int(ends[z - 1]))
+            ri, rj = np.divmod(keys[at] % nn, n)
+            qi, qj = np.repeat(li[a:z], c), np.repeat(lj[a:z], c)
+            ok = (qi != ri) & (qi != rj) & (qj != ri) & (qj != rj)
+            if ok.any():
+                f = int(ok.argmax())
+                return tuple(int(elems[x]) for x in (qi[f], qj[f], ri[f], rj[f]))
+            a = z
     return None
 
 

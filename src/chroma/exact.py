@@ -47,21 +47,6 @@ class Surd:
         """shift + coeff*sqrt(under)."""
         return Surd(_as_fraction(shift), _as_fraction(coeff), under)
 
-    def is_rational(self) -> bool:
-        if self.b == 0 or self.under == 0:
-            return True
-        r = math.isqrt(self.under)
-        return r * r == self.under
-
-    def exact_rational(self) -> Fraction:
-        """Value as a Fraction; raises if irrational."""
-        if self.b == 0 or self.under == 0:
-            return self.a
-        r = math.isqrt(self.under)
-        if r * r != self.under:
-            raise ValueError("value is irrational")
-        return self.a + self.b * r
-
     def cmp(self, x) -> int:
         """Sign of (self - x) for rational x: -1, 0, or +1. Exact."""
         t = _as_fraction(x) - self.a          # compare b*sqrt(u) against t

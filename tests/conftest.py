@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,14 @@ def oracle_torus_distance(x, p):
     """Distance of x/p to the nearest integer, as an exact Fraction."""
     r = x % p
     return Fraction(min(r, p - r), p)
+
+
+def oracle_surd_fraction(s):
+    """Value of the Surd s = a + b*sqrt(under) as a Fraction, None if irrational."""
+    r = math.isqrt(s.under)
+    if s.b != 0 and r * r != s.under:
+        return None
+    return s.a + s.b * r
 
 
 def oracle_is_prime(n):

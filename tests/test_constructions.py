@@ -28,6 +28,7 @@ from chroma.constructions import (
 from chroma.equations import Equation, is_solution_free
 from chroma.exact import Surd
 from chroma.groups import CrtSplit, ElementSet, make_group
+from conftest import oracle_surd_fraction
 
 
 def oracle_coordinate_norm(q, p, r, j):
@@ -221,7 +222,7 @@ def test_golden_extension_set_frozen_count_and_membership(rng):
 def test_core_norm_bound_value_and_random_tuples(rng):
     cfg = golden_config()
     bound = core_norm_bound(cfg.params, cfg.core_threshold)
-    assert bound.exact_rational() == Fraction(2, 7)  # n - (q-1)*D*(n - theta)
+    assert oracle_surd_fraction(bound) == Fraction(2, 7)  # n - (q-1)*D*(n - theta)
     e0 = build_core_set(cfg.params, cfg.core_threshold)
     idx = e0.indices()
     for _ in range(300):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chroma import equations as equations_module
 from chroma.equations import (
     Equation,
     classify,
@@ -232,3 +233,53 @@ def test_solution_free_scan_is_exact_for_large_coefficients(coeffs):
                  if sum(c * x for c, x in zip(coeffs, t)) % p == 0]
     res = is_solution_free(Equation(coeffs), ElementSet.from_indices(make_group([p]), members))
     assert solutions and res.witness == min(solutions)
+
+
+def _lex_first_solution(coeffs, members, mod):
+    return next((t for t in itertools.permutations(sorted(members), len(coeffs))
+                 if sum(c * x for c, x in zip(coeffs, t)) % mod == 0), None)
+
+
+@pytest.mark.parametrize("cap", [equations_module._MATCH_ENTRIES, 7, 1])
+def test_mitm_join_matches_lex_first_oracle(cap, rng, monkeypatch):
+    # the default match chunk, one that splits a left pair's matches, and
+    # one match per chunk; a third of the equations are (a, b, -a, -b)
+    monkeypatch.setattr(equations_module, "_MATCH_ENTRIES", cap)
+    found = 0
+    for t in range(60):
+        mod = (10, 21, 31, 101, 1009)[t % 5]
+        units = [c for c in range(1, mod) if np.gcd(c, mod) == 1]
+        a, b, c, d = (int(x) for x in rng.choice(units, 4))
+        coeffs = (a, b, mod - a, mod - b) if t % 3 == 0 else (a, b, c, d)
+        members = sorted(int(x) for x in rng.choice(mod, int(rng.integers(4, 11)), replace=False))
+        res = is_solution_free(Equation(coeffs), ElementSet.from_indices(make_group([mod]), members))
+        assert res.witness == _lex_first_solution(coeffs, members, mod), (mod, coeffs, members)
+        assert res.free == (res.witness is None)
+        found += not res.free
+    assert 0 < found < 60
+
+
+def _erdos_turan(q):
+    # {2qk + (k^2 mod q)}: a Sidon set of integers below 2q^2 (Erdős–Turán 1941)
+    return [2 * q * k + k * k % q for k in range(q)]
+
+
+def test_mitm_join_on_erdos_turan_sidon_set():
+    # sums stay below 4q^2 < p, so the set is Sidon mod p: every left pair
+    # matches its own two orderings and nothing else
+    p, eq = 3847, Equation((1, 1, -1, -1))
+    members = _erdos_turan(31)
+    res = is_solution_free(eq, ElementSet.from_indices(make_group([p]), members))
+    assert _lex_first_solution(eq.coeffs, members, p) is None
+    assert res.free and res.witness is None
+    planted = sorted({*members, (members[3] + members[5] - members[1]) % p})
+    assert len(planted) == 32
+    res = is_solution_free(eq, ElementSet.from_indices(make_group([p]), planted))
+    want = _lex_first_solution(eq.coeffs, planted, p)
+    assert want is not None and res.witness == want
+
+
+def test_mitm_join_large_sidon_set_is_free():
+    res = is_solution_free(Equation((1, 1, -1, -1)),
+                           ElementSet.from_indices(make_group([1_000_003]), _erdos_turan(499)))
+    assert res.free and res.witness is None
