@@ -205,6 +205,27 @@ def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
     return True
 
 
+def _cell_degrees(cell_of: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """Per vertex, its neighbours in Cay(Z_p, conn) that share its cell.
+
+    Counted one connection element at a time for all vertices at once.
+    conn is symmetric and d, p - d join the same pairs, so each pair
+    {v, v + d} with d <= p // 2 is compared once and counted at both ends
+    (once when d = p - d, at p = 2).
+    """
+    p = cell_of.size
+    degree = np.zeros(p, dtype=np.int64)
+    for d in conn[conn <= p // 2].tolist():
+        same = cell_of[d:] == cell_of[:p - d]       # v < p - d against v + d
+        wrap = cell_of[:d] == cell_of[p - d:]       # v >= p - d against v + d - p
+        degree[:p - d] += same
+        degree[p - d:] += wrap
+        if 2 * d != p:
+            degree[d:] += same
+            degree[:d] += wrap
+    return degree
+
+
 # Upper bound on the entries of one run's gathered neighbour-color matrix;
 # a run is split into consecutive sub-runs of at most this many entries.
 _GATHER_ENTRIES = 1 << 20
@@ -318,13 +339,7 @@ def bohr_color(a_set: ElementSet, eq: Equation,
         colors[verts] = next_color + cell_colors
         next_color += int(cell_colors.max()) + 1
 
-    # neighbours sharing a vertex's cell, counted one connection element at
-    # a time for all vertices at once
-    cell_degree = np.zeros(p, dtype=np.int64)
-    for d in conn.tolist():
-        cell_degree[:p - d] += cell_of[d:] == cell_of[:p - d]
-        cell_degree[p - d:] += cell_of[:d] == cell_of[p - d:]
-    max_cell_degree = int(cell_degree.max())
+    max_cell_degree = int(_cell_degrees(cell_of, conn).max())
 
     budget = (2 * k - 1) * arc_count ** len(frequencies)
     proper = _validate_coloring(colors, conn)

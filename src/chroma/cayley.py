@@ -102,9 +102,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def row(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
@@ -166,15 +163,14 @@ class Coloring:
         if len(self.colors) != graph.n:
             raise ValueError("coloring length does not match vertex count")
         colors = np.asarray(self.colors, dtype=np.int64)
-        rows, cols = graph._gather(np.arange(graph.n))
-        clash = np.flatnonzero((cols > rows) & (colors[rows] == colors[cols]))
-        if clash.size:
-            raise ValueError(f"edge ({rows[clash[0]]},{cols[clash[0]]}) is monochromatic")
+        u, v = _same_label_edges(graph, np.arange(graph.n), colors)
+        if u.size:
+            raise ValueError(f"edge ({u[0]},{v[0]}) is monochromatic")
 
 
 @dataclass(frozen=True)
 class VertexSet:
-    """An independent-set certificate."""
+    """An independent-set or clique certificate."""
 
     members: tuple[int, ...]
 
@@ -184,13 +180,32 @@ class VertexSet:
 
     def validate_independent(self, graph: Graph) -> None:
         """Raise on the first adjacent pair, in ascending (u, v) order."""
+        u, v = self._inner_edges(graph)
+        if u.size:
+            raise ValueError(f"vertices {u[0]},{v[0]} are adjacent")
+
+    def validate_clique(self, graph: Graph) -> None:
+        """Raise unless the members are distinct and pairwise adjacent."""
+        u, _ = self._inner_edges(graph)
+        k = len(self.members)
+        if u.size != k * (k - 1) // 2:
+            raise ValueError(f"only {u.size} of the {k * (k - 1) // 2} member pairs "
+                             f"are adjacent")
+
+    def _inner_edges(self, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
         members = np.unique(np.asarray(self.members, dtype=np.int64))
         inside = np.zeros(graph.n, dtype=bool)
         inside[members] = True
-        rows, cols = graph._gather(members)
-        clash = np.flatnonzero((cols > rows) & inside[cols])
-        if clash.size:
-            raise ValueError(f"vertices {rows[clash[0]]},{cols[clash[0]]} are adjacent")
+        return _same_label_edges(graph, members, inside)
+
+
+def _same_label_edges(graph: Graph, vs: np.ndarray,
+                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of every edge u < v from the rows of the ascending vs whose two
+    ends carry the same label, in `graph.edges()` order."""
+    rows, cols = graph._gather(vs)
+    same = (cols > rows) & (labels[rows] == labels[cols])
+    return rows[same], cols[same]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +278,7 @@ def greedy_clique(graph: Graph) -> list[int]:
             cand = np.intersect1d(cand, graph.row(pick), assume_unique=True)
         if len(clique) > len(best):
             best = clique
+    VertexSet(tuple(best)).validate_clique(graph)
     return sorted(best)
 
 
@@ -623,9 +639,5 @@ def independence_number_exact(graph: Graph,
     upper = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
                 len(root) + _cover_size(root_cover))
     if graph.vertex_transitive:
-        clique = greedy_clique(graph)
-        members = sum(1 << v for v in clique)
-        if any((graph.masks[v] | 1 << v) & members != members for v in clique):
-            raise AssertionError("greedy clique is not a clique; solver bug")
-        upper = min(upper, n // len(clique))
+        upper = min(upper, n // len(greedy_clique(graph)))
     return IndependenceResult(best, upper, vs, False, budget.nodes)

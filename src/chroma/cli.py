@@ -279,7 +279,7 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
 
 
 def _pinned_config(cfg: dict) -> cons.PinnedConfig:
-    eq = cons.normalize_equation(Equation.parse(cfg["equation"])).eq
+    eq = cons.normalize_equation(Equation.parse(cfg["equation"]))
     primes = tuple(cfg["primes"])
     p = cfg["p"]
     if p == "auto":

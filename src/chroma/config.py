@@ -27,5 +27,9 @@ CSR_ENTRY_CAP = ADJACENCY_CAP ** 2 // 32
 # Work budget (number of tuples) for brute-force solution scans.
 BRUTE_TUPLE_CAP = 40_000_000
 
+# Work budget of the shift-and-add convolution (counting tables and the
+# extension certificate's sumsets): one table entry per element shift.
+SHIFT_ENTRY_CAP = 32 * BRUTE_TUPLE_CAP
+
 # Group order must fit the platform index type.
 INDEX_TYPE_MAX = (1 << 63) - 1

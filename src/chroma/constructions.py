@@ -19,12 +19,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import config
-from .equations import Equation, classify, is_solution_free
+from .equations import Equation, _conv_count_table, classify, is_solution_free
 from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group
 from .primes import check_distinct_primes, is_prime
@@ -33,7 +32,6 @@ __all__ = [
     "NormContext",
     "ConstructionParams",
     "GaussParams",
-    "NormalizedEquation",
     "LiftResult",
     "CertificateRecord",
     "CertificateBundle",
@@ -54,9 +52,6 @@ __all__ = [
     "golden_config",
     "transfer_config",
 ]
-
-_SUMSET_OP_CAP = 1 << 28
-
 
 # ---------------------------------------------------------------------------
 # Coordinate norms on Z_m
@@ -137,17 +132,7 @@ def norm(ctx: NormContext, y: int, j: int | None = None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizedEquation:
-    """Equation reordered so c1 + c2 = 0, globally negated so sum(c) >= 1;
-    permutation[i] is the original position of the coefficient now at slot i."""
-
-    eq: Equation
-    permutation: tuple[int, ...]
-    negated: bool
-
-
-def normalize_equation(eq: Equation) -> NormalizedEquation:
+def normalize_equation(eq: Equation) -> Equation:
     """Move a cancelling coefficient pair to the front; make the sum positive.
 
     Requires some pair c_i + c_j = 0 (the construction has nothing to offer
@@ -173,12 +158,9 @@ def normalize_equation(eq: Equation) -> NormalizedEquation:
             "coefficient sum is zero; the whole equation is a zero-sum "
             "subcollection and this construction does not apply"
         )
-    perm = [pair[0], pair[1]] + [i for i in range(k) if i not in pair]
-    coeffs = [cs[i] for i in perm]
-    negated = total < 0
-    if negated:
-        coeffs = [-c for c in coeffs]
-    return NormalizedEquation(Equation(tuple(coeffs)), tuple(perm), negated)
+    sign = 1 if total > 0 else -1
+    order = [*pair, *(i for i in range(k) if i not in pair)]
+    return Equation(tuple(sign * cs[i] for i in order))
 
 
 @dataclass(frozen=True)
@@ -522,40 +504,19 @@ class CertificateBundle:
         }
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-def _scaled_sumset_mask(mod: int, terms: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Indicator of {sum_i c_i * x_i mod `mod` : x_i in the i-th set}."""
-    ops = mod * sum(len(idx) for _, idx in terms)
-    if ops > _SUMSET_OP_CAP:
-        raise ValueError("sumset too large to materialize")
-    mask = np.zeros(mod, dtype=bool)
-    mask[0] = True
-    for c, idx in terms:
-        nxt = np.zeros(mod, dtype=bool)
-        for e in idx:
-            nxt |= np.roll(mask, (int(c) * int(e)) % mod)
-        mask = nxt
-    return mask
-
-
 def extension_property_holds(eq: Equation, mod: int, core_idx: np.ndarray,
-                             ext_idx: np.ndarray) -> tuple[bool, tuple | None]:
+                             ext_idx: np.ndarray) -> tuple[bool, tuple | None, str]:
     """(-c1*F - c2*F) disjoint from (c3*E + ... + ck*E) modulo mod.
 
-    Returns (holds, witness) where the witness is a common value if any.
+    Returns (holds, witness, detail); the witness is the least common value.
     """
     cs = eq.coeffs
-    lhs = _scaled_sumset_mask(mod, [(-cs[0], ext_idx), (-cs[1], ext_idx)])
-    rhs = _scaled_sumset_mask(mod, [(c, core_idx) for c in cs[2:]])
-    both = lhs & rhs
-    if not both.any():
-        return True, None
-    return False, (int(np.flatnonzero(both)[0]),)
+    group = make_group([mod])
+    lhs = _conv_count_table(group, [(-cs[0], ext_idx), (-cs[1], ext_idx)], bool)
+    rhs = _conv_count_table(group, [(c, core_idx) for c in cs[2:]], bool)
+    common = np.flatnonzero(lhs & rhs)
+    detail = "difference sums from F avoid the core combination sums in F_p"
+    return not common.size, (int(common[0]),) if common.size else None, detail
 
 
 def _induced_subgraph_matches(params: ConstructionParams, core_m: ElementSet,
@@ -614,27 +575,26 @@ def certify_lift(params: ConstructionParams, core_m: ElementSet,
     if lift is None:
         lift = lift_to_prime_field(params, core_m, extension_m)
     eq, p = params.eq, params.p
+
+    def solution_free(a_set: ElementSet, detail: str):
+        res = is_solution_free(eq, a_set)
+        return res.free, res.witness, detail
+
+    checks = (
+        ("core-solution-free", lambda: solution_free(
+            lift.core, "no injective solution with all entries in the lifted core set")),
+        ("induced-subgraph-match", lambda: _induced_subgraph_matches(params, core_m, lift)),
+        ("extension-in-lift", lambda: extension_property_holds(
+            eq, p, lift.core.indices(), lift.extension.indices())),
+        ("no-mixed-solutions", lambda: solution_free(
+            lift.full, "no injective solution with entries drawn from the full set A")),
+    )
     records = []
-
-    res, dt = _timed(lambda: is_solution_free(eq, lift.core))
-    records.append(CertificateRecord(
-        "core-solution-free", res.free, res.witness,
-        "no injective solution with all entries in the lifted core set", dt))
-
-    (ok, wit, detail), dt = _timed(
-        lambda: _induced_subgraph_matches(params, core_m, lift))
-    records.append(CertificateRecord("induced-subgraph-match", ok, wit, detail, dt))
-
-    (ok, wit), dt = _timed(lambda: extension_property_holds(
-        eq, p, lift.core.indices(), lift.extension.indices()))
-    records.append(CertificateRecord(
-        "extension-in-lift", ok, wit,
-        "difference sums from F avoid the core combination sums in F_p", dt))
-
-    res, dt = _timed(lambda: is_solution_free(eq, lift.full))
-    records.append(CertificateRecord(
-        "no-mixed-solutions", res.free, res.witness,
-        "no injective solution with entries drawn from the full set A", dt))
+    for name, check in checks:
+        t0 = time.perf_counter()
+        passed, witness, detail = check()
+        records.append(CertificateRecord(name, passed, witness, detail,
+                                         time.perf_counter() - t0))
 
     conditions = scale_conditions(params, core_threshold, extension_threshold)
     counts = (

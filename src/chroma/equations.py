@@ -453,30 +453,35 @@ def count_solutions_brute_all(eq: Equation, A: ElementSet, injective: bool = Fal
     """Exact count table N(y) for every y in the group. Integer arithmetic only."""
     group = A.group
     if not injective:
-        return _conv_count_table(group, eq.coeffs, A)
+        idx = A.indices()
+        return _conv_count_table(group, [(c, idx) for c in eq.coeffs])
     if eq.k <= 5:
         return _injective_by_partitions(group, eq, A)
     return _injective_by_enumeration(group, eq, A)
 
 
-def _conv_count_table(group: GroupSpec, coeffs: Sequence[int], A: ElementSet) -> np.ndarray:
-    """Iterated shift-and-add convolution over nonzero coefficients; exact in int64.
+def _conv_count_table(group: GroupSpec, terms: Sequence[tuple[int, np.ndarray]],
+                      dtype=np.int64) -> np.ndarray:
+    """Shift-and-add over the terms (c_i, element indices X_i), row-major.
 
-    Cost is |A| * order per coefficient; guarded by the brute-force cap.
+    Entry y is the number of tuples x in X_1 x ... x X_k with sum c_i*x_i = y,
+    exact in int64; with dtype bool it marks the sumset c_1*X_1 + ... +
+    c_k*X_k instead (+= on bools is a logical or).  Each element shifts the
+    whole table once, so the sum of |X_i| * order is checked against
+    `config.SHIFT_ENTRY_CAP` before anything is allocated.
     """
-    idx = A.indices()
-    work = len(coeffs) * idx.size * group.order
-    if work > config.BRUTE_TUPLE_CAP * 32:
-        raise ValueError("convolution count exceeds the brute-force work cap")
+    work = group.order * sum(len(idx) for _, idx in terms)
+    if work > config.SHIFT_ENTRY_CAP:
+        raise ValueError(f"shift-and-add work of {work} entries exceeds the cap "
+                         f"{config.SHIFT_ENTRY_CAP}")
     shape = group.moduli
-    acc = np.zeros(shape, dtype=np.int64)
+    axes = tuple(range(len(shape)))
+    acc = np.zeros(shape, dtype=dtype)
     acc.flat[0] = 1
-    coords = group.indices_to_coords(idx)
-    for c in coeffs:
+    for c, idx in terms:
         nxt = np.zeros_like(acc)
-        for a in coords:
-            shift = tuple(int((c * ai) % ni) for ai, ni in zip(a, shape))
-            nxt += np.roll(acc, shift, axis=tuple(range(len(shape))))
+        for a in group.indices_to_coords(idx):
+            nxt += np.roll(acc, tuple(int(c * ai % ni) for ai, ni in zip(a, shape)), axis=axes)
         acc = nxt
     return acc.reshape(group.order)
 
@@ -495,7 +500,7 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
 def _injective_by_partitions(group: GroupSpec, eq: Equation, A: ElementSet) -> np.ndarray:
     """Inclusion-exclusion over coordinate-equality partitions (k <= 5)."""
     total = np.zeros(group.order, dtype=np.int64)
-    size = len(A.indices())
+    idx = A.indices()
     for part in _set_partitions(tuple(range(eq.k))):
         merged = [sum(eq.coeffs[i] for i in block) for block in part]
         mu = 1
@@ -504,12 +509,8 @@ def _injective_by_partitions(group: GroupSpec, eq: Equation, A: ElementSet) -> n
             mu *= (-1) ** (b - 1) * math.factorial(b - 1)
         free = sum(1 for c in merged if c == 0)
         kept = [c for c in merged if c != 0]
-        if kept:
-            table = _conv_count_table(group, kept, A)
-        else:
-            table = np.zeros(group.order, dtype=np.int64)
-            table[0] = 1
-        total += mu * (size ** free) * table
+        table = _conv_count_table(group, [(c, idx) for c in kept])
+        total += mu * (idx.size ** free) * table
     return total
 
 

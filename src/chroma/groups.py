@@ -154,14 +154,6 @@ class ElementSet:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def empty(cls, group: GroupSpec) -> "ElementSet":
-        return cls(group)
-
-    @classmethod
-    def full(cls, group: GroupSpec) -> "ElementSet":
-        return cls(group, np.ones(group.order, dtype=bool))
-
-    @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "ElementSet":
         s = cls(group)
         idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
@@ -212,10 +204,6 @@ class ElementSet:
         self._same_group(other)
         return ElementSet(self.group, self._bits & other._bits)
 
-    def difference(self, other: "ElementSet") -> "ElementSet":
-        self._same_group(other)
-        return ElementSet(self.group, self._bits & ~other._bits)
-
     def negated(self) -> "ElementSet":
         """The set {-a : a in self}."""
         out = np.zeros_like(self._bits)
@@ -244,19 +232,13 @@ class ElementSet:
 
     def to_rle_text(self) -> str:
         """Header line with the group literal, then value:length runs."""
-        runs = []
         bits = self._bits
-        n = bits.size
-        i = 0
-        while i < n:
-            v = bits[i]
-            j = i + 1
-            # np.argmax on the boolean flip finds the run end in C speed
-            flip = np.flatnonzero(bits[i:] != v)
-            j = i + (int(flip[0]) if flip.size else n - i)
-            runs.append(f"{int(v)}:{j - i}")
-            i = j
-        return f"{self.FORMAT_TAG} {self.group.literal}\n" + " ".join(runs) + "\n"
+        # a run starts at 0 and wherever a bit differs from the one before it
+        starts = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1))
+        lengths = np.diff(starts, append=bits.size)
+        runs = " ".join(f"{v}:{n}" for v, n in zip(bits[starts].astype(int).tolist(),
+                                                  lengths.tolist()))
+        return f"{self.FORMAT_TAG} {self.group.literal}\n{runs}\n"
 
     @classmethod
     def from_rle_text(cls, text: str) -> "ElementSet":

@@ -149,11 +149,9 @@ def _cascade_masks(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return pref, suf
 
 
-def _adjacent_masks(pref_a, suf_a, pref_b, suf_b) -> bool:
-    m = len(pref_a)
-    if all(pref_a[t] & suf_b[t] == 0 for t in range(m)):
-        return True
-    return all(pref_b[t] & suf_a[t] == 0 for t in range(m))
+def _cascade_holds(pref_a: list[int], suf_b: list[int]) -> bool:
+    """Direction a->b: every cut's prefix union of a avoids b's suffix union."""
+    return all(pa & sb == 0 for pa, sb in zip(pref_a, suf_b))
 
 
 def kneser_adjacent(a: KneserVertex, b: KneserVertex) -> bool:
@@ -164,7 +162,7 @@ def kneser_adjacent(a: KneserVertex, b: KneserVertex) -> bool:
     """
     pa, sa = _cascade_masks(a.masks())
     pb, sb = _cascade_masks(b.masks())
-    return _adjacent_masks(pa, sa, pb, sb)
+    return _cascade_holds(pa, sb) or _cascade_holds(pb, sa)
 
 
 def _cascade_words(verts: list[KneserVertex], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +291,7 @@ def check_embedding_edge(a: KneserVertex, b: KneserVertex, p: int, n: int,
     """
     pa, sa = _cascade_masks(a.masks())
     pb, sb = _cascade_masks(b.masks())
-    m = len(pa)
-    fwd = all(pa[t] & sb[t] == 0 for t in range(m))
-    rev = all(pb[t] & sa[t] == 0 for t in range(m))
+    fwd, rev = _cascade_holds(pa, sb), _cascade_holds(pb, sa)
     if not (fwd or rev):
         raise ValueError("vertices are not adjacent")
 

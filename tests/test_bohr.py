@@ -67,7 +67,7 @@ def test_arc_count_at_least_four(rng):
 
 def test_spectrum_of_full_set_is_zero_only():
     p = 31
-    full = ElementSet.full(make_group([p]))
+    full = ElementSet(make_group([p]), np.ones(p, dtype=bool))
     assert large_spectrum(full, 0.5).tolist() == [0]
 
 
@@ -425,6 +425,8 @@ def _oracle_instances():
     yield "eleven-cells", field_set(11, [1]), eq, SpectrumParams(nu=0.05, rho=0.05)
     # min(A u -A) = 100: runs of up to 100 vertices
     yield "wide-gap", field_set(499, list(range(100, 131))), eq, SpectrumParams()
+    # one cell holding the single edge {0, 1}, where d = p - d = 1
+    yield "p2", field_set(2, [1]), eq, SpectrumParams(nu=0.6)
 
 
 @pytest.mark.parametrize("name,a,eq,params",
@@ -437,6 +439,19 @@ def test_color_matches_vertex_by_vertex_oracle(name, a, eq, params, monkeypatch)
         colors, report = bohr_color(a, eq, params)
         assert colors.tolist() == want_colors, (name, cap)
         assert report.to_report() == want_report, (name, cap)
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 101])
+def test_cell_degrees_match_per_vertex_oracle(p, rng):
+    # three cells; max_cell_degree alone would miss a one-sided count, since
+    # vertex 0 sees every wrapped pair and mirrored cells share their maxima
+    for _ in range(5):
+        cell_of = rng.integers(0, 3, p)
+        half = rng.choice(np.arange(1, p // 2 + 1), min(4, p // 2), replace=False)
+        conn = np.unique(np.concatenate((half, p - half)))
+        want = [sum(cell_of[(v + d) % p] == cell_of[v] for d in conn.tolist())
+                for v in range(p)]
+        assert bohr_module._cell_degrees(cell_of, conn).tolist() == want
 
 
 def test_color_golden_lift_pinned():

@@ -20,7 +20,14 @@ from chroma.cayley import (
     greedy_clique,
     independence_number_exact,
 )
-from chroma.equations import Equation, count_solutions_dft_all, dft, is_solution_free
+from chroma.constructions import extension_property_holds
+from chroma.equations import (
+    Equation,
+    count_solutions_brute_all,
+    count_solutions_dft_all,
+    dft,
+    is_solution_free,
+)
 from chroma.groups import ElementSet, make_group
 from chroma.kneser import KneserParams, build_graph, hamming_ball, kneser_vertices
 
@@ -225,6 +232,50 @@ def test_greedy_bounds_on_a_large_circulant_builds_no_bitsets(monkeypatch):
     assert "masks" not in vars(graph)
 
 
+def test_chromatic_number_exact_builds_no_bitsets(monkeypatch):
+    # the chi search reads the neighbour rows only, solved or budget-bound
+    def no_bitsets(*args):
+        raise AssertionError("bitset rows built")
+
+    monkeypatch.setattr(cayley, "_bitset_rows", no_bitsets)
+    for params, budget in (((9, 3, 1), None), ((10, 2, 1), 0)):
+        _, graph = build_graph(KneserParams(*params))
+        res = chromatic_number_exact(graph, budget_s=budget)
+        assert res.exact == (budget is None)
+        assert "masks" not in vars(graph)
+
+
+def test_clique_validation_rejects_non_cliques(rng):
+    for _ in range(40):
+        graph = random_graph(rng, 12, 0.6)
+        members = tuple(int(v) for v in rng.choice(graph.n, int(rng.integers(1, 5)),
+                                                    replace=False))
+        vs = VertexSet(members)
+        if all(v in graph.neighbors(u) for u, v in itertools.combinations(members, 2)):
+            vs.validate_clique(graph)
+        else:
+            with pytest.raises(ValueError, match="member pairs are adjacent"):
+                vs.validate_clique(graph)
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    VertexSet((0, 1, 2)).validate_clique(triangle)
+    with pytest.raises(ValueError):
+        VertexSet((0, 1, 1)).validate_clique(triangle)
+    with pytest.raises(ValueError):
+        VertexSet((0, 1, 2)).validate_clique(Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+
+def test_greedy_clique_validates_its_clique(monkeypatch):
+    def reject(self, graph):
+        raise ValueError("not a clique")
+
+    monkeypatch.setattr(VertexSet, "validate_clique", reject)
+    graph = _cycle(7)
+    with pytest.raises(ValueError, match="not a clique"):
+        greedy_clique(graph)
+    with pytest.raises(ValueError, match="not a clique"):
+        greedy_bounds(graph)
+
+
 def test_greedy_bounds_bracket(rng):
     for _ in range(10):
         graph = random_graph(rng, 30, 0.3)
@@ -253,7 +304,7 @@ def rescan_dsatur(graph):
         for v in range(n):
             if colors[v] != -1:
                 continue
-            key = (bin(neighbor_colors[v]).count("1"), graph.degree(v), -v)
+            key = (bin(neighbor_colors[v]).count("1"), len(graph.neighbors(v)), -v)
             if pick_key is None or key > pick_key:
                 pick, pick_key = v, key
         c = 0
@@ -410,6 +461,15 @@ _CAPPED = {
     "count_solutions_dft_all": (config, "DFT_CAP", 13,
                                 lambda: count_solutions_dft_all(Equation((1, 1, -1)),
                                                                 _z13_set())),
+    # three shifts of the 13-entry table per coefficient
+    "count_solutions_brute_all": (config, "SHIFT_ENTRY_CAP", 3 * 3 * 13,
+                                  lambda: count_solutions_brute_all(Equation((1, 1, -1)),
+                                                                    _z13_set())),
+    # the sumset -F + F of two elements takes 2 + 2 shifts, the core's one
+    "extension_property_holds": (config, "SHIFT_ENTRY_CAP", 4 * 13,
+                                 lambda: extension_property_holds(
+                                     Equation((1, -1, 1)), 13, np.array([3]),
+                                     np.array([1, 2]))),
     "is_solution_free": (config, "BRUTE_TUPLE_CAP", 5 ** 4,
                          lambda: is_solution_free(Equation((1, 1, 1, 1, -1)),
                                                   ElementSet.from_indices(make_group([13]),

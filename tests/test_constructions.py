@@ -8,6 +8,7 @@ import pytest
 from chroma.constructions import (
     ConstructionParams,
     GaussParams,
+    LiftResult,
     NormContext,
     build_core_set,
     build_extension_set,
@@ -131,26 +132,27 @@ def test_discretized_all_ones_lands_high():
 
 
 def test_normalize_moves_cancelling_pair_first():
-    res = normalize_equation(Equation((3, 1, -1)))
-    assert res.eq.coeffs[0] + res.eq.coeffs[1] == 0
-    assert sum(res.eq.coeffs) >= 1
-    assert not res.negated
+    eq = normalize_equation(Equation((3, 1, -1)))
+    assert eq.coeffs[0] + eq.coeffs[1] == 0
+    assert sum(eq.coeffs) >= 1
+    assert eq.coeffs == (1, -1, 3)
 
 
 def test_normalize_negates_when_sum_nonpositive():
-    res = normalize_equation(Equation((-1, 1, -1)))
-    assert res.negated
-    assert sum(res.eq.coeffs) >= 1
-    assert res.eq.coeffs[0] + res.eq.coeffs[1] == 0
+    eq = normalize_equation(Equation((-1, 1, -1)))
+    assert eq.coeffs == (1, -1, 1)
+    assert sum(eq.coeffs) >= 1
+    assert eq.coeffs[0] + eq.coeffs[1] == 0
 
 
-def test_normalize_witness_roundtrip():
-    # permutation and negated rebuild the original coefficients
-    for coeffs in ((3, 1, -1), (-1, 1, -1), (2, 5, -3, -5)):
-        res = normalize_equation(Equation(coeffs))
-        sign = -1 if res.negated else 1
-        assert sorted(res.permutation) == list(range(len(coeffs)))
-        assert [coeffs[i] for i in res.permutation] == [sign * c for c in res.eq.coeffs]
+def test_normalize_is_a_signed_permutation():
+    # the normalized coefficients are the input's, reordered and possibly negated
+    for coeffs in ((3, 1, -1), (-1, 1, -1), (2, 5, -3, -5), (-4, 2, -2, -7, 4)):
+        eq = normalize_equation(Equation(coeffs))
+        sign = 1 if sum(coeffs) > 0 else -1
+        assert sorted(eq.coeffs) == sorted(sign * c for c in coeffs)
+        assert eq.coeffs[0] + eq.coeffs[1] == 0
+        assert sum(eq.coeffs) >= 1
 
 
 def test_normalize_rejects_pairless_equations():
@@ -292,6 +294,27 @@ def test_certificates_golden_outcomes():
     assert "108 difference classes adjacent only mod m" in mismatch.detail
     assert "0 adjacent only mod p" in mismatch.detail
     assert "0/108 core members negation-symmetric" in mismatch.detail
+
+
+def test_failing_extension_certificate_witness_matches_sumset_oracle():
+    # dropping the interval window from F puts F - F onto the core: the
+    # certificate fails with the least common value of the two sumsets
+    cfg = golden_config()
+    e0, f0, lift = cfg.build()
+    p, m = cfg.params.p, cfg.params.m
+    xs = np.arange(p)
+    loose = ElementSet.from_indices(make_group([p]), xs[f0.mask()[xs % m]])
+    bad = LiftResult(cfg.params, lift.core, loose, lift.core.union(loose), lift.interval)
+    record = certify_lift(cfg.params, e0, f0, bad).record("extension-in-lift")
+    c1, c2, *rest = cfg.params.eq.coeffs
+    f, e = loose.indices().tolist(), lift.core.indices().tolist()
+    lhs = {(-c1 * x - c2 * y) % p for x in f for y in f}
+    rhs = {0}
+    for c in rest:
+        rhs = {(s + c * x) % p for s in rhs for x in e}
+    assert lhs & rhs
+    assert not record.passed
+    assert record.witness == (min(lhs & rhs),)
 
 
 def test_subgraph_mismatch_witness_is_genuine():

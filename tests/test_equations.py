@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chroma import config
 from chroma import equations as equations_module
 from chroma.equations import (
     Equation,
@@ -121,6 +122,36 @@ def test_count_all_sums_to_size_power(rng):
     dft_counts = count_solutions_dft_all(eq, a)
     assert np.array_equal(brute, dft_counts)
     assert brute.sum() == a.count ** 3
+
+
+@pytest.mark.parametrize("moduli", [(13,), (3, 5)])
+def test_shift_kernel_sumset_is_the_support_of_the_count(moduli, rng):
+    # per-term index sets: the bool table marks c1*X1 + c2*X2 + c3*X3
+    g = make_group(moduli)
+    terms = [(c, np.sort(rng.choice(g.order, size, replace=False)))
+             for c, size in ((2, 3), (-1, 4), (3, 2))]
+    counts = equations_module._conv_count_table(g, terms)
+    coords = [g.indices_to_coords(idx) for _, idx in terms]
+    want = np.zeros(g.order, dtype=np.int64)
+    for xs in itertools.product(*coords):
+        want[g.coords_to_indices(sum(c * x for (c, _), x in zip(terms, xs)))] += 1
+    assert np.array_equal(counts, want)
+    support = equations_module._conv_count_table(g, terms, bool)
+    assert support.dtype == bool and np.array_equal(support, want > 0)
+
+
+def test_shift_kernel_refuses_work_over_its_cap_before_allocating(monkeypatch):
+    g = make_group([13])
+    terms = [(1, np.array([1, 3, 9]))] * 3
+    monkeypatch.setattr(config, "SHIFT_ENTRY_CAP", 3 * 3 * 13 - 1)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    for dtype in (np.int64, bool):
+        with pytest.raises(ValueError, match="117 entries exceeds the cap 116"):
+            equations_module._conv_count_table(g, terms, dtype)
 
 
 def oracle_injective_table_coords(coeffs, members, moduli):
