@@ -33,7 +33,7 @@ print("\np=3, n=8, default radius p*sqrt(n):",
 
 # relaxing to radius sqrt(n) gives a nonempty exact set at desk scale
 res = independent_set(3, 8, Surd.sqrt(1, 8))
-print("relaxed radius sqrt(8): %d members, exact=%s" % (res.count, res.exact))
+print("relaxed radius sqrt(8): %d members" % res.count)
 print("one member:", res.members_coords()[-1].tolist())
 
 # -- at p = 2 the weight is the Hamming weight and x = -x ------------------
@@ -42,9 +42,10 @@ res = independent_set(2, 9)                   # default radius sqrt(n) at p = 2
 print("\nZ_2^9, radius sqrt(9): %d members (vectors of weight <= %s)"
       % (res.count, res.threshold))
 
-# -- beyond the enumeration cap the count is a Monte-Carlo interval ---------
+# -- beyond the enumeration cap the count is still exact --------------------
 
-res = independent_set(3, 14, Surd.sqrt(1, 14), cap=1 << 20, seed=1)
-print("\np=3, n=14 exceeds the enumeration cap: exact=%s" % res.exact)
-print("density in [%.2e, %.2e] (95%% CI, %d samples)"
-      % (res.ci_low, res.ci_high, res.samples))
+res = independent_set(3, 14, Surd.sqrt(1, 14))
+print("\np=3, n=14 is beyond member enumeration: %d members exactly, density %.6f"
+      % (res.count, res.density))
+res = independent_set(3, 400, Surd.sqrt(1, 400))
+print("p=3, n=400, radius sqrt(400): density %.6e" % res.density)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import cayley as cayley_mod
 from . import constructions as cons
-from . import graphio, kneser
+from . import config, graphio, kneser
 from .bohr import SpectrumParams, bohr_color
 from .equations import Equation, classify
 from .exact import Surd
@@ -85,7 +85,6 @@ _CONFIGS: dict[str, _Object] = {
                            "seed": "integer", "colors_out": "string"},
                           ("p", "equation", "set")),
     "indep-set": _Object({"p": "integer", "n": "integer", "radius_sq": ("integer", "null"),
-                          "cap": "integer", "samples": "integer", "seed": "integer",
                           "csv": "string"}, ("p", "n")),
     "certify-lift": _Object({"golden": "boolean", **_LIFT_FIELDS}),
 }
@@ -374,29 +373,23 @@ def _run_bohr(cfg: dict) -> tuple[dict, int]:
 
 def _run_indep(cfg: dict) -> tuple[dict, int]:
     p, n = cfg["p"], cfg["n"]
+    cap = config.WEIGHT_ENUM_CAP
+    # for p >= 2, p**n exceeds the cap exactly when p**min(n, bits of cap) does
+    if "csv" in cfg and p >= 2 and p ** min(n, cap.bit_length()) > cap:
+        raise CliError(f"csv needs the members, which are enumerated only up to "
+                       f"{cap} group elements; Z({p})^{n} is larger")
     radius_sq = cfg.get("radius_sq")
     radius = None if radius_sq is None else Surd.sqrt(1, radius_sq)
-    kwargs = {}
-    if "cap" in cfg:
-        kwargs["cap"] = cfg["cap"]
-    if "samples" in cfg:
-        kwargs["mc_samples"] = cfg["samples"]
-    res = kneser.independent_set(p, n, radius, seed=cfg.get("seed", 0), **kwargs)
+    res = kneser.independent_set(p, n, radius)
     out = {
         "p": res.p,
         "n": res.n,
         "radius": str(res.radius),
         "threshold": str(res.threshold),
         "degenerate": res.degenerate,
-        "exact": res.exact,
         "count": res.count,
         "density": res.density,
     }
-    if not res.exact:
-        out["ci_low"] = res.ci_low
-        out["ci_high"] = res.ci_high
-        out["samples"] = res.samples
-        out["seed"] = res.seed
     if "csv" in cfg and res.member_indices is not None:
         path = _cache_path(cfg["csv"])
         coords = res.members_coords()

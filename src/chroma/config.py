@@ -31,5 +31,13 @@ BRUTE_TUPLE_CAP = 40_000_000
 # extension certificate's sumsets): one table entry per element shift.
 SHIFT_ENTRY_CAP = 32 * BRUTE_TUPLE_CAP
 
+# Largest group order whose weight-set members `kneser.independent_set`
+# enumerates; above it only the exact count is reported.
+WEIGHT_ENUM_CAP = 1 << 21
+
+# Work budget of the weight-set count in `kneser.independent_set`: about
+# n^2 (p-1)/2 Python-integer steps for Z_p^n.
+WEIGHT_COUNT_CAP = 1 << 21
+
 # Group order must fit the platform index type.
 INDEX_TYPE_MAX = (1 << 63) - 1

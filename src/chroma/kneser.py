@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import sub
 
 import numpy as np
 
@@ -382,47 +383,45 @@ def ones_weight(p: int, coords) -> Fraction:
 
 @dataclass(frozen=True)
 class IndependentSetResult:
-    """Members (exact mode) or a sampled density estimate of the weight set."""
+    """Exact size of the weight set, and its members up to the enumeration cap."""
 
     p: int
     n: int
     radius: Surd
     threshold: Surd               # n/2 - radius, the weight cutoff
     degenerate: bool              # threshold < 0, so the set is empty
-    exact: bool
-    count: int | None
-    member_indices: np.ndarray | None
-    density: float
-    ci_low: float | None
-    ci_high: float | None
-    samples: int | None
-    seed: int | None
+    count: int
+    member_indices: np.ndarray | None   # None above config.WEIGHT_ENUM_CAP elements
+    density: float                # count / p**n
 
     def members_coords(self) -> np.ndarray:
         if self.member_indices is None:
-            raise ValueError("exact membership was not materialized")
+            raise ValueError(f"members are enumerated only up to "
+                             f"{config.WEIGHT_ENUM_CAP} group elements")
         return make_group([self.p] * self.n).indices_to_coords(self.member_indices)
 
 
-def _weight_numerators(coords: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Numerators (over p-1) of ones_weight(x) and ones_weight(-x)."""
-    nz = coords != 0
-    w_pos = ((p - coords) * nz).sum(axis=1)
-    w_neg = coords.sum(axis=1)       # (p - ((p - c) % p)) = c on nonzero coords
-    return w_pos, w_neg
+def _weight_set_count(p: int, n: int, cutoff: int) -> int:
+    """#{x in Z_p^n : w_pos(x) <= cutoff and w_neg(x) <= cutoff}, exactly.
+
+    j nonzero coordinates with value sum s give w_neg = s and w_pos = j*p - s,
+    so the count is sum_j C(n, j) * #{j-tuples in [1, p-1] summing into
+    [j*p - cutoff, cutoff]}.  `ways[s]` counts the j-tuples with sum s <= cutoff;
+    one prefix sum per j steps it to j + 1.
+    """
+    if cutoff < 0:
+        return 0
+    ways = [1] + [0] * cutoff          # the empty tuple
+    total = 1
+    for j in range(1, min(n, 2 * cutoff // p) + 1):
+        pre = [0, *accumulate(ways)]   # pre[s] = ways[0] + ... + ways[s-1]
+        lag = [0] * (p - 1) + pre      # lag[s] = pre[s - (p-1)], 0 below zero
+        ways = list(map(sub, pre[:cutoff + 1], lag[:cutoff + 1]))
+        total += math.comb(n, j) * sum(ways[max(0, j * p - cutoff):])
+    return total
 
 
-def _wilson_interval(hits: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    ph = hits / total
-    denom = 1 + z * z / total
-    center = (ph + z * z / (2 * total)) / denom
-    half = z * math.sqrt(ph * (1 - ph) / total + z * z / (4 * total * total)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
-def independent_set(p: int, n: int, radius: Surd | None = None,
-                    cap: int = 1 << 21, mc_samples: int = 200_000,
-                    seed: int = 0) -> IndependentSetResult:
+def independent_set(p: int, n: int, radius: Surd | None = None) -> IndependentSetResult:
     """The two-sided weight set {x : w(x) <= n/2 - r and w(-x) <= n/2 - r}.
 
     Defaults to r = p*sqrt(n) (r = sqrt(n) at p = 2), which pairs with the
@@ -435,42 +434,33 @@ def independent_set(p: int, n: int, radius: Surd | None = None,
     independence guarantee.
 
     At p = 2 the weight is the Hamming weight and x = -x, so this is the
-    classical set {x in Z_2^n : wt(x) <= n/2 - r}.  Above `cap` group
-    elements the density is a Monte-Carlo estimate over `mc_samples` draws.
+    classical set {x in Z_2^n : wt(x) <= n/2 - r}.  The count is exact at
+    every size, in about n^2 (p-1)/2 integer steps, capped by
+    `config.WEIGHT_COUNT_CAP`; members are enumerated up to
+    `config.WEIGHT_ENUM_CAP` group elements.
     """
+    if n < 1:
+        raise ValueError(f"independent_set expects n >= 1, got n = {n}")
     if p < 2:
         raise ValueError("independent_set expects p >= 2")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be positive, got {mc_samples}")
+    steps = n * n * (p - 1) // 2
+    if steps > config.WEIGHT_COUNT_CAP:
+        raise ValueError(f"weight-set count of {steps} steps exceeds the cap "
+                         f"{config.WEIGHT_COUNT_CAP}")
     if radius is None:
         radius = Surd.sqrt(1 if p == 2 else p, n)
     threshold = Surd(Fraction(n, 2) - radius.a, -radius.b, radius.under)
-    degenerate = threshold < 0
-    order = p ** n
-    # weight numerators are integers in [0, n*(p-1)]; cut at an exact integer
+    # weight numerators (over p-1) are integers in [0, n*(p-1)]; cut at an exact integer
     cutoff = threshold.scaled(p - 1).floor()
-
-    if order <= cap:
-        group = make_group([p] * n)
-        coords = group.indices_to_coords(np.arange(order, dtype=np.int64))
-        w_pos, w_neg = _weight_numerators(coords, p)
-        mask = (w_pos <= cutoff) & (w_neg <= cutoff)
-        members = np.flatnonzero(mask).astype(np.int64)
-        return IndependentSetResult(
-            p=p, n=n, radius=radius, threshold=threshold, degenerate=degenerate,
-            exact=True, count=int(members.size), member_indices=members,
-            density=members.size / order, ci_low=None, ci_high=None,
-            samples=None, seed=None,
-        )
-
-    rng = np.random.default_rng(seed)
-    coords = rng.integers(0, p, size=(mc_samples, n), dtype=np.int64)
-    w_pos, w_neg = _weight_numerators(coords, p)
-    hits = int(((w_pos <= cutoff) & (w_neg <= cutoff)).sum())
-    lo, hi = _wilson_interval(hits, mc_samples)
+    count = _weight_set_count(p, n, cutoff)
+    order = p ** n
+    members = None
+    if order <= config.WEIGHT_ENUM_CAP:
+        coords = make_group([p] * n).indices_to_coords(np.arange(order, dtype=np.int64))
+        w_pos = ((p - coords) * (coords != 0)).sum(axis=1)
+        w_neg = coords.sum(axis=1)     # (p - ((p - c) % p)) = c on nonzero coords
+        members = np.flatnonzero((w_pos <= cutoff) & (w_neg <= cutoff)).astype(np.int64)
     return IndependentSetResult(
-        p=p, n=n, radius=radius, threshold=threshold, degenerate=degenerate,
-        exact=False, count=None, member_indices=None,
-        density=hits / mc_samples, ci_low=lo, ci_high=hi,
-        samples=mc_samples, seed=seed,
+        p=p, n=n, radius=radius, threshold=threshold, degenerate=threshold < 0,
+        count=count, member_indices=members, density=count / order,
     )

@@ -112,7 +112,6 @@ def test_04_independent_set_avoids_ball():
         assert kneser.independent_set(3, n).degenerate
         radius = Surd.sqrt(1, n)
         res = kneser.independent_set(3, n, radius)
-        assert res.exact
         assert res.count == expected_counts[n]
         assert res.count > 0
         ball = kneser.hamming_ball(3, n, radius)

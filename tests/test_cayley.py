@@ -455,6 +455,9 @@ _CAPPED = {
     # the Petersen graph has 10 rows of 3 neighbours
     "kneser.build_graph CSR": (config, "CSR_ENTRY_CAP", 10 * 3,
                                lambda: build_graph(KneserParams(5, 2, 1))),
+    # the weight-set count at (3, 8) takes 8 * 8 * (3 - 1) / 2 steps
+    "kneser.independent_set": (config, "WEIGHT_COUNT_CAP", 64,
+                               lambda: kneser.independent_set(3, 8)),
     "HammingBallSet.to_element_set": (config, "MATERIALIZE_CAP", 9,
                                       lambda: hamming_ball(3, 2).to_element_set()),
     "dft": (config, "DFT_CAP", 13, lambda: dft(np.ones(13))),

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chroma import graphio
+from chroma import config, graphio, kneser
 from chroma.cli import main
 from chroma.groups import ElementSet, make_group
 
@@ -230,7 +230,8 @@ def test_indep_set_exact_with_csv(tmp_path, capsys):
                           {"p": 3, "n": 6, "radius_sq": 6, "csv": str(csv)})
     assert code == 0
     res = rep["results"]
-    assert res["exact"] is True
+    assert set(res) == {"p", "n", "radius", "threshold", "degenerate", "count",
+                        "density", "csv"}
     assert res["count"] == 1
     assert res["degenerate"] is False
     lines = csv.read_text().splitlines()
@@ -242,25 +243,38 @@ def test_indep_set_binary_variant(tmp_path, capsys):
     code, rep, _ = invoke(tmp_path, capsys, "indep-set", {"p": 2, "n": 9})
     assert code == 0
     assert rep["results"]["count"] == 10
-    assert rep["results"]["exact"] is True
 
 
-def test_indep_set_binary_honours_cap_and_samples(tmp_path, capsys):
-    code, rep, _ = invoke(tmp_path, capsys, "indep-set",
-                          {"p": 2, "n": 9, "cap": 100, "samples": 500, "seed": 3})
+def test_indep_set_binary_above_enumeration_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(config, "WEIGHT_ENUM_CAP", 100)
+    code, rep, _ = invoke(tmp_path, capsys, "indep-set", {"p": 2, "n": 9})
     assert code == 0
     res = rep["results"]
-    assert res["exact"] is False
-    assert res["count"] is None
-    assert (res["samples"], res["seed"]) == (500, 3)
+    assert res["count"] == 10
+    assert res["density"] == 10 / 2**9
 
 
-def test_indep_set_zero_samples_is_an_error(tmp_path, capsys):
+def test_indep_set_csv_above_enumeration_cap_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(config, "WEIGHT_ENUM_CAP", 100)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted before the csv check")
+
+    monkeypatch.setattr(kneser, "independent_set", no_work)
+    csv = tmp_path / "members.csv"
     code, rep, err = invoke(tmp_path, capsys, "indep-set",
-                            {"p": 3, "n": 8, "cap": 10, "samples": 0})
+                            {"p": 2, "n": 9, "csv": str(csv)})
+    assert code == 1
+    assert rep is None and not csv.exists()
+    assert err.startswith("error:") and "enumerated only up to 100" in err
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_indep_set_nonpositive_n_is_an_error(tmp_path, capsys, n):
+    code, rep, err = invoke(tmp_path, capsys, "indep-set", {"p": 3, "n": n})
     assert code == 1
     assert rep is None
-    assert err.startswith("error:") and "mc_samples" in err
+    assert err.startswith("error:") and f"n >= 1, got n = {n}" in err
     assert "Traceback" not in err
 
 
@@ -440,8 +454,8 @@ CONFIG_CHECK_ROWS = [
     ("indep-set", _INDEP, True),
     ("indep-set", {**_INDEP, "radius_sq": None}, True),
     ("indep-set", {**_INDEP, "radius_sq": "6"}, False),
-    ("indep-set", {**_INDEP, "cap": True}, False),
-    ("indep-set", {**_INDEP, "seed": None}, False),
+    ("indep-set", {**_INDEP, "csv": 5}, False),
+    ("indep-set", {**_INDEP, "cap": 100}, False),
     ("indep-set", {"p": 2}, False),
     ("certify-lift", {"golden": True}, True),
     ("certify-lift", {"golden": True, "core_threshold": None}, True),
@@ -465,8 +479,8 @@ CONFIG_CHECK_ROWS = [
     ("bohr-color", {**_BOHR, "set": {"indices": [1.0]}}, False),
     ("indep-set", {**_INDEP, "n": 9.0}, False),
     ("indep-set", {"p": 3, "n": 6, "radius_sq": 6.0}, False),
-    ("indep-set", {"p": 3, "n": 6, "samples": 100.0}, False),
-    ("indep-set", {"p": 3, "n": 6, "seed": 1.0}, False),
+    ("indep-set", {"p": 3.0, "n": 6}, False),
+    ("indep-set", {"p": 3, "n": -1.0}, False),
     ("certify-lift", {**_LIFT, "primes": [11.0, 13]}, False),
 ]
 

@@ -1,11 +1,13 @@
 """Generalized Kneser graphs, the prime-power embedding, and weight sets."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chroma import config, kneser
 from chroma.cayley import chromatic_number_exact
 from chroma.exact import Surd
 from chroma.kneser import (
@@ -236,7 +238,6 @@ def test_independent_set_relaxed_radius_frozen_counts():
     # exhaustive oracle counts at radius sqrt(n): 1, 1, 17
     for n, want in [(6, 1), (7, 1), (8, 17)]:
         res = independent_set(3, n, radius=Surd.sqrt(1, n))
-        assert res.exact
         assert res.count == want, n
     res = independent_set(3, 8, radius=Surd.sqrt(1, 8))
     coords = res.members_coords()
@@ -258,7 +259,6 @@ def test_independent_set_members_avoid_ball(rng):
 
 def test_classical_binary_independent_set():
     res = independent_set(2, 9)
-    assert res.exact
     assert res.count == 10  # weight <= 9/2 - 3 means weight <= 1
     res4 = independent_set(2, 4)  # 2 - 2 = 0: only the origin
     assert res4.count == 1
@@ -281,22 +281,75 @@ def test_binary_weight_set_matches_hamming_oracle(n):
     for radius, radius_sq in radii:
         res = independent_set(2, n, radius)
         got = {tuple(int(c) for c in row) for row in res.members_coords()}
-        assert res.exact and res.count == len(got)
+        assert res.count == len(got)
         assert got == _binary_weight_oracle(n, radius_sq), (n, radius_sq)
 
 
-def test_monte_carlo_estimate_reasonable():
-    # Force the Monte-Carlo path with a tiny cap; CI must bracket the truth.
-    res = independent_set(3, 8, radius=Surd.sqrt(1, 8), cap=100, mc_samples=20000, seed=7)
-    assert not res.exact
-    truth = 17 / 3**8
-    assert res.ci_low <= truth <= res.ci_high
+def test_count_above_enumeration_cap_is_exact(monkeypatch):
+    # above the enumeration cap the count still equals the exhaustive oracle's
+    monkeypatch.setattr(config, "WEIGHT_ENUM_CAP", 100)
+    res = independent_set(3, 8, radius=Surd.sqrt(1, 8))
+    assert res.member_indices is None
+    assert res.count == 17 and res.density == 17 / 3**8
+    with pytest.raises(ValueError, match="enumerated only up to 100"):
+        res.members_coords()
 
 
-def test_binary_monte_carlo_estimate():
-    # p = 2 above the cap is an estimate too, at the same exact cutoff
-    res = independent_set(2, 12, radius=Surd.rational(2), cap=100, mc_samples=20000, seed=7)
-    assert not res.exact and res.samples == 20000
-    truth = len(_binary_weight_oracle(12, 4)) / 2**12
-    # a 5-sigma band, so the check does not hang on one seed's 95% interval
-    assert abs(res.density - truth) < 5 * (truth * (1 - truth) / 20000) ** 0.5
+def test_binary_count_above_enumeration_cap_is_exact(monkeypatch):
+    monkeypatch.setattr(config, "WEIGHT_ENUM_CAP", 100)
+    res = independent_set(2, 12, radius=Surd.rational(2))
+    assert res.member_indices is None
+    assert res.count == len(_binary_weight_oracle(12, 4))
+
+
+_GRID_RADII = {
+    "default": lambda n: None,
+    "sqrt-n": lambda n: Surd.sqrt(1, n),
+    "zero": lambda n: Surd.rational(0),
+    "one": lambda n: Surd.rational(1),
+    "2sqrt-n": lambda n: Surd.sqrt(2, n),
+}
+
+
+@pytest.mark.parametrize("radius", sorted(_GRID_RADII))
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5, 7, 11, 13)
+                                  for n in range(1, 17) if p ** n <= 1 << 16])
+def test_weight_set_count_matches_enumeration(p, n, radius):
+    res = independent_set(p, n, _GRID_RADII[radius](n))
+    assert res.count == res.member_indices.size
+    assert res.density == res.count / p ** n
+
+
+def test_binary_count_matches_binomial_sum():
+    # at p = 2 the set is the Hamming ball of radius n/2 - sqrt(n) around 0
+    n = 1000
+    res = independent_set(2, n)
+    cutoff = 468            # floor(500 - sqrt(1000)), as 31^2 < 1000 < 32^2
+    assert res.count == sum(math.comb(n, w) for w in range(cutoff + 1))
+    assert res.member_indices is None
+
+
+def test_count_pinned_above_enumeration_cap():
+    # 3^14 = 4,782,969 elements is over the default enumeration cap
+    res = independent_set(3, 14, radius=Surd.sqrt(1, 14))
+    assert res.member_indices is None
+    assert res.count == 9311 and res.density == 9311 / 3**14
+
+
+def test_weight_set_count_refuses_over_cap_before_work(monkeypatch):
+    # the count takes about n^2 (p-1)/2 steps: 8 * 8 * 2 / 2 = 64 at (3, 8)
+    monkeypatch.setattr(config, "WEIGHT_COUNT_CAP", 63)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted before the cap check")
+
+    monkeypatch.setattr(kneser, "_weight_set_count", no_work)
+    monkeypatch.setattr(kneser, "make_group", no_work)
+    with pytest.raises(ValueError, match="64 steps exceeds the cap 63"):
+        independent_set(3, 8, radius=Surd.sqrt(1, 8))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_independent_set_needs_positive_n(n):
+    with pytest.raises(ValueError, match=f"n >= 1, got n = {n}"):
+        independent_set(3, n)
