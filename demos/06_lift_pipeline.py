@@ -21,7 +21,7 @@ from chroma.constructions import (
 
 ctx = NormContext(q=5, primes=(11, 13))
 for y in (0, 3, 68, 100):
-    print(f"|{y:3d}|_1 = {norm(ctx, y)}")
+    print(f"|{y:3d}|_1 = {norm(ctx, y, 1)}")
 print("peak value is n =", len(ctx.primes), "at the simultaneous tent tops")
 
 # -- a small pinned pipeline (m = 143, p = 431) -----------------------------

@@ -70,7 +70,6 @@ class NormContext:
 
     q: int
     primes: tuple[int, ...]
-    j: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
@@ -81,8 +80,6 @@ class NormContext:
         for p in self.primes:
             if p <= self.q * n:
                 raise ValueError(f"prime {p} must exceed q*n = {self.q * n}")
-        if not 1 <= self.j <= self.q - 1:
-            raise ValueError(f"slope index {self.j} outside [1, {self.q - 1}]")
         if self.m * self.q * self.q >= 1 << 62:
             raise ValueError("m*q^2 too large for exact int64 norm numerators")
 
@@ -94,20 +91,17 @@ class NormContext:
     def m(self) -> int:
         return math.prod(self.primes)
 
-    def denominator(self, j: int | None = None) -> int:
+    def denominator(self, j: int) -> int:
         j = self._slope(j)
         return j * (self.q - j) * self.m
 
-    def _slope(self, j: int | None) -> int:
-        if j is None:
-            return self.j
+    def _slope(self, j: int) -> int:
         if not 1 <= j <= self.q - 1:
             raise ValueError(f"slope index {j} outside [1, {self.q - 1}]")
         return int(j)
 
 
-def norm_numerators(ctx: NormContext, ys: np.ndarray,
-                    j: int | None = None) -> np.ndarray:
+def norm_numerators(ctx: NormContext, ys: np.ndarray, j: int) -> np.ndarray:
     """Integer numerators of the slope-j norms over denominator j*(q-j)*m."""
     j = ctx._slope(j)
     q, m = ctx.q, ctx.m
@@ -121,7 +115,7 @@ def norm_numerators(ctx: NormContext, ys: np.ndarray,
     return total
 
 
-def norm(ctx: NormContext, y: int, j: int | None = None) -> Fraction:
+def norm(ctx: NormContext, y: int, j: int) -> Fraction:
     """Exact slope-j norm of y in Z_m."""
     num = int(norm_numerators(ctx, np.array([y]), j)[0])
     return Fraction(num, ctx.denominator(j))
@@ -216,7 +210,7 @@ class ConstructionParams:
 
     @property
     def context(self) -> NormContext:
-        return NormContext(self.q, self.primes, 1)
+        return NormContext(self.q, self.primes)
 
     @property
     def group_m(self) -> GroupSpec:
@@ -230,9 +224,10 @@ class ConstructionParams:
 def default_core_threshold(params: ConstructionParams) -> Surd:
     """n - q*sqrt(n) - 1: the near-maximal-norm cutoff in its large-n form.
 
-    Negative at desk scale (it needs n > about q^2), in which case the core
-    set degenerates to all of Z_m; pass an explicit threshold to
-    build_core_set to stay in the informative regime.
+    The CLI fills an omitted core_threshold from it; library calls pass
+    their threshold explicitly.  Negative at desk scale (it needs n > about
+    q^2), in which case the core set degenerates to all of Z_m; choose an
+    explicit threshold to stay in the informative regime.
     """
     n = params.n
     return Surd(Fraction(n - 1), Fraction(-params.q), n)
@@ -244,11 +239,8 @@ def default_extension_threshold(params: ConstructionParams) -> Surd:
     return Surd(Fraction(n, 2), Fraction(-params.q ** 2 * params.abs_sum), n)
 
 
-def build_core_set(params: ConstructionParams,
-                   threshold: Surd | None = None) -> ElementSet:
+def build_core_set(params: ConstructionParams, threshold: Surd) -> ElementSet:
     """{y in Z_m : slope-1 norm of y >= threshold}; exact cutoff comparison."""
-    if threshold is None:
-        threshold = default_core_threshold(params)
     ctx = params.context
     m = params.m
     if m > config.MATERIALIZE_CAP:
@@ -258,31 +250,25 @@ def build_core_set(params: ConstructionParams,
     return ElementSet.from_mask(params.group_m, nums >= cutoff)
 
 
-def core_norm_bound(params: ConstructionParams,
-                    threshold: Surd | None = None) -> Surd:
+def core_norm_bound(params: ConstructionParams, threshold: Surd) -> Surd:
     """Guaranteed lower bound on the slope-C norm of any combination.
 
     For x_1..x_k in the core set at the given threshold t, the norm of
     sum c_i x_i at slope C = sum(c) is at least n - (q-1)*D*(n - t); with the
-    default t = n - q*sqrt(n) - 1 this is the familiar n - (q-1)*D*(q*sqrt(n)+1).
+    large-n t = n - q*sqrt(n) - 1 this is the familiar n - (q-1)*D*(q*sqrt(n)+1).
     Positive bound certifies the core set solution-free.
     """
-    if threshold is None:
-        threshold = default_core_threshold(params)
     n, q, d = params.n, params.q, params.abs_sum
     slack_a = Fraction(n) - threshold.a          # n - t = slack_a - t.b*sqrt(n)
     return Surd(Fraction(n) - (q - 1) * d * slack_a,
                 (q - 1) * d * threshold.b, threshold.under)
 
 
-def build_extension_set(params: ConstructionParams,
-                        threshold: Surd | None = None) -> ElementSet:
+def build_extension_set(params: ConstructionParams, threshold: Surd) -> ElementSet:
     """{y : slope-C norms of c1*y and -c1*y are both <= threshold}.
 
     A negative threshold is the degenerate small-n case: the result is empty.
     """
-    if threshold is None:
-        threshold = default_extension_threshold(params)
     ctx = params.context
     m = params.m
     if m > config.MATERIALIZE_CAP:
@@ -296,17 +282,14 @@ def build_extension_set(params: ConstructionParams,
     return ElementSet.from_mask(params.group_m, (pos <= cutoff) & (neg <= cutoff))
 
 
-def extension_gap_check(params: ConstructionParams,
-                        core_threshold: Surd | None = None,
-                        extension_threshold: Surd | None = None) -> bool:
+def extension_gap_check(params: ConstructionParams, core_threshold: Surd,
+                        extension_threshold: Surd) -> bool:
     """True when 2*t_F < n - (q-1)*D*(n - t_E), certifying the extension.
 
     Differences of extension elements have slope-C norm at most 2*t_F while
     core combinations sit above the right side, so the two regions cannot
     meet when the gap holds.
     """
-    if extension_threshold is None:
-        extension_threshold = default_extension_threshold(params)
     bound = core_norm_bound(params, core_threshold)
     # 2*t_F < bound  <=>  bound - 2*t_F > 0
     diff = Surd(bound.a - 2 * extension_threshold.a,
@@ -319,9 +302,8 @@ def extension_gap_check(params: ConstructionParams,
 # ---------------------------------------------------------------------------
 
 
-def scale_conditions(params: ConstructionParams,
-                     core_threshold: Surd | None = None,
-                     extension_threshold: Surd | None = None) -> dict[str, bool]:
+def scale_conditions(params: ConstructionParams, core_threshold: Surd,
+                     extension_threshold: Surd) -> dict[str, bool]:
     """Named exact predicates behind each guarantee, evaluated at this scale.
 
     The construction's guarantees are asymptotic; at desk scale some of them
@@ -329,10 +311,6 @@ def scale_conditions(params: ConstructionParams,
     one inequality so a report can say precisely which regime the chosen
     parameters are in.
     """
-    if core_threshold is None:
-        core_threshold = default_core_threshold(params)
-    if extension_threshold is None:
-        extension_threshold = default_extension_threshold(params)
     n, q, d, m, p = params.n, params.q, params.abs_sum, params.m, params.p
     lo, hi = _interval(params)
     return {
@@ -400,7 +378,8 @@ def gauss_alpha(gp: GaussParams) -> float:
     # sqrt(1 - rho0^2) equals c/C_cov exactly; avoid the cancellation.
     third = std_normal_cdf(a * (1.0 + 2.0 * rho0) / ratio)
     alpha = (std_normal_cdf(a) - std_normal_cdf(2.0 * a)) * third
-    assert 0.0 < alpha < 1.0
+    if not 0.0 < alpha < 1.0:
+        raise AssertionError(f"Gaussian corner constant {alpha} outside (0, 1)")
     return alpha
 
 
@@ -418,7 +397,6 @@ class LiftResult:
     set; A is the disjoint union of E and F inside Z_p.
     """
 
-    params: ConstructionParams
     core: ElementSet              # E, subset of {0..m-1} inside Z_p
     extension: ElementSet         # F, subset of the interval window
     full: ElementSet              # A = E u F
@@ -453,7 +431,7 @@ def lift_to_prime_field(params: ConstructionParams, core_m: ElementSet,
             f"core and extension ranges overlap in F_p (e.g. at "
             f"{int(overlap.indices()[0])}); increase p beyond (D+1)*m"
         )
-    return LiftResult(params, core, ext, core.union(ext), (lo, hi))
+    return LiftResult(core, ext, core.union(ext), (lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +539,18 @@ def _induced_subgraph_matches(params: ConstructionParams, core_m: ElementSet,
 
 
 def certify_lift(params: ConstructionParams, core_m: ElementSet,
-                 extension_m: ElementSet, lift: LiftResult | None = None,
-                 core_threshold: Surd | None = None,
-                 extension_threshold: Surd | None = None) -> CertificateBundle:
+                 extension_m: ElementSet, lift: LiftResult,
+                 core_threshold: Surd, extension_threshold: Surd) -> CertificateBundle:
     """Run the four lift certificates plus the named scale conditions.
 
     Certificates: (1) the lifted core set has no injective solution in F_p;
     (2) the subgraphs induced on {0..m-1} by Cay(Z_m, E0) and Cay(F_p, E)
     coincide; (3) the lifted extension set extends the core in F_p; (4) the
     union A has no injective solution in F_p.  Failures carry witnesses and
-    are findings, not crashes.
+    are findings, not crashes.  lift is the lift of core_m and extension_m
+    (PinnedConfig.build returns all three); the two thresholds are the ones
+    the sets were cut with and feed only the scale conditions.
     """
-    if lift is None:
-        lift = lift_to_prime_field(params, core_m, extension_m)
     eq, p = params.eq, params.p
 
     def solution_free(a_set: ElementSet, detail: str):

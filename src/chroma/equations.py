@@ -221,7 +221,7 @@ def classify(eq: Equation) -> EquationClass:
     )
 
 
-def first_zero_sum_subset(eq: Equation, min_size: int = 3) -> tuple[int, ...] | None:
+def first_zero_sum_subset(eq: Equation, min_size: int) -> tuple[int, ...] | None:
     """Lexicographically first index subset of size >= min_size summing to 0.
 
     Subsets are ordered as sorted index tuples ((0,1,2) < (0,1,2,3) < (0,1,3)).
@@ -289,8 +289,11 @@ def _require_invertible_modulus(eq: Equation, A: ElementSet) -> int:
 
 
 def _verify_witness(eq: Equation, p: int, xs: Sequence[int]) -> None:
-    assert len(set(xs)) == len(xs), "witness is not injective"
-    assert sum(c * x for c, x in zip(eq.coeffs, xs)) % p == 0, "witness not a solution"
+    # explicit raises, unlike assert, still run under python -O
+    if len(set(xs)) != len(xs):
+        raise AssertionError(f"witness {tuple(xs)} is not injective")
+    if sum(c * x for c, x in zip(eq.coeffs, xs)) % p:
+        raise AssertionError(f"witness {tuple(xs)} is not a solution")
 
 
 def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:

@@ -43,9 +43,9 @@ class Surd:
         return Surd(_as_fraction(x), Fraction(0), 0)
 
     @staticmethod
-    def sqrt(coeff, under: int, shift=0) -> "Surd":
-        """shift + coeff*sqrt(under)."""
-        return Surd(_as_fraction(shift), _as_fraction(coeff), under)
+    def sqrt(coeff, under: int) -> "Surd":
+        """coeff*sqrt(under); build a + b*sqrt(under) as Surd(a, b, under)."""
+        return Surd(Fraction(0), _as_fraction(coeff), under)
 
     def cmp(self, x) -> int:
         """Sign of (self - x) for rational x: -1, 0, or +1. Exact."""

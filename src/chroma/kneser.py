@@ -130,7 +130,8 @@ def kneser_vertices(params: KneserParams) -> list[KneserVertex]:
             acc.pop()
 
     rec(0, 0, [])
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError(f"enumerated {len(out)} vertices, expected {total}")
     return out
 
 

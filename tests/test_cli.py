@@ -176,7 +176,27 @@ def test_construct_auto_prime(tmp_path, capsys):
                           {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13],
                            "p": "auto"})
     assert code == 0
-    assert rep["results"]["p"] == 5153
+    res = rep["results"]
+    assert res["p"] == 5153
+    # omitted thresholds come from default_core/extension_threshold, both
+    # negative at n = 2: the core set is all of Z_m and the extension empty
+    assert res["core_threshold"] == "1 + -5*sqrt(2)"
+    assert res["extension_threshold"] == "1 + -75*sqrt(2)"
+    assert res["core_size"] == 143
+    assert res["extension_size"] == 0
+    assert res["scale_conditions"] == {
+        "q_exceeds_abs_coeff_sum": True,
+        "primes_exceed_qn": True,
+        "lift_prime_exceeds_Dm": True,
+        "core_threshold_positive": False,
+        "core_norm_bound_positive": False,
+        "extension_threshold_positive": False,
+        "extension_gap_holds": True,
+        "lift_interval_nonempty": True,
+        "lift_ranges_disjoint": True,
+        "mixed_nonzero_sum_blocked": True,
+        "no_large_zero_sum_subset": True,
+    }
 
 
 def test_bohr_color_cycle_with_csv(tmp_path, capsys):

@@ -47,15 +47,15 @@ def oracle_norm(q, primes, y, j):
 
 
 def test_norm_context_validation():
-    NormContext(5, (101, 103))
+    ctx = NormContext(5, (101, 103))
+    with pytest.raises(ValueError):
+        norm(ctx, 0, 5)                     # slope out of range
     with pytest.raises(ValueError):
         NormContext(4, (101, 103))          # q not prime
     with pytest.raises(ValueError):
         NormContext(5, (101, 101))          # repeated prime
     with pytest.raises(ValueError):
         NormContext(5, (7, 103))            # 7 <= q*n = 10
-    with pytest.raises(ValueError):
-        NormContext(5, (101, 103), j=5)     # slope out of range
     with pytest.raises(ValueError):
         # product overflows the int64 safety margin m*q^2 < 2^62
         NormContext(5, (1000003, 1000033, 1000037))
@@ -304,8 +304,9 @@ def test_failing_extension_certificate_witness_matches_sumset_oracle():
     p, m = cfg.params.p, cfg.params.m
     xs = np.arange(p)
     loose = ElementSet.from_indices(make_group([p]), xs[f0.mask()[xs % m]])
-    bad = LiftResult(cfg.params, lift.core, loose, lift.core.union(loose), lift.interval)
-    record = certify_lift(cfg.params, e0, f0, bad).record("extension-in-lift")
+    bad = LiftResult(lift.core, loose, lift.core.union(loose), lift.interval)
+    record = certify_lift(cfg.params, e0, f0, bad, cfg.core_threshold,
+                          cfg.extension_threshold).record("extension-in-lift")
     c1, c2, *rest = cfg.params.eq.coeffs
     f, e = loose.indices().tolist(), lift.core.indices().tolist()
     lhs = {(-c1 * x - c2 * y) % p for x in f for y in f}

@@ -1,6 +1,10 @@
 """Equation parsing, classification, and exact solution counting."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +216,21 @@ def test_solution_free_scan_and_witness():
     xs = hit.witness
     assert len(set(xs)) == 3
     assert sum(c * x for c, x in zip(eq.coeffs, xs)) % 7 == 0
+
+
+def test_bogus_witness_raises_under_optimize():
+    # python -O strips assert statements; witness re-verification must survive it
+    script = ("from chroma import equations\n"
+              "from chroma.groups import ElementSet, make_group\n"
+              "equations._find_injective_scan = lambda *args: (1, 2, 3)\n"
+              "a = ElementSet.from_indices(make_group([7]), [1, 2, 3])\n"
+              "equations.is_solution_free(equations.Equation((1, 1, 1)), a)\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: witness (1, 2, 3) is not a solution" in proc.stderr
 
 
 def test_solution_free_scan_composite_modulus():

@@ -27,7 +27,7 @@ def test_sqrt2_ordering_is_exact():
 
 
 def test_negative_coefficient_branch():
-    s = Surd.sqrt(-1, 2, shift=2)  # 2 - sqrt(2) = 0.58578...
+    s = Surd(2, -1, 2)  # 2 - sqrt(2) = 0.58578...
     assert s > Fraction(58578, 10**5)
     assert s < Fraction(58579, 10**5)
     assert s.cmp(1) < 0 and s.cmp(0) > 0
@@ -41,7 +41,7 @@ def test_perfect_square_collapses_to_rational():
 
 
 def test_scaled_and_shifted():
-    s = Surd.sqrt(2, 3, shift=1)          # 1 + 2*sqrt(3)
+    s = Surd(1, 2, 3)                     # 1 + 2*sqrt(3)
     t = s.scaled(Fraction(1, 2)).shifted(-1)  # sqrt(3) - 1/2 = 1.2320508...
     assert t > Fraction(12320, 10**4)
     assert t < Fraction(12321, 10**4)

@@ -1,4 +1,5 @@
-"""Every public name in `src/chroma/` is on a path the library, a demo or the benchmark runs."""
+"""Every public name in `src/chroma/` is on a path the library, a demo or the benchmark runs,
+and every defaulted parameter or field there is one that a caller leaves out."""
 
 import ast
 import pathlib
@@ -38,3 +39,47 @@ def test_every_exported_name_has_a_caller():
             if mentions < 1 and name not in ALLOWED_UNUSED:
                 unused.append(f"{module.name}:{name}")
     assert not unused, f"exported but named by no src/, demos/ or bench/ code: {unused}"
+
+
+# Every parameter or dataclass field in src/ that has a default, as
+# (module, function or class, name).  Each one is left out by some src/,
+# CLI or bench/ call; a new default is added here on purpose, not by habit.
+DEFAULTED = {
+    ("bohr", "SpectrumParams", "nu"),
+    ("bohr", "SpectrumParams", "rho"),
+    ("bohr", "SpectrumParams", "s_index"),
+    ("bohr", "bohr_color", "params"),
+    ("cayley", "chromatic_number_exact", "budget_s"),
+    ("cayley", "_clique_cover", "skip"),
+    ("cayley", "independence_number_exact", "budget_s"),
+    ("cayley", "__init__", "vertex_transitive"),
+    ("cli", "_ListOf", "nonempty"),
+    ("cli", "_Object", "required"),
+    ("cli", "_Object", "exactly_one"),
+    ("cli", "_config_errors", "path"),
+    ("cli", "main", "argv"),
+    ("equations", "count_solutions_brute_all", "injective"),
+    ("equations", "_conv_count_table", "dtype"),
+    ("groups", "__init__", "bits"),
+    ("kneser", "hamming_ball", "radius"),
+    ("kneser", "independent_set", "radius"),
+}
+
+
+def _defaulted(module):
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):]
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from ((module.stem, node.name, a.arg) for a in named)
+        elif isinstance(node, ast.ClassDef):
+            yield from ((module.stem, node.name, st.target.id) for st in node.body
+                        if isinstance(st, ast.AnnAssign) and st.value is not None)
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {d for module in SRC.glob("*.py") for d in _defaulted(module)}
+    assert found == DEFAULTED, (f"new defaults: {sorted(found - DEFAULTED)}; "
+                                f"gone: {sorted(DEFAULTED - found)}")
