@@ -370,7 +370,7 @@ class ChromaticResult:
     coloring: Coloring
     exact: bool
     nodes: int
-    proof: str          # "exhausted-search" when exact, "budget" otherwise
+    proof: str          # "clique-meets-coloring" or "exhausted-search" when exact, else "budget"
 
     @property
     def chromatic_number(self) -> int:
@@ -398,18 +398,13 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     if n > config.EXACT_SOLVER_CAP:
         raise ValueError(
             f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
-    if n == 0:
-        return ChromaticResult(0, 0, Coloring(()), True, 0, "empty")
-    if graph.edge_count() == 0:
-        col = Coloring((0,) * n)
-        return ChromaticResult(1, 1, col, True, 0, "edgeless")
 
     budget = _Budget(budget_s)
     clique = greedy_clique(graph)
     greedy = dsatur_coloring(graph)
     best_colors = list(greedy.colors)
     best = greedy.num_colors
-    lb = max(2, len(clique))
+    lb = len(clique)
 
     if lb < best:
         colors = [-1] * n

@@ -67,28 +67,6 @@ _LIFT_FIELDS = {"equation": "string", "q": "integer",
                 "core_threshold": ("string", "null"),
                 "extension_threshold": ("string", "null")}
 
-_CONFIGS: dict[str, _Object] = {
-    "classify": _Object({"equation": "string"}, ("equation",)),
-    "kneser": _Object({"n": "integer", "k": "integer", "m": "integer",
-                       "action": frozenset({"count", "chi-bound", "chi"}),
-                       "budget": "string"}, ("n", "k", "m", "action")),
-    "cayley": _Object({"group": "string",
-                       "connection": _ListOf(("integer", _ListOf("integer"))),
-                       "action": frozenset({"chi", "alpha", "greedy", "export"}),
-                       "budget": "string", "dimacs": "string", "cnf": "string",
-                       "cnf_colors": "integer"}, ("group", "connection", "action")),
-    "construct": _Object(_LIFT_FIELDS, _LIFT_REQUIRED),
-    "bohr-color": _Object({"p": "integer", "equation": "string",
-                           "set": _Object({"rle": "string", "indices": _ListOf("integer"),
-                                           "random_density": "number"}, exactly_one=True),
-                           "nu": "number", "rho": "number", "s_index": ("integer", "null"),
-                           "seed": "integer", "colors_out": "string"},
-                          ("p", "equation", "set")),
-    "indep-set": _Object({"p": "integer", "n": "integer", "radius_sq": ("integer", "null"),
-                          "csv": "string"}, ("p", "n")),
-    "certify-lift": _Object({"golden": "boolean", **_LIFT_FIELDS}),
-}
-
 
 def _describe(kind) -> str:
     if isinstance(kind, tuple):
@@ -154,7 +132,7 @@ def _load_config(path: str, command: str) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-    errors = _config_errors(cfg, _CONFIGS[command])
+    errors = _config_errors(cfg, _COMMANDS[command][1])
     if errors:
         raise CliError(f"config {path} failed validation: {'; '.join(errors)}")
     return cfg
@@ -401,14 +379,30 @@ def _run_indep(cfg: dict) -> tuple[dict, int]:
     return out, 0
 
 
-_HANDLERS = {
-    "classify": _run_classify,
-    "kneser": _run_kneser,
-    "cayley": _run_cayley,
-    "construct": _run_construct,
-    "bohr-color": _run_bohr,
-    "indep-set": _run_indep,
-    "certify-lift": _run_certify,
+# command -> (handler, the config fields it accepts)
+_COMMANDS: dict[str, tuple] = {
+    "classify": (_run_classify, _Object({"equation": "string"}, ("equation",))),
+    "kneser": (_run_kneser, _Object(
+        {"n": "integer", "k": "integer", "m": "integer",
+         "action": frozenset({"count", "chi-bound", "chi"}), "budget": "string"},
+        ("n", "k", "m", "action"))),
+    "cayley": (_run_cayley, _Object(
+        {"group": "string", "connection": _ListOf(("integer", _ListOf("integer"))),
+         "action": frozenset({"chi", "alpha", "greedy", "export"}),
+         "budget": "string", "dimacs": "string", "cnf": "string", "cnf_colors": "integer"},
+        ("group", "connection", "action"))),
+    "construct": (_run_construct, _Object(_LIFT_FIELDS, _LIFT_REQUIRED)),
+    "bohr-color": (_run_bohr, _Object(
+        {"p": "integer", "equation": "string",
+         "set": _Object({"rle": "string", "indices": _ListOf("integer"),
+                         "random_density": "number"}, exactly_one=True),
+         "nu": "number", "rho": "number", "s_index": ("integer", "null"),
+         "seed": "integer", "colors_out": "string"},
+        ("p", "equation", "set"))),
+    "indep-set": (_run_indep, _Object(
+        {"p": "integer", "n": "integer", "radius_sq": ("integer", "null"), "csv": "string"},
+        ("p", "n"))),
+    "certify-lift": (_run_certify, _Object({"golden": "boolean", **_LIFT_FIELDS})),
 }
 
 
@@ -419,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "chromatic certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", required=True,
                          help="JSON config file (field-checked)")
@@ -431,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(command: str, cfg: dict) -> tuple[dict, int]:
     """Execute one pipeline; returns (full report, exit code)."""
     t0 = time.perf_counter()
-    results, code = _HANDLERS[command](cfg)
+    results, code = _COMMANDS[command][0](cfg)
     elapsed = time.perf_counter() - t0
     report = {
         "command": command,

@@ -3,7 +3,8 @@
 The module classifies equations by their zero-sum subset structure, tests
 whether a subset of a cyclic group is free of injective solutions (one scan
 over x1..x_{k-1} for every k, meet-in-the-middle for k = 4), and counts
-solutions two independent ways: exact brute-force convolution and a
+solutions two independent ways: exact brute-force convolution (one
+shift-and-add kernel for every brute count, plain or injective) and a
 Fourier-analytic counter (the two are cross-checked in the test suite).
 
 The k = 4 meet-in-the-middle joins ordered pairs through p-byte membership
@@ -17,6 +18,8 @@ arrays, where a sort of every pair sum took ten such arrays.
 Counting conventions: the Fourier counter and the default brute counter count
 all tuples in A^k, coordinates not necessarily distinct.  Injective counting
 (pairwise-distinct coordinates) is available behind the `injective` flag.
+Both counters return int64 tables and refuse, before any work, a count that
+could pass int64.
 """
 
 from __future__ import annotations
@@ -453,14 +456,23 @@ def _find_injective_mitm4(eq, p, elems):
 
 
 def count_solutions_brute_all(eq: Equation, A: ElementSet, injective: bool = False) -> np.ndarray:
-    """Exact count table N(y) for every y in the group. Integer arithmetic only."""
-    group = A.group
-    if not injective:
-        idx = A.indices()
-        return _conv_count_table(group, [(c, idx) for c in eq.coeffs])
-    if eq.k <= 5:
-        return _injective_by_partitions(group, eq, A)
-    return _injective_by_enumeration(group, eq, A)
+    """Exact count table N(y) for every y in the group. Integer arithmetic only.
+
+    Runs on the shift-and-add kernel, after a ValueError for any count that
+    could pass int64.  Plain: with the other x_j fixed, x_i takes at most
+    min(|A|, #ker c_i) values, #ker c_i = prod_j gcd(c_i, n_j), and partial
+    tables count at most |A|^(k-1) prefixes.  Injective: no partial sum of
+    the inclusion-exclusion passes |A|(|A|+1)...(|A|+k-1).
+    """
+    idx = A.indices()
+    n, k = idx.size, eq.k
+    ker = min(math.prod(math.gcd(c, m) for m in A.group.moduli) for c in eq.coeffs)
+    bound = math.prod(range(n, n + k)) if injective else n ** (k - 1) * min(n, ker)
+    if bound > np.iinfo(np.int64).max:
+        raise ValueError(f"count bound {bound} exceeds int64")
+    if injective:
+        return _injective_by_partitions(A.group, eq, idx)
+    return _conv_count_table(A.group, [(c, idx) for c in eq.coeffs])
 
 
 def _conv_count_table(group: GroupSpec, terms: Sequence[tuple[int, np.ndarray]],
@@ -500,38 +512,28 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[list[int]]]:
         yield [[first]] + part
 
 
-def _injective_by_partitions(group: GroupSpec, eq: Equation, A: ElementSet) -> np.ndarray:
-    """Inclusion-exclusion over coordinate-equality partitions (k <= 5)."""
+def _injective_by_partitions(group: GroupSpec, eq: Equation, idx: np.ndarray) -> np.ndarray:
+    """Inclusion-exclusion over set partitions of the coordinates, with weight
+    prod_blocks (-1)^(b-1) (b-1)!, so no partial sum passes sum |weight| *
+    |A|^blocks = |A|(|A|+1)...(|A|+k-1).  Its B(k) tables (B the Bell number)
+    shift at most B(k)*k*|G|*|A| entries, checked before the first table.
+    """
+    n, k = idx.size, eq.k
+    bell = [1]                         # rows of the Bell triangle; B(k) ends row k
+    for _ in range(k - 1):
+        bell = list(itertools.accumulate(bell, initial=bell[-1]))
+    work = bell[-1] * k * group.order * n
+    if work > config.SHIFT_ENTRY_CAP:
+        raise ValueError(f"injective count of up to {work} shifted entries exceeds "
+                         f"the cap {config.SHIFT_ENTRY_CAP}")
     total = np.zeros(group.order, dtype=np.int64)
-    idx = A.indices()
-    for part in _set_partitions(tuple(range(eq.k))):
+    for part in _set_partitions(tuple(range(k))):
         merged = [sum(eq.coeffs[i] for i in block) for block in part]
-        mu = 1
-        for block in part:
-            b = len(block)
-            mu *= (-1) ** (b - 1) * math.factorial(b - 1)
-        free = sum(1 for c in merged if c == 0)
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in part)
         kept = [c for c in merged if c != 0]
         table = _conv_count_table(group, [(c, idx) for c in kept])
-        total += mu * (idx.size ** free) * table
+        total += mu * n ** (len(merged) - len(kept)) * table
     return total
-
-
-def _injective_by_enumeration(group: GroupSpec, eq: Equation, A: ElementSet) -> np.ndarray:
-    idx = A.indices()
-    n = idx.size
-    if n ** eq.k > config.BRUTE_TUPLE_CAP:
-        raise ValueError("injective enumeration exceeds the brute-force cap")
-    out = np.zeros(group.order, dtype=np.int64)
-    coords = group.indices_to_coords(idx)
-    # (k, rank) coefficients reduced per factor, so int64 sums cannot overflow
-    coeffs = np.array([[c % m for m in group.moduli] for c in eq.coeffs], dtype=np.int64)
-    tuples = itertools.permutations(range(n), eq.k)
-    # 2^16 tuples at a time: (tuples, k, rank) coordinates -> (tuples, rank) sums
-    for chunk in iter(lambda: list(itertools.islice(tuples, 1 << 16)), []):
-        sums = (coeffs * coords[np.array(chunk)]).sum(axis=1)
-        out += np.bincount(group.coords_to_indices(sums), minlength=group.order)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +572,14 @@ def _dft_product(eq: Equation, A: ElementSet) -> tuple[int, np.ndarray]:
 
 
 def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
-    """All-targets Fourier solution count, rounded to exact integers.
+    """All-targets Fourier solution count, rounded to integers.
 
     Raises ArithmeticError if any rounded value strays from an integer by more
-    than 1e-6 * p^(k-1) (the documented instability tolerance).
+    than 1e-6 * p^(k-1) (the documented instability tolerance), and ValueError
+    before any work when |A|^(k-1), a bound on N(y) over F_p, passes int64.
     """
+    if A.count ** (eq.k - 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"count bound {A.count}^{eq.k - 1} exceeds int64")
     p, prod = _dft_product(eq, A)
     raw = (p ** (eq.k - 1)) * idft(prod)
     tol = 1e-6 * p ** (eq.k - 1)

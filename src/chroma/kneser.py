@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from operator import sub
+from operator import or_, sub
 
 import numpy as np
 
@@ -135,25 +135,14 @@ def kneser_vertices(params: KneserParams) -> list[KneserVertex]:
     return out
 
 
-def _cascade_masks(masks: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """(prefix unions, suffix unions) of a part-mask tuple."""
-    m = len(masks)
-    pref = [0] * m
-    suf = [0] * m
-    acc = 0
-    for i in range(m):
-        acc |= masks[i]
-        pref[i] = acc
-    acc = 0
-    for i in range(m - 1, -1, -1):
-        acc |= masks[i]
-        suf[i] = acc
-    return pref, suf
-
-
-def _cascade_holds(pref_a: list[int], suf_b: list[int]) -> bool:
-    """Direction a->b: every cut's prefix union of a avoids b's suffix union."""
-    return all(pa & sb == 0 for pa, sb in zip(pref_a, suf_b))
+def _cascades(a: KneserVertex, b: KneserVertex) -> tuple[bool, bool]:
+    """(a->b, b->a): direction a->b holds when every cut's prefix union of a
+    avoids b's suffix union; b->a is the mirror condition."""
+    ma, mb = a.masks(), b.masks()
+    pa, pb = accumulate(ma, or_), accumulate(mb, or_)
+    sa, sb = (list(accumulate(m[::-1], or_))[::-1] for m in (ma, mb))
+    return (all(x & y == 0 for x, y in zip(pa, sb)),
+            all(x & y == 0 for x, y in zip(pb, sa)))
 
 
 def kneser_adjacent(a: KneserVertex, b: KneserVertex) -> bool:
@@ -162,9 +151,7 @@ def kneser_adjacent(a: KneserVertex, b: KneserVertex) -> bool:
     Direction a->b requires (parts a_1..a_i) to avoid (parts b_i..b_m) for
     every cut position i; direction b->a is the mirror condition.
     """
-    pa, sa = _cascade_masks(a.masks())
-    pb, sb = _cascade_masks(b.masks())
-    return _cascade_holds(pa, sb) or _cascade_holds(pb, sa)
+    return any(_cascades(a, b))
 
 
 def _cascade_words(verts: list[KneserVertex], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,9 +278,7 @@ def check_embedding_edge(a: KneserVertex, b: KneserVertex, p: int, n: int,
     Sub-checks: the complement of a meets the last part of b in exactly k
     coordinates, and consecutive parts overlap at least (p+1)k - n.
     """
-    pa, sa = _cascade_masks(a.masks())
-    pb, sb = _cascade_masks(b.masks())
-    fwd, rev = _cascade_holds(pa, sb), _cascade_holds(pb, sa)
+    fwd, rev = _cascades(a, b)
     if not (fwd or rev):
         raise ValueError("vertices are not adjacent")
 
@@ -367,10 +352,8 @@ class HammingBallSet:
         return ElementSet.from_mask(group, dist <= self.distance_cutoff())
 
 
-def hamming_ball(p: int, n: int, radius: Surd | None = None) -> HammingBallSet:
-    """Default radius p*sqrt(n)."""
-    if radius is None:
-        radius = Surd.sqrt(p, n)
+def hamming_ball(p: int, n: int, radius: Surd) -> HammingBallSet:
+    """The ball of the given exact radius around the all-ones vector."""
     return HammingBallSet(p, n, radius)
 
 

@@ -28,6 +28,7 @@ from chroma.equations import (
     dft,
     is_solution_free,
 )
+from chroma.exact import Surd
 from chroma.groups import ElementSet, make_group
 from chroma.kneser import KneserParams, build_graph, hamming_ball, kneser_vertices
 
@@ -105,6 +106,17 @@ def test_exact_chi_matches_oracle_on_random_graphs(rng):
             assert got.lower == got.upper == want
             got.coloring.validate(graph)
             assert got.coloring.num_colors == want
+
+
+@pytest.mark.parametrize("n, chi", [(0, 0), (3, 1)])
+def test_exact_chi_of_edgeless_graphs(n, chi):
+    # the greedy clique (0 or 1 vertices) meets the DSATUR coloring
+    graph = Graph.from_edges(n, [])
+    res = chromatic_number_exact(graph)
+    assert (res.lower, res.upper, res.exact, res.nodes) == (chi, chi, True, 0)
+    assert res.proof == "clique-meets-coloring"
+    res.coloring.validate(graph)
+    assert res.coloring.num_colors == chi
 
 
 def test_exact_alpha_matches_oracle_on_random_graphs(rng):
@@ -458,8 +470,8 @@ _CAPPED = {
     # the weight-set count at (3, 8) takes 8 * 8 * (3 - 1) / 2 steps
     "kneser.independent_set": (config, "WEIGHT_COUNT_CAP", 64,
                                lambda: kneser.independent_set(3, 8)),
-    "HammingBallSet.to_element_set": (config, "MATERIALIZE_CAP", 9,
-                                      lambda: hamming_ball(3, 2).to_element_set()),
+    "HammingBallSet.to_element_set": (
+        config, "MATERIALIZE_CAP", 9, lambda: hamming_ball(3, 2, Surd.sqrt(3, 2)).to_element_set()),
     "dft": (config, "DFT_CAP", 13, lambda: dft(np.ones(13))),
     "count_solutions_dft_all": (config, "DFT_CAP", 13,
                                 lambda: count_solutions_dft_all(Equation((1, 1, -1)),
@@ -468,6 +480,10 @@ _CAPPED = {
     "count_solutions_brute_all": (config, "SHIFT_ENTRY_CAP", 3 * 3 * 13,
                                   lambda: count_solutions_brute_all(Equation((1, 1, -1)),
                                                                     _z13_set())),
+    # B(3) = 5 tables of at most 3 shifts of 3 elements over the 13 entries
+    "count_solutions_brute_all injective": (
+        config, "SHIFT_ENTRY_CAP", 5 * 3 * 3 * 13,
+        lambda: count_solutions_brute_all(Equation((1, 1, -1)), _z13_set(), injective=True)),
     # the sumset -F + F of two elements takes 2 + 2 shifts, the core's one
     "extension_property_holds": (config, "SHIFT_ENTRY_CAP", 4 * 13,
                                  lambda: extension_property_holds(

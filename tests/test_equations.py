@@ -158,6 +158,42 @@ def test_shift_kernel_refuses_work_over_its_cap_before_allocating(monkeypatch):
             equations_module._conv_count_table(g, terms, dtype)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("counting started before the checks")
+
+
+def test_injective_count_refuses_work_over_its_cap_before_any_table(monkeypatch):
+    # k = 5 over Z_101, |A| = 40: a cap that admits every table of at most four
+    # blocks, against B(5) * 5 * 101 * 40 = 1,050,400 entries for all 52 tables
+    a = ElementSet.from_indices(make_group([101]), range(40))
+    monkeypatch.setattr(config, "SHIFT_ENTRY_CAP", 4 * 101 * 40)
+    monkeypatch.setattr(np, "zeros", _no_work)
+    with pytest.raises(ValueError, match="1050400 shifted entries exceeds the cap 16160"):
+        count_solutions_brute_all(Equation((1, 1, 1, 1, 1)), a, injective=True)
+
+
+@pytest.mark.parametrize("count", [
+    count_solutions_brute_all,
+    lambda eq, a: count_solutions_brute_all(eq, a, injective=True),
+    count_solutions_dft_all,
+], ids=["brute", "injective", "dft"])
+def test_counters_refuse_counts_that_could_pass_int64(count, monkeypatch):
+    # k = 7 over Z_4001 with |A| = 2000: 2000^6 > 2^63, while the plain count's
+    # shift work of 7 * 2000 * 4001 entries is far under its cap
+    a = ElementSet.from_indices(make_group([4001]), range(0, 4000, 2))
+    monkeypatch.setattr(np, "zeros", _no_work)
+    monkeypatch.setattr(equations_module, "dft", _no_work)
+    with pytest.raises(ValueError, match="exceeds int64"):
+        count(Equation((1, 1, 1, 1, 1, 1, -1)), a)
+
+
+def test_brute_count_is_exact_at_101_to_the_ninth():
+    # every target of x1 + ... + x9 - x10 over all of Z_101 has 101^9 solutions
+    a = ElementSet.from_indices(make_group([101]), range(101))
+    counts = count_solutions_brute_all(Equation((1,) * 9 + (-1,)), a)
+    assert counts.tolist() == [101 ** 9] * 101
+
+
 def oracle_injective_table_coords(coeffs, members, moduli):
     """Injective count of every target, by itertools over coordinate tuples.
 
@@ -174,7 +210,7 @@ def oracle_injective_table_coords(coeffs, members, moduli):
 
 @pytest.mark.parametrize("moduli", [(11,), (3, 3)])
 def test_injective_count_six_variables_matches_oracle(moduli, rng):
-    # k >= 6 takes the enumeration path instead of partition inclusion-exclusion
+    # k >= 6 takes the same partition inclusion-exclusion as k <= 5 (203 tables)
     g = make_group(moduli)
     members = sorted(set(map(int, rng.choice(g.order, size=7, replace=False))))
     a = ElementSet.from_indices(g, members)

@@ -221,7 +221,7 @@ def test_ones_weight_triangle_property(rng):
 def test_hamming_ball_counts():
     ball = hamming_ball(3, 2, Surd.rational(1))
     assert ball.to_element_set().count == 5  # center + 2 coords * 2 values
-    full = hamming_ball(3, 2)  # default radius 3*sqrt(2) covers everything
+    full = hamming_ball(3, 2, Surd.sqrt(3, 2))  # radius 3*sqrt(2) covers everything
     assert full.to_element_set().count == 9
     assert ball.contains_coords((1, 1))
     assert ball.contains_coords((1, 0))
