@@ -25,7 +25,7 @@ print("x + y =", g.indices_to_coords([x_plus_y]).tolist()[0])
 print("-x    =", g.indices_to_coords(g.negate_indices(xy[:1])).tolist()[0])
 
 # group literals round-trip through a compact text form
-for literal in ("Z(7)", "Z(3)^4", "Z(2)xZ(3)", "Zm(15015)"):
+for literal in ("Z(7)", "Z(3)^4", "Z(2)xZ(3)", "Z(15015)"):
     print(literal, "->", parse_group_literal(literal).literal)
 
 # -- element sets are bitmaps with set algebra ------------------------------

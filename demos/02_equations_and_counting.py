@@ -48,7 +48,7 @@ print("{2,3,5} free:", res.free, " witness:", res.witness)
 
 rng = np.random.default_rng(0)
 p = 19
-a = ElementSet.from_mask(make_group([p]), rng.random(p) < 0.5)
+a = ElementSet(make_group([p]), rng.random(p) < 0.5)
 eq = Equation([1, 2, -3])
 brute = count_solutions_brute_all(eq, a)
 viadft = count_solutions_dft_all(eq, a)

@@ -9,7 +9,7 @@ are then too light to reach the ball: I is independent in Cay(Z_p^n, S).
 """
 
 from chroma.exact import Surd
-from chroma.kneser import hamming_ball, independent_set, ones_weight
+from chroma.kneser import HammingBallSet, independent_set, ones_weight
 
 # -- the coordinate weight behind both sets ---------------------------------
 
@@ -21,7 +21,7 @@ for x in (1, 2, 4):
 
 print("\nball around the all-ones vector, p=3, n=2:")
 for r_sq in (1, 2, 4):
-    ball = hamming_ball(3, 2, Surd.sqrt(1, r_sq))
+    ball = HammingBallSet(3, 2, Surd.sqrt(1, r_sq))
     print(f"  radius sqrt({r_sq}): {ball.to_element_set().count} members")
 
 # -- the default radius is honest about degeneracy --------------------------

@@ -51,7 +51,7 @@ print("\ncycle C_101: %d colors, proper=%s" %
       (report.colors_used, report.proper))
 
 rng = np.random.default_rng(7)
-dense = ElementSet.from_mask(g, rng.random(p) < 0.4)
+dense = ElementSet(g, rng.random(p) < 0.4)
 colors, report = bohr_color(dense, eq)
 print("random dense set (|A|=%d): %d colors, proper=%s, "
       "intersection test passed=%s"

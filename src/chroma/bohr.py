@@ -29,11 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import config
-from .equations import Equation, dft, first_zero_sum_subset
+from .equations import Equation, dft, first_zero_sum_subset, prime_field_order
 from .exact import _as_fraction
 from .groups import ElementSet, make_group
-from .primes import is_prime, mod_inverse
+from .primes import mod_inverse
 
 __all__ = [
     "SpectrumParams",
@@ -89,9 +88,7 @@ def large_spectrum(a_set: ElementSet, nu: float) -> np.ndarray:
     With f = 1_A, Parseval gives sum |hat f|^2 = |A|/p <= 1, so at most
     nu^-2 frequencies can pass the threshold.
     """
-    g = a_set.group
-    if g.rank != 1 or not is_prime(g.moduli[0]):
-        raise ValueError("large_spectrum expects a set over a prime field")
+    prime_field_order(a_set.group)
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     coeffs = dft(a_set.mask().astype(np.float64))
@@ -131,7 +128,7 @@ def bohr_set(frequencies, rho, p: int) -> BohrSet:
     for xi in freqs:
         r = (xi * xs) % p
         ok &= np.minimum(r, p - r) * den <= num * p
-    members = ElementSet.from_mask(make_group([p]), ok)
+    members = ElementSet(make_group([p]), ok)
     return BohrSet(p, freqs, rho, members)
 
 
@@ -191,33 +188,34 @@ def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:
     return np.unique((inv * spectrum) % p)
 
 
-def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
-    """Proper iff no difference of like-colored vertices lands in conn = A u -A.
+def _difference_scan(labels: np.ndarray, conn: np.ndarray):
+    """(d, same, wrap) for each d in conn = A u -A with d <= p // 2.
 
-    conn is symmetric, and d and p - d test the same pairs, so only the
-    differences d <= p // 2 are checked: v against v + d without wrapping,
-    then the last d vertices against the first d.
+    The one walk over the edges of Cay(Z_p, conn): conn is symmetric and d,
+    p - d join the same pairs, so these d reach every edge once (twice when
+    d = p - d, at p = 2).  same[v] compares the labels of v and v + d for
+    v < p - d; wrap[v] those of v and v - d mod p = p - d + v for v < d.
     """
-    p = colors.size
+    p = labels.size
     for d in conn[conn <= p // 2].tolist():
-        if np.any(colors[d:] == colors[:p - d]) or np.any(colors[:d] == colors[p - d:]):
-            return False
-    return True
+        yield d, labels[d:] == labels[:p - d], labels[:d] == labels[p - d:]
+
+
+def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
+    """Proper iff no difference of like-colored vertices lands in conn = A u -A."""
+    return not any(same.any() or wrap.any()
+                   for _, same, wrap in _difference_scan(colors, conn))
 
 
 def _cell_degrees(cell_of: np.ndarray, conn: np.ndarray) -> np.ndarray:
     """Per vertex, its neighbours in Cay(Z_p, conn) that share its cell.
 
-    Counted one connection element at a time for all vertices at once.
-    conn is symmetric and d, p - d join the same pairs, so each pair
-    {v, v + d} with d <= p // 2 is compared once and counted at both ends
-    (once when d = p - d, at p = 2).
+    Each edge of the difference scan counts at both of its ends, once per
+    end when the scan meets it twice (d = p - d).
     """
     p = cell_of.size
     degree = np.zeros(p, dtype=np.int64)
-    for d in conn[conn <= p // 2].tolist():
-        same = cell_of[d:] == cell_of[:p - d]       # v < p - d against v + d
-        wrap = cell_of[:d] == cell_of[p - d:]       # v >= p - d against v + d - p
+    for d, same, wrap in _difference_scan(cell_of, conn):
         degree[:p - d] += same
         degree[p - d:] += wrap
         if 2 * d != p:
@@ -285,12 +283,7 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     """
     if params is None:
         params = SpectrumParams()
-    g = a_set.group
-    if g.rank != 1 or not is_prime(g.moduli[0]):
-        raise ValueError("bohr_color expects a set over a prime field")
-    p = g.moduli[0]
-    if p > config.DFT_CAP:
-        raise ValueError(f"p = {p} exceeds the transform cap")
+    p = prime_field_order(a_set.group)
     k = eq.k
 
     s_index = params.s_index

@@ -224,7 +224,7 @@ class CayleyView:
                           stacklevel=3)
         self.group = group
         self.connection = connection
-        self.symmetric = connection.symmetrized_without_zero().freeze()
+        self.symmetric = connection.symmetrized_without_zero()
         self._sym_indices = self.symmetric.indices()
 
     @property

@@ -297,6 +297,8 @@ def _run_construct(cfg: dict) -> tuple[dict, int]:
 
 def _run_certify(cfg: dict) -> tuple[dict, int]:
     if cfg.get("golden"):
+        if extra := sorted(cfg.keys() & _LIFT_FIELDS):
+            raise CliError(f"certify-lift with golden=true takes none of the fields {extra}")
         pinned = cons.golden_config()
     else:
         for key in _LIFT_REQUIRED:

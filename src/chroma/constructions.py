@@ -22,10 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import config
 from .equations import Equation, _conv_count_table, classify, is_solution_free
 from .exact import Surd
-from .groups import ElementSet, GroupSpec, make_group
+from .groups import ElementSet, GroupSpec, make_group, materialized_order
 from .primes import check_distinct_primes, is_prime
 
 __all__ = [
@@ -242,12 +241,10 @@ def default_extension_threshold(params: ConstructionParams) -> Surd:
 def build_core_set(params: ConstructionParams, threshold: Surd) -> ElementSet:
     """{y in Z_m : slope-1 norm of y >= threshold}; exact cutoff comparison."""
     ctx = params.context
-    m = params.m
-    if m > config.MATERIALIZE_CAP:
-        raise ValueError(f"m = {m} exceeds the materialization cap")
+    m = materialized_order(params.group_m)
     nums = norm_numerators(ctx, np.arange(m, dtype=np.int64), 1)
     cutoff = threshold.scaled(ctx.denominator(1)).ceil()
-    return ElementSet.from_mask(params.group_m, nums >= cutoff)
+    return ElementSet(params.group_m, nums >= cutoff)
 
 
 def core_norm_bound(params: ConstructionParams, threshold: Surd) -> Surd:
@@ -270,16 +267,14 @@ def build_extension_set(params: ConstructionParams, threshold: Surd) -> ElementS
     A negative threshold is the degenerate small-n case: the result is empty.
     """
     ctx = params.context
-    m = params.m
-    if m > config.MATERIALIZE_CAP:
-        raise ValueError(f"m = {m} exceeds the materialization cap")
+    m = materialized_order(params.group_m)
     c1 = params.eq.coeffs[0]
     big_c = params.coeff_sum
     ys = np.arange(m, dtype=np.int64)
     pos = norm_numerators(ctx, (c1 * ys) % m, big_c)
     neg = norm_numerators(ctx, (-c1 * ys) % m, big_c)
     cutoff = threshold.scaled(ctx.denominator(big_c)).floor()
-    return ElementSet.from_mask(params.group_m, (pos <= cutoff) & (neg <= cutoff))
+    return ElementSet(params.group_m, (pos <= cutoff) & (neg <= cutoff))
 
 
 def extension_gap_check(params: ConstructionParams, core_threshold: Surd,
@@ -466,12 +461,6 @@ class CertificateBundle:
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records)
-
-    def record(self, name: str) -> CertificateRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
     def to_report(self) -> dict:
         return {

@@ -48,6 +48,7 @@ __all__ = [
     "count_solutions_dft_all",
     "dft",
     "idft",
+    "prime_field_order",
 ]
 
 
@@ -260,21 +261,6 @@ class SolutionFreeResult:
 
     def __bool__(self) -> bool:
         return self.free
-
-
-def _require_prime_field(eq: Equation, A: ElementSet) -> int:
-    g = A.group
-    if g.rank != 1:
-        raise ValueError("solution-free testing expects a single cyclic factor Z_p")
-    p = g.moduli[0]
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if p <= eq.max_abs_coeff:
-        raise ValueError(
-            f"modulus {p} must exceed the largest coefficient magnitude "
-            f"{eq.max_abs_coeff}"
-        )
-    return p
 
 
 def _require_invertible_modulus(eq: Equation, A: ElementSet) -> int:
@@ -561,8 +547,25 @@ def idft(table: np.ndarray) -> np.ndarray:
     return np.fft.ifft(table) * table.shape[0]
 
 
+def prime_field_order(group: GroupSpec) -> int:
+    """p for the group Z_p with p prime and at most `config.DFT_CAP`.
+
+    Every Fourier entry point (here and in bohr) calls it before it reads a
+    bitmap, so an input over the cap is refused before any work starts.
+    """
+    if group.rank != 1 or not is_prime(group.moduli[0]):
+        raise ValueError(f"expected a set over a prime field, got {group.literal}")
+    p = group.moduli[0]
+    if p > config.DFT_CAP:
+        raise ValueError(f"p = {p} exceeds the transform cap {config.DFT_CAP}")
+    return p
+
+
 def _dft_product(eq: Equation, A: ElementSet) -> tuple[int, np.ndarray]:
-    p = _require_prime_field(eq, A)
+    p = prime_field_order(A.group)
+    if p <= eq.max_abs_coeff:
+        raise ValueError(f"modulus {p} must exceed the largest coefficient magnitude "
+                         f"{eq.max_abs_coeff}")
     ahat = dft(A.mask().astype(np.float64))
     xi = np.arange(p, dtype=np.int64)
     prod = np.ones(p, dtype=np.complex128)

@@ -83,9 +83,6 @@ class Surd:
         k = _as_fraction(k)
         return Surd(self.a * k, self.b * k, self.under)
 
-    def shifted(self, d) -> "Surd":
-        return Surd(self.a + _as_fraction(d), self.b, self.under)
-
     def floor(self) -> int:
         """Largest integer <= self, in integer arithmetic only.
 

@@ -5,6 +5,9 @@ canonical integer index, the mixed-radix (row-major) encoding of its
 coordinates over the factors in the order given; bitmapped element sets and
 all serialized artifacts use it.  Where coordinates are needed, the
 vectorized helpers convert whole arrays of indices to coordinate rows and back.
+
+Element sets are read-only bitmaps.  `materialized_order` is the one check of
+`config.MATERIALIZE_CAP`, run before any order-length array is built.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "ElementSet",
     "CrtSplit",
     "make_group",
+    "materialized_order",
     "parse_group_literal",
 ]
 
@@ -97,14 +101,14 @@ def make_group(moduli: Sequence[int]) -> GroupSpec:
     return GroupSpec(tuple(int(n) for n in moduli))
 
 
-_LITERAL_PART = re.compile(r"^(Zm?)\((\d+)\)(?:\^(\d+))?$")
+_LITERAL_PART = re.compile(r"^Z\((\d+)\)(?:\^(\d+))?$")
 
 
 def parse_group_literal(text: str) -> GroupSpec:
-    """Parse a group literal: "Z(7)", "Z(3)^4", "Z(2)xZ(3)", "Zm(15015)".
+    """Parse a group literal: "Z(7)", "Z(3)^4", "Z(2)xZ(3)".
 
-    The Zm(...) form denotes a single cyclic group whose modulus is expected to
-    be squarefree; pair it with CrtSplit to get the coordinate view.
+    Factors are joined by "x", and "^r" repeats a factor r times; the result
+    prints back as the same canonical literal (GroupSpec.literal).
     """
     text = text.strip().replace(" ", "")
     if not text:
@@ -114,11 +118,17 @@ def parse_group_literal(text: str) -> GroupSpec:
         mobj = _LITERAL_PART.match(part)
         if not mobj:
             raise ValueError(f"bad group literal component {part!r}")
-        kind, n, power = mobj.group(1), int(mobj.group(2)), mobj.group(3)
-        if kind == "Zm" and power is not None:
-            raise ValueError("Zm(...) does not take a power")
+        n, power = int(mobj.group(1)), mobj.group(2)
         moduli.extend([n] * (int(power) if power else 1))
     return make_group(moduli)
+
+
+def materialized_order(group: GroupSpec) -> int:
+    """group.order; a ValueError, before any array is built, above `config.MATERIALIZE_CAP`."""
+    if group.order > config.MATERIALIZE_CAP:
+        raise ValueError(f"group order {group.order} exceeds the materialization cap "
+                         f"{config.MATERIALIZE_CAP}")
+    return group.order
 
 
 # ---------------------------------------------------------------------------
@@ -127,50 +137,40 @@ def parse_group_literal(text: str) -> GroupSpec:
 
 
 class ElementSet:
-    """A subset of a group, stored as a dense bitmap over canonical indices.
+    """A subset of a group, stored as a dense read-only bitmap over canonical indices.
 
-    Mutation is single-writer: build the set, then freeze() it before sharing;
-    a frozen set's mask rejects writes.
+    The constructor copies its bitmap and marks the copy read-only, so a set
+    never changes after it is built: set operations return new sets, and a
+    write through mask() raises ValueError.
     The serialized form is a run-length-encoded bitmap with a header recording
     the group literal, so files are portable across machines.
     """
 
-    def __init__(self, group: GroupSpec, bits: np.ndarray | None = None):
-        if group.order > config.MATERIALIZE_CAP:
-            raise ValueError(
-                f"group order {group.order} exceeds the materialization cap "
-                f"{config.MATERIALIZE_CAP}"
-            )
+    def __init__(self, group: GroupSpec, bits: np.ndarray):
+        order = materialized_order(group)
+        bits = np.array(bits, dtype=bool)
+        if bits.shape != (order,):
+            raise ValueError("bitmap length does not match group order")
+        bits.setflags(write=False)
         self.group = group
-        if bits is None:
-            bits = np.zeros(group.order, dtype=bool)
-        else:
-            bits = np.asarray(bits, dtype=bool)
-            if bits.shape != (group.order,):
-                raise ValueError("bitmap length does not match group order")
-            bits = bits.copy()
         self._bits = bits
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "ElementSet":
-        s = cls(group)
         idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
                          dtype=np.int64)
+        bits = np.zeros(materialized_order(group), dtype=bool)
         if idx.size:
             if idx.min() < 0 or idx.max() >= group.order:
                 raise ValueError("element index out of range")
-            s._bits[idx] = True
+            bits[idx] = True
+        # adopt the fresh bitmap: a copy would touch every page np.zeros left untouched
+        bits.setflags(write=False)
+        s = cls.__new__(cls)
+        s.group, s._bits = group, bits
         return s
-
-    @classmethod
-    def from_mask(cls, group: GroupSpec, mask: np.ndarray) -> "ElementSet":
-        return cls(group, mask)
-
-    def freeze(self) -> "ElementSet":
-        self._bits.setflags(write=False)
-        return self
 
     # -- queries -------------------------------------------------------------
 
@@ -190,7 +190,7 @@ class ElementSet:
     def mask(self) -> np.ndarray:
         return self._bits
 
-    # -- set algebra (returns new frozen-able sets) --------------------------
+    # -- set algebra (each returns a new set) --------------------------------
 
     def _same_group(self, other: "ElementSet"):
         if self.group != other.group:
@@ -214,9 +214,9 @@ class ElementSet:
 
     def symmetrized_without_zero(self) -> "ElementSet":
         """self | (-self), with the identity removed."""
-        s = self.union(self.negated())
-        s._bits[0] = False
-        return s
+        bits = self._bits | self.negated()._bits
+        bits[0] = False
+        return ElementSet(self.group, bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ElementSet):
@@ -249,7 +249,7 @@ class ElementSet:
         if len(header) != 2 or header[0] != cls.FORMAT_TAG:
             raise ValueError(f"bad bitset header {lines[0]!r}")
         group = parse_group_literal(header[1])
-        bits = np.zeros(group.order, dtype=bool)
+        bits = np.zeros(materialized_order(group), dtype=bool)
         pos = 0
         for tok in " ".join(lines[1:]).split():
             v, sep, ln = tok.partition(":")

@@ -25,7 +25,7 @@ import numpy as np
 from . import config
 from .cayley import Graph
 from .exact import Surd
-from .groups import ElementSet, GroupSpec, make_group
+from .groups import ElementSet, GroupSpec, make_group, materialized_order
 from .primes import is_prime
 
 __all__ = [
@@ -42,11 +42,8 @@ __all__ = [
     "embed_vertex",
     "check_embedding_edge",
     "ones_weight",
-    "hamming_ball",
     "independent_set",
 ]
-
-_VERTEX_CAP = 200_000
 
 # Upper bound on the uint64 entries of one block's cascade test in
 # `build_graph`; the rows are built a block at a time.
@@ -108,10 +105,11 @@ def count_vertices(params: KneserParams) -> int:
 
 
 def kneser_vertices(params: KneserParams) -> list[KneserVertex]:
-    """All vertices in lexicographic order of their part tuples."""
+    """All vertices in lexicographic order; refused above `config.ADJACENCY_CAP`."""
     total = count_vertices(params)
-    if total > _VERTEX_CAP:
-        raise ValueError(f"vertex count {total} exceeds cap {_VERTEX_CAP}")
+    if total > config.ADJACENCY_CAP:
+        raise ValueError(
+            f"vertex count {total} exceeds the adjacency cap {config.ADJACENCY_CAP}")
     n, k, m = params.n, params.k, params.m
     ground = list(range(n))
     out: list[KneserVertex] = []
@@ -176,11 +174,8 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
     to every part preserves the unions and intersections the cascades test,
     and the symmetric group is transitive on the vertices.
     """
-    n = count_vertices(params)
-    if n > config.ADJACENCY_CAP:
-        raise ValueError(
-            f"vertex count {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
     verts = kneser_vertices(params)
+    n = len(verts)
     pref, suf = _cascade_words(verts, params.n)
     rows = max(1, _BLOCK_ENTRIES // pref.size)
     lens, cols = [], []
@@ -344,17 +339,10 @@ class HammingBallSet:
 
     def to_element_set(self) -> ElementSet:
         group = self.group
-        if group.order > config.MATERIALIZE_CAP:
-            raise ValueError(f"order {group.order} exceeds cap {config.MATERIALIZE_CAP}")
-        idx = np.arange(group.order, dtype=np.int64)
+        idx = np.arange(materialized_order(group), dtype=np.int64)
         coords = group.indices_to_coords(idx)
         dist = (coords != 1).sum(axis=1)
-        return ElementSet.from_mask(group, dist <= self.distance_cutoff())
-
-
-def hamming_ball(p: int, n: int, radius: Surd) -> HammingBallSet:
-    """The ball of the given exact radius around the all-ones vector."""
-    return HammingBallSet(p, n, radius)
+        return ElementSet(group, dist <= self.distance_cutoff())
 
 
 def ones_weight(p: int, coords) -> Fraction:

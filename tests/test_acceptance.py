@@ -114,7 +114,7 @@ def test_04_independent_set_avoids_ball():
         res = kneser.independent_set(3, n, radius)
         assert res.count == expected_counts[n]
         assert res.count > 0
-        ball = kneser.hamming_ball(3, n, radius)
+        ball = kneser.HammingBallSet(3, n, radius)
         coords = res.members_coords()
         for i in range(len(coords)):
             for j in range(len(coords)):
@@ -135,7 +135,7 @@ def _random_counting_instances(seed, count):
         if np.any(coeffs % p == 0):
             continue
         mask = rng.random(p) < rng.uniform(0.2, 0.9)
-        a = ElementSet.from_mask(make_group([p]), mask)
+        a = ElementSet(make_group([p]), mask)
         if a.count == 0:
             continue
         made += 1
@@ -198,9 +198,10 @@ def test_08_lift_certificates_all_pass():
     ledger = f"side conditions holding {sum(side.values())}/{len(side)} ({side})"
     assert time.perf_counter() - t0 < 1800
     assert all(side.values()), ledger
+    records = {r.name: r for r in bundle.records}
     for name in ("core-solution-free", "extension-in-lift",
                  "no-mixed-solutions"):
-        rec = bundle.record(name)
+        rec = records[name]
         assert rec.passed, (
             f"{name}: witness={rec.witness} ({rec.detail}); {ledger}")
 
@@ -217,7 +218,7 @@ def test_08_lift_certificates_all_pass():
             only_m.append(d)
         elif adj_p and not adj_m:
             only_p.append(d)
-    rec = bundle.record("induced-subgraph-match")
+    rec = records["induced-subgraph-match"]
     found = f"{rec.name}: witness={rec.witness} ({rec.detail}); {ledger}"
     assert not only_p, (only_p[:5], found)
     assert rec.passed == (not only_m), (len(only_m), found)
@@ -251,7 +252,7 @@ def test_09_bohr_coloring_always_proper():
         p = int(rng.choice(primes))
         mask = rng.random(p) < rng.uniform(0.2, 0.6)
         mask[0] = False
-        a = ElementSet.from_mask(make_group([p]), mask)
+        a = ElementSet(make_group([p]), mask)
         if a.count == 0:
             continue
         colors, report = bohr_color(a, eq)

@@ -84,7 +84,7 @@ def test_spectrum_contains_zero_for_dense_sets(rng):
     p = 101
     for _ in range(10):
         mask = rng.random(p) < 0.5
-        a = ElementSet.from_mask(make_group([p]), mask)
+        a = ElementSet(make_group([p]), mask)
         if a.count >= 0.1 * p:
             assert 0 in large_spectrum(a, 0.1).tolist()
 
@@ -100,7 +100,7 @@ def test_spectrum_matches_direct_scan(rng):
         if np.any(np.abs(mags - nu) < 1e-9):
             continue
         expected = sorted(np.flatnonzero(mags >= nu).tolist())
-        got = large_spectrum(ElementSet.from_mask(make_group([p]), mask), nu)
+        got = large_spectrum(ElementSet(make_group([p]), mask), nu)
         assert got.tolist() == expected
 
 
@@ -110,7 +110,7 @@ def test_spectrum_size_bounded_by_inverse_nu_squared(rng):
     for nu in (0.05, 0.1, 0.3):
         for _ in range(5):
             mask = rng.random(p) < rng.uniform(0.1, 0.9)
-            a = ElementSet.from_mask(make_group([p]), mask)
+            a = ElementSet(make_group([p]), mask)
             assert large_spectrum(a, nu).size <= 1.0 / nu**2 + 1e-6
 
 
@@ -280,7 +280,7 @@ def test_color_random_dense_sets(rng):
     for _ in range(8):
         mask = rng.random(p) < rng.uniform(0.2, 0.6)
         mask[0] = False
-        a = ElementSet.from_mask(g, mask)
+        a = ElementSet(g, mask)
         if a.count == 0:
             continue
         colors, report = bohr_color(a, eq)
@@ -418,7 +418,7 @@ def _oracle_instances():
         p = int(rng.choice(primes))
         mask = rng.random(p) < rng.uniform(0.2, 0.6)
         mask[0] = False
-        a = ElementSet.from_mask(make_group([p]), mask)
+        a = ElementSet(make_group([p]), mask)
         if a.count:
             yield f"test09-{i}", a, eq, SpectrumParams()
     # every vertex its own cell

@@ -20,7 +20,9 @@ from chroma.cayley import (
     greedy_clique,
     independence_number_exact,
 )
-from chroma.constructions import extension_property_holds
+from chroma.bohr import bohr_color, large_spectrum
+from chroma.constructions import (build_core_set, build_extension_set,
+                                  extension_property_holds, transfer_config)
 from chroma.equations import (
     Equation,
     count_solutions_brute_all,
@@ -30,7 +32,7 @@ from chroma.equations import (
 )
 from chroma.exact import Surd
 from chroma.groups import ElementSet, make_group
-from chroma.kneser import KneserParams, build_graph, hamming_ball, kneser_vertices
+from chroma.kneser import HammingBallSet, KneserParams, build_graph, kneser_vertices
 
 
 def random_graph(rng, n, density):
@@ -449,6 +451,9 @@ def _z13_set():
     return ElementSet.from_indices(make_group([13]), [1, 3, 9])
 
 
+_TRANSFER = transfer_config()
+
+
 # entry point -> (module holding its cap, cap name, input size, call)
 _CAPPED = {
     "CayleyView.to_graph": (config, "ADJACENCY_CAP", 13,
@@ -460,7 +465,7 @@ _CAPPED = {
                                lambda: chromatic_number_exact(_cycle(7))),
     "independence_number_exact": (config, "EXACT_SOLVER_CAP", 7,
                                   lambda: independence_number_exact(_cycle(7))),
-    "kneser_vertices": (kneser, "_VERTEX_CAP", 10,
+    "kneser_vertices": (config, "ADJACENCY_CAP", 10,
                         lambda: kneser_vertices(KneserParams(5, 2, 1))),
     "kneser.build_graph": (config, "ADJACENCY_CAP", 10,
                            lambda: build_graph(KneserParams(5, 2, 1))),
@@ -471,8 +476,16 @@ _CAPPED = {
     "kneser.independent_set": (config, "WEIGHT_COUNT_CAP", 64,
                                lambda: kneser.independent_set(3, 8)),
     "HammingBallSet.to_element_set": (
-        config, "MATERIALIZE_CAP", 9, lambda: hamming_ball(3, 2, Surd.sqrt(3, 2)).to_element_set()),
+        config, "MATERIALIZE_CAP", 9, lambda: HammingBallSet(3, 2, Surd.sqrt(3, 2)).to_element_set()),
+    # the transfer pin cuts its core and extension sets from Z_143
+    "build_core_set": (config, "MATERIALIZE_CAP", 143,
+                       lambda: build_core_set(_TRANSFER.params, _TRANSFER.core_threshold)),
+    "build_extension_set": (config, "MATERIALIZE_CAP", 143,
+                            lambda: build_extension_set(_TRANSFER.params,
+                                                        _TRANSFER.extension_threshold)),
     "dft": (config, "DFT_CAP", 13, lambda: dft(np.ones(13))),
+    "large_spectrum": (config, "DFT_CAP", 13, lambda: large_spectrum(_z13_set(), 0.5)),
+    "bohr_color": (config, "DFT_CAP", 13, lambda: bohr_color(_z13_set(), Equation((1, 1, -2)))),
     "count_solutions_dft_all": (config, "DFT_CAP", 13,
                                 lambda: count_solutions_dft_all(Equation((1, 1, -1)),
                                                                 _z13_set())),
@@ -502,6 +515,19 @@ def test_caps_are_read_at_call_time(monkeypatch, entry):
     monkeypatch.setattr(module, name, size)
     call()                                      # an input at the cap runs
     monkeypatch.setattr(module, name, size - 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        call()
+
+
+@pytest.mark.parametrize("entry", ["large_spectrum", "count_solutions_dft_all", "bohr_color"])
+def test_transform_cap_refuses_before_the_bitmap_is_read(monkeypatch, entry):
+    call = _CAPPED[entry][3]
+    monkeypatch.setattr(config, "DFT_CAP", 12)
+
+    def trap(self):
+        raise AssertionError("the bitmap was read before the cap check")
+
+    monkeypatch.setattr(ElementSet, "mask", trap)
     with pytest.raises(ValueError, match="exceeds"):
         call()
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chroma import config, graphio, kneser
+from chroma import config, constructions, graphio, kneser
 from chroma.cli import main
 from chroma.groups import ElementSet, make_group
 
@@ -335,6 +335,18 @@ def test_certify_lift_golden(tmp_path, capsys):
     assert failing["witness"] == [0, 76]
     assert res["counts"]["full_lifted"] == 165
     assert res["interval"] == [93633, 124843]
+
+
+@pytest.mark.parametrize("extra", [{"q": 7, "equation": "[1,1,1]"}, {"core_threshold": None}])
+def test_certify_lift_golden_refuses_lift_fields(tmp_path, capsys, monkeypatch, extra):
+    def no_work():
+        raise AssertionError("the golden pin was built")
+
+    monkeypatch.setattr(constructions, "golden_config", no_work)
+    code, rep, err = invoke(tmp_path, capsys, "certify-lift", {"golden": True, **extra})
+    assert code == 1 and rep is None
+    assert "golden=true takes none of the fields" in err
+    assert all(repr(key) in err for key in extra)
 
 
 def test_certify_lift_needs_params_or_golden(tmp_path, capsys):

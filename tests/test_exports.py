@@ -62,7 +62,6 @@ DEFAULTED = {
     ("cli", "main", "argv"),
     ("equations", "count_solutions_brute_all", "injective"),
     ("equations", "_conv_count_table", "dtype"),
-    ("groups", "__init__", "bits"),
     ("kneser", "independent_set", "radius"),
 }
 
@@ -84,3 +83,24 @@ def test_defaulted_parameters_are_pinned():
     found = {d for module in SRC.glob("*.py") for d in _defaulted(module)}
     assert found == DEFAULTED, (f"new defaults: {sorted(found - DEFAULTED)}; "
                                 f"gone: {sorted(DEFAULTED - found)}")
+
+
+def _unused_imports(module):
+    """Names the module imports but never reads; re-exports in __all__ count as read."""
+    tree = ast.parse(module.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(_exports(module)[1])
+    return [f"{module.name}:{line}:{name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_every_import_is_used():
+    unused = [u for module in sorted(SRC.glob("*.py")) for u in _unused_imports(module)]
+    assert not unused, f"imported but never used: {unused}"

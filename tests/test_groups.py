@@ -46,7 +46,7 @@ def test_literal_roundtrip():
         ("Z(7)", (7,)),
         ("Z(3)^4", (3, 3, 3, 3)),
         ("Z(2)xZ(3)", (2, 3)),
-        ("Zm(15015)", (15015,)),
+        ("Z(15015)", (15015,)),
     ]:
         g = parse_group_literal(text)
         assert g.moduli == moduli
@@ -54,7 +54,7 @@ def test_literal_roundtrip():
 
 
 def test_literal_rejects_garbage():
-    for bad in ["", "Z7", "Z(0)", "Z(3)^", "Q(5)", "Z(3)+Z(4)"]:
+    for bad in ["", "Z7", "Z(0)", "Z(3)^", "Q(5)", "Z(3)+Z(4)", "Zm(15015)"]:
         with pytest.raises(ValueError):
             parse_group_literal(bad)
 
@@ -77,22 +77,39 @@ def test_element_set_algebra_matches_python_sets(rng):
         )
 
 
-def test_mutation_and_freeze():
+def test_element_sets_are_read_only(tmp_path):
     g = make_group([10])
-    s = ElementSet(g)
-    s.mask()[[3, 7]] = True
-    s.mask()[3] = False
-    assert s.indices().tolist() == [7]
-    s.freeze()
-    with pytest.raises(ValueError):
-        s.mask()[1] = True
-    assert s.indices().tolist() == [7]
+    bits = np.zeros(g.order, dtype=bool)
+    bits[[3, 7]] = True
+    s = ElementSet(g, bits)
+    bits[3] = False                 # the constructor copied its input
+    assert s.indices().tolist() == [3, 7]
+    t = ElementSet.from_indices(g, [1, 3])
+    s.save(tmp_path / "s.rle")
+    built = {
+        "constructor": s,
+        "from_indices": t,
+        "from_rle_text": ElementSet.from_rle_text(s.to_rle_text()),
+        "load": ElementSet.load(tmp_path / "s.rle"),
+        "union": s.union(t),
+        "intersection": s.intersection(t),
+        "negated": s.negated(),
+        "symmetrized_without_zero": s.symmetrized_without_zero(),
+    }
+    for name, eset in built.items():
+        before = eset.indices().tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            eset.mask()[0] = True
+        with pytest.raises(ValueError, match="read-only"):
+            eset.mask()[before] = False
+        assert eset.indices().tolist() == before, name
+    assert s.indices().tolist() == [3, 7] and t.indices().tolist() == [1, 3]
 
 
 def test_rle_roundtrip_various_shapes(rng):
     g = make_group([3, 5, 7])
     cases = [
-        ElementSet(g),
+        ElementSet(g, np.zeros(g.order, dtype=bool)),
         ElementSet(g, np.ones(g.order, dtype=bool)),
         ElementSet.from_indices(g, [0]),
         ElementSet.from_indices(g, [g.order - 1]),
@@ -120,7 +137,7 @@ def test_rle_text_matches_run_oracle(moduli, rng):
     masks = [np.zeros(g.order, dtype=bool), np.ones(g.order, dtype=bool)]
     masks += [rng.random(g.order) < density for density in (0.05, 0.5, 0.95)]
     for mask in masks:
-        s = ElementSet.from_mask(g, mask)
+        s = ElementSet(g, mask)
         text = s.to_rle_text()
         assert text == f"BITS1 {g.literal}\n{oracle_rle_runs(mask)}\n"
         assert ElementSet.from_rle_text(text) == s

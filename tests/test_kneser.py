@@ -20,7 +20,6 @@ from chroma.kneser import (
     count_vertices,
     embed_vertex,
     embedding_k,
-    hamming_ball,
     independent_set,
     kneser_adjacent,
     kneser_vertices,
@@ -219,9 +218,9 @@ def test_ones_weight_triangle_property(rng):
 
 
 def test_hamming_ball_counts():
-    ball = hamming_ball(3, 2, Surd.rational(1))
+    ball = HammingBallSet(3, 2, Surd.rational(1))
     assert ball.to_element_set().count == 5  # center + 2 coords * 2 values
-    full = hamming_ball(3, 2, Surd.sqrt(3, 2))  # radius 3*sqrt(2) covers everything
+    full = HammingBallSet(3, 2, Surd.sqrt(3, 2))  # radius 3*sqrt(2) covers everything
     assert full.to_element_set().count == 9
     assert ball.contains_coords((1, 1))
     assert ball.contains_coords((1, 0))
@@ -249,7 +248,7 @@ def test_independent_set_relaxed_radius_frozen_counts():
 def test_independent_set_members_avoid_ball(rng):
     p, n = 3, 7
     res = independent_set(p, n, radius=Surd.sqrt(1, n))
-    ball = hamming_ball(p, n, Surd.sqrt(1, n))
+    ball = HammingBallSet(p, n, Surd.sqrt(1, n))
     members = res.members_coords()
     for a in members:
         for b in members:
