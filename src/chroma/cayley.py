@@ -15,6 +15,12 @@ is MCS/BBMC maximum-clique search (Tomita-Seki 2003; San Segundo et al.
 bounds each node, and the root cover bounds alpha when the budget runs out.
 Cayley graphs are vertex-transitive, so the independence search fixes
 vertex 0 there and the clique-coclique bound alpha * omega <= n applies.
+
+A graph may carry a `Bracket` of bounds its builder proved: today only the
+classical Kneser graphs, whose chi is Lovasz's n - 2k + 2 (`lovasz-1978`,
+met by the `kneser-min-coloring`) and whose alpha is the Erdos-Ko-Rado star
+size C(n-1, k-1) (`ekr-1961`).  Both solvers re-check its witnesses, return
+at once when it is closed, and otherwise start their search from it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .groups import ElementSet, GroupSpec
 
 __all__ = [
     "Graph",
+    "Bracket",
     "CayleyView",
     "Coloring",
     "VertexSet",
@@ -44,6 +51,7 @@ __all__ = [
     "greedy_clique",
     "dsatur_coloring",
     "greedy_bounds",
+    "check_exact_solver_cap",
     "chromatic_number_exact",
     "independence_number_exact",
 ]
@@ -66,10 +74,13 @@ class Graph:
 
     `vertex_transitive` says that the automorphism group is transitive on
     the vertices.  Only builders that know it set it (Cayley views and
-    Kneser graphs); the independence solver then fixes vertex 0.
+    Kneser graphs); the independence solver then fixes vertex 0.  `bracket`
+    holds the bounds on chi and alpha a builder proved for this graph (only
+    `kneser.build_graph` sets it); graphs read from edges never carry one.
     """
 
-    def __init__(self, n: int, indptr, indices, vertex_transitive: bool = False):
+    def __init__(self, n: int, indptr, indices, vertex_transitive: bool = False,
+                 bracket: Bracket | None = None):
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int32)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
@@ -78,6 +89,7 @@ class Graph:
         self.indptr = indptr
         self.indices = indices
         self.vertex_transitive = vertex_transitive
+        self.bracket = bracket
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -179,7 +191,10 @@ class VertexSet:
         return len(self.members)
 
     def validate_independent(self, graph: Graph) -> None:
-        """Raise on the first adjacent pair, in ascending (u, v) order."""
+        """Raise on a repeated member, then on the first adjacent pair in
+        ascending (u, v) order."""
+        if len(set(self.members)) != len(self.members):
+            raise ValueError("a vertex is listed twice")
         u, v = self._inner_edges(graph)
         if u.size:
             raise ValueError(f"vertices {u[0]},{v[0]} are adjacent")
@@ -206,6 +221,29 @@ def _same_label_edges(graph: Graph, vs: np.ndarray,
     rows, cols = graph._gather(vs)
     same = (cols > rows) & (labels[rows] == labels[cols])
     return rows[same], cols[same]
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Bounds on chi and alpha that a graph's builder proved.
+
+    The chi lower bound and the alpha upper bound are theorems, named by
+    their proofs.  The chi upper bound is a coloring and the alpha lower bound
+    an independent set: witnesses that the solvers re-check on the graph
+    before they use them.
+    """
+
+    chi_lower: int
+    chi_lower_proof: str
+    coloring: Coloring
+    coloring_proof: str
+    independent: VertexSet
+    alpha_upper: int
+    alpha_upper_proof: str
+
+    def __post_init__(self):
+        if self.chi_lower > self.coloring.num_colors or self.independent.size > self.alpha_upper:
+            raise ValueError("a lower bound of the bracket exceeds its upper bound")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +401,14 @@ class _Budget:
         return self.exhausted
 
 
+def check_exact_solver_cap(n: int) -> None:
+    """Refuse n vertices above `config.EXACT_SOLVER_CAP`; both solvers call it,
+    and callers that build a graph call it on the vertex count first."""
+    if n > config.EXACT_SOLVER_CAP:
+        raise ValueError(
+            f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
+
+
 @dataclass(frozen=True)
 class ChromaticResult:
     lower: int
@@ -370,7 +416,9 @@ class ChromaticResult:
     coloring: Coloring
     exact: bool
     nodes: int
-    proof: str          # "clique-meets-coloring" or "exhausted-search" when exact, else "budget"
+    # when exact: "clique-meets-coloring", "exhausted-search", or the graph's
+    # bracket's lower-bound proof ("lovasz-1978"); else "budget"
+    proof: str
 
     @property
     def chromatic_number(self) -> int:
@@ -389,22 +437,36 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     a vertex moves its uncolored neighbours up one bucket where the color is
     new to them, and backtracking moves them back.
 
+    When the graph carries a closed `Bracket` (its coloring meets its lower
+    bound) the validated coloring is returned with the bracket's proof and no
+    greedy bound or search runs.  Otherwise the search starts from the larger
+    of the greedy clique and the bracket's lower bound, and from the better of
+    the DSATUR and the bracket's colorings.
+
     Within budget the result is exact (lower == upper) and carries a validated
     Coloring plus an exhausted-search proof for upper-1 colors.  On budget
     exhaustion a bracket [lower, upper] with the best coloring found is
     returned instead, flagged exact=False.
     """
     n = graph.n
-    if n > config.EXACT_SOLVER_CAP:
-        raise ValueError(
-            f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
+    check_exact_solver_cap(n)
+    bracket = graph.bracket
+    if bracket is not None and bracket.chi_lower == bracket.coloring.num_colors:
+        bracket.coloring.validate(graph)
+        return ChromaticResult(bracket.chi_lower, bracket.chi_lower, bracket.coloring, True, 0,
+                               bracket.chi_lower_proof)
 
     budget = _Budget(budget_s)
     clique = greedy_clique(graph)
     greedy = dsatur_coloring(graph)
+    lb, lower_proof = len(clique), "clique-meets-coloring"
+    if bracket is not None:
+        if bracket.coloring.num_colors < greedy.num_colors:
+            greedy = bracket.coloring
+        if bracket.chi_lower > lb:
+            lb, lower_proof = bracket.chi_lower, bracket.chi_lower_proof
     best_colors = list(greedy.colors)
     best = greedy.num_colors
-    lb = len(clique)
 
     if lb < best:
         colors = [-1] * n
@@ -478,7 +540,7 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     coloring.validate(graph)
     if budget.exhausted and lb < best:
         return ChromaticResult(lb, best, coloring, False, budget.nodes, "budget")
-    proof = "clique-meets-coloring" if lb >= best else "exhausted-search"
+    proof = lower_proof if lb >= best else "exhausted-search"
     return ChromaticResult(best, best, coloring, True, budget.nodes, proof)
 
 
@@ -494,6 +556,9 @@ class IndependenceResult:
     vertex_set: VertexSet
     exact: bool
     nodes: int
+    # when exact: "exhausted-search" or the graph's bracket's upper-bound
+    # proof ("ekr-1961"); else "budget"
+    proof: str
 
     @property
     def independence_number(self) -> int:
@@ -579,20 +644,33 @@ def independence_number_exact(graph: Graph,
     with every vertex.  Either way the root's candidates are renumbered by
     ascending (degree among the candidates, index) before the search.
 
+    When the graph carries a closed `Bracket` (its independent set meets its
+    upper bound, as the Erdos-Ko-Rado star does on a classical Kneser graph)
+    the validated set is returned with the bracket's proof and nothing is
+    searched.  Otherwise the search starts from the larger of the greedy and
+    the bracket's sets, and stops once it reaches the bracket's upper bound.
+
     On budget exhaustion the bracket's upper end is the smallest of the
     clique cover of G, the root's size plus the cover of its candidates,
-    and, on a vertex-transitive graph, n // omega for the greedy clique
-    (alpha * omega <= n there).
+    the graph's bracket's upper bound, and, on a vertex-transitive graph,
+    n // omega for the greedy clique (alpha * omega <= n there).
     """
     n = graph.n
-    if n > config.EXACT_SOLVER_CAP:
-        raise ValueError(
-            f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
+    check_exact_solver_cap(n)
+    bracket = graph.bracket
+    if bracket is not None and bracket.independent.size == bracket.alpha_upper:
+        bracket.independent.validate_independent(graph)
+        return IndependenceResult(bracket.alpha_upper, bracket.alpha_upper,
+                                  bracket.independent, True, 0, bracket.alpha_upper_proof)
     if n == 0:
-        return IndependenceResult(0, 0, VertexSet(()), True, 0)
+        return IndependenceResult(0, 0, VertexSet(()), True, 0, "exhausted-search")
 
     budget = _Budget(budget_s)
     seed = _greedy_independent(graph)
+    # only a bracket's upper bound stops the search before it is exhausted
+    ceiling = n + 1 if bracket is None else bracket.alpha_upper
+    if bracket is not None and bracket.independent.size > len(seed):
+        seed = list(bracket.independent.members)
     best = len(seed)
     best_found = None           # the best set the search finds, in local bits
     root = [0] if graph.vertex_transitive else []
@@ -617,22 +695,25 @@ def independence_number_exact(graph: Graph,
             # classes at or below best - cur_size - 1 can never be branched on
             search(child, cur | 1 << v, cur_size + 1,
                    _clique_cover(masks, child, best - cur_size - 1))
-            if budget.exhausted:
+            if budget.exhausted or best >= ceiling:
                 return
 
     full = (1 << order.size) - 1
     root_cover = _clique_cover(masks, full)
-    with _search_stack(order.size):
-        search(full, 0, len(root), root_cover)
+    if best < ceiling:
+        with _search_stack(order.size):
+            search(full, 0, len(root), root_cover)
 
     if best_found is not None:
         seed = root + [int(v) for i, v in enumerate(order) if best_found >> i & 1]
     vs = VertexSet(tuple(sorted(seed)))
     vs.validate_independent(graph)
+    if best >= ceiling:
+        return IndependenceResult(best, best, vs, True, budget.nodes, bracket.alpha_upper_proof)
     if not budget.exhausted:
-        return IndependenceResult(best, best, vs, True, budget.nodes)
+        return IndependenceResult(best, best, vs, True, budget.nodes, "exhausted-search")
     upper = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
-                len(root) + _cover_size(root_cover))
+                len(root) + _cover_size(root_cover), ceiling)
     if graph.vertex_transitive:
         upper = min(upper, n // len(greedy_clique(graph)))
-    return IndependenceResult(best, upper, vs, False, budget.nodes)
+    return IndependenceResult(best, upper, vs, False, budget.nodes, "budget")

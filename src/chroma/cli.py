@@ -188,6 +188,7 @@ def _run_kneser(cfg: dict) -> tuple[dict, int]:
         out["chi_bound"] = str(bound)
         out["chi_bound_ceil"] = -(-bound.numerator // bound.denominator)
     if action == "chi":
+        cayley_mod.check_exact_solver_cap(out["vertices"])
         _, graph = kneser.build_graph(params)
         out.update(_chi_report(cayley_mod.chromatic_number_exact(
             graph, budget_s=_parse_budget(cfg.get("budget")))))
@@ -210,6 +211,9 @@ def _connection_indices(group, conn) -> list[int]:
 
 def _run_cayley(cfg: dict) -> tuple[dict, int]:
     group = parse_group_literal(cfg["group"])
+    action = cfg["action"]
+    if action in ("chi", "alpha"):
+        cayley_mod.check_exact_solver_cap(group.order)
     conn = ElementSet.from_indices(group, _connection_indices(group, cfg["connection"]))
     view = cayley_mod.CayleyView(group, conn)
     graph = view.to_graph()
@@ -219,7 +223,6 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         "connection_size": view.connection.count,
         "edges": graph.edge_count(),
     }
-    action = cfg["action"]
     budget = _parse_budget(cfg.get("budget"))
     if action == "greedy":
         gb = cayley_mod.greedy_bounds(graph)

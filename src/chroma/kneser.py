@@ -23,7 +23,7 @@ from operator import or_, sub
 import numpy as np
 
 from . import config
-from .cayley import Graph
+from .cayley import Bracket, Coloring, Graph, VertexSet
 from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group, materialized_order
 from .primes import is_prime
@@ -172,7 +172,9 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
 
     The graph is vertex-transitive: a permutation of the ground set applied
     to every part preserves the unions and intersections the cascades test,
-    and the symmetric group is transitive on the vertices.
+    and the symmetric group is transitive on the vertices.  A classical
+    graph (m = 1) also carries the bracket its theorems close
+    (`_classical_bracket`).
     """
     verts = kneser_vertices(params)
     n = len(verts)
@@ -192,7 +194,27 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
         # the column of an adjacent pair is its flat index less its row's offset
         cols.append(np.flatnonzero(adjacent) - np.repeat(np.arange(0, adjacent.size, n), lens[-1]))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(lens))))
-    return verts, Graph(n, indptr, np.concatenate(cols), vertex_transitive=True)
+    bracket = _classical_bracket(params, verts) if params.classical else None
+    return verts, Graph(n, indptr, np.concatenate(cols), vertex_transitive=True, bracket=bracket)
+
+
+def _classical_bracket(params: KneserParams, verts: list[KneserVertex]) -> Bracket:
+    """chi and alpha of KG(n, k), both closed by theorems.
+
+    Lovasz (1978): chi >= n - 2k + 2.  The coloring meets it: S takes color
+    min(S) when min(S) <= n - 2k and color n - 2k + 1 otherwise; the sets of
+    that last class lie in the 2k - 1 points above n - 2k, so any two meet.
+    Erdos-Ko-Rado (1961): alpha = C(n-1, k-1) for n >= 2k, which every
+    feasible classical graph has; the star {S : 0 in S} meets it.
+    """
+    n, k = params.n, params.k
+    mins = np.array([v.parts[0][0] for v in verts])
+    return Bracket(
+        chi_lower=n - 2 * k + 2, chi_lower_proof="lovasz-1978",
+        coloring=Coloring(tuple(np.minimum(mins, n - 2 * k + 1).tolist())),
+        coloring_proof="kneser-min-coloring",
+        independent=VertexSet(tuple(np.flatnonzero(mins == 0).tolist())),
+        alpha_upper=math.comb(n - 1, k - 1), alpha_upper_proof="ekr-1961")
 
 
 def chi_lower_bound(params: KneserParams) -> Fraction:

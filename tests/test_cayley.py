@@ -9,6 +9,7 @@ import pytest
 
 from chroma import cayley, config, kneser
 from chroma.cayley import (
+    Bracket,
     CayleyView,
     Coloring,
     Graph,
@@ -33,6 +34,11 @@ from chroma.equations import (
 from chroma.exact import Surd
 from chroma.groups import ElementSet, make_group
 from chroma.kneser import HammingBallSet, KneserParams, build_graph, kneser_vertices
+
+
+def bare(graph):
+    """The same CSR without the builder's bracket, so the solvers search."""
+    return Graph(graph.n, graph.indptr, graph.indices, vertex_transitive=True)
 
 
 def random_graph(rng, n, density):
@@ -222,7 +228,7 @@ _PINNED_CHI_SEARCH = {
                          ids=lambda p: "KN({},{},{})".format(*p))
 def test_chi_search_tree_is_pinned(params):
     nodes, digits = _PINNED_CHI_SEARCH[params]
-    _, graph = build_graph(KneserParams(*params))
+    graph = bare(build_graph(KneserParams(*params))[1])
     res = chromatic_number_exact(graph)
     assert (res.exact, res.proof, res.nodes) == (True, "exhausted-search", nodes)
     assert res.lower == res.upper == params[0] - 2 * params[1] + 2    # Lovasz
@@ -247,16 +253,85 @@ def test_greedy_bounds_on_a_large_circulant_builds_no_bitsets(monkeypatch):
 
 
 def test_chromatic_number_exact_builds_no_bitsets(monkeypatch):
-    # the chi search reads the neighbour rows only, solved or budget-bound
+    # the chi search reads the neighbour rows only, solved or budget-bound,
+    # and a theorem-closed graph is not searched at all
     def no_bitsets(*args):
         raise AssertionError("bitset rows built")
 
     monkeypatch.setattr(cayley, "_bitset_rows", no_bitsets)
     for params, budget in (((9, 3, 1), None), ((10, 2, 1), 0)):
-        _, graph = build_graph(KneserParams(*params))
+        graph = bare(build_graph(KneserParams(*params))[1])
         res = chromatic_number_exact(graph, budget_s=budget)
         assert res.exact == (budget is None)
         assert "masks" not in vars(graph)
+    _, graph = build_graph(KneserParams(10, 2, 1))
+    res = chromatic_number_exact(graph, budget_s=0)
+    assert (res.exact, res.nodes, res.proof, res.upper) == (True, 0, "lovasz-1978", 8)
+    assert "masks" not in vars(graph)
+
+
+def _with_bracket(graph, **changes):
+    """A bracket-free copy of graph carrying its bracket with some fields replaced."""
+    fields = {name: getattr(graph.bracket, name) for name in Bracket.__dataclass_fields__}
+    return Graph(graph.n, graph.indptr, graph.indices, vertex_transitive=True,
+                 bracket=Bracket(**{**fields, **changes}))
+
+
+def test_an_open_bracket_seeds_the_chi_search():
+    # KG(8, 3): clique 2 and DSATUR 5 colors; with Lovasz's 4 and a coloring
+    # that gives every vertex its own color, the search stops at 4 colors
+    _, graph = build_graph(KneserParams(8, 3, 1))
+    own = Coloring(tuple(range(graph.n)))
+    res = chromatic_number_exact(_with_bracket(graph, coloring=own))
+    assert (res.exact, res.upper, res.proof) == (True, 4, "lovasz-1978")
+    assert 0 < res.nodes < chromatic_number_exact(bare(graph)).nodes
+    res.coloring.validate(graph)
+    # a lower bound under the clique's leaves the search its own proof
+    res = chromatic_number_exact(_with_bracket(graph, coloring=own, chi_lower=1))
+    assert (res.exact, res.upper, res.proof) == (True, 4, "exhausted-search")
+    # the better of the DSATUR and the attached colorings seeds the search
+    res = chromatic_number_exact(_with_bracket(graph, chi_lower=1), budget_s=0)
+    assert (res.exact, res.upper, res.proof) == (False, 4, "budget")
+
+
+def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
+    # the first seeded random graph on which the greedy set is not maximum;
+    # given alpha as an upper bound, the search stops when it reaches it
+    # instead of going on to exhaust the tree
+    rng = np.random.default_rng(0)
+    while True:
+        graph = random_graph(rng, 40, 0.3)
+        searched = independence_number_exact(graph)
+        if len(cayley._greedy_independent(graph)) < searched.independence_number:
+            break
+    alpha = searched.independence_number
+    assert searched.proof == "exhausted-search"
+    assert independence_number_exact(graph, budget_s=0).proof == "budget"
+    bracket = Bracket(1, "none", Coloring(tuple(range(graph.n))), "none",
+                      VertexSet((0,)), alpha, "given")
+    res = independence_number_exact(
+        Graph(graph.n, graph.indptr, graph.indices, bracket=bracket))
+    assert (res.exact, res.independence_number, res.proof) == (True, alpha, "given")
+    assert res.nodes < searched.nodes
+    res.vertex_set.validate_independent(graph)
+
+
+def test_attached_witnesses_are_rechecked():
+    _, graph = build_graph(KneserParams(5, 2, 1))
+    # vertices 0 = {0,1} and 7 = {2,3} are adjacent; swap 7's color onto 0's
+    colors = list(graph.bracket.coloring.colors)
+    colors[7] = colors[0]
+    with pytest.raises(ValueError, match="monochromatic"):
+        chromatic_number_exact(_with_bracket(graph, coloring=Coloring(tuple(colors))))
+    star = graph.bracket.independent.members
+    with pytest.raises(ValueError, match="adjacent"):
+        independence_number_exact(_with_bracket(graph, independent=VertexSet(star[:-1] + (7,))))
+    with pytest.raises(ValueError, match="listed twice"):
+        independence_number_exact(_with_bracket(graph, independent=VertexSet(star[:-1] + star[:1])))
+    with pytest.raises(ValueError, match="exceeds its upper bound"):
+        _with_bracket(graph, chi_lower=4)
+    with pytest.raises(ValueError, match="exceeds its upper bound"):
+        _with_bracket(graph, alpha_upper=3)
 
 
 def test_clique_validation_rejects_non_cliques(rng):
@@ -399,7 +474,7 @@ def test_zero_budget_is_spent_on_the_first_node():
     budget = _Budget(0.0)
     assert budget.tick()
     assert budget.exhausted and budget.nodes == 1
-    _, graph = build_graph(KneserParams(11, 2, 1))
+    graph = bare(build_graph(KneserParams(11, 2, 1))[1])
     res = chromatic_number_exact(graph, budget_s=0)
     assert not res.exact and res.proof == "budget"
     assert res.nodes == 1
@@ -429,7 +504,7 @@ def seed_spends_budget(monkeypatch):
 
 
 def test_budget_covers_the_greedy_seed(seed_spends_budget):
-    _, graph = build_graph(KneserParams(11, 2, 1))
+    graph = bare(build_graph(KneserParams(11, 2, 1))[1])
     res = chromatic_number_exact(graph, budget_s=1.0)
     assert not res.exact and res.proof == "budget"
     assert res.nodes == 1

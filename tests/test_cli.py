@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from chroma import config, constructions, graphio, kneser
+from chroma import cayley, config, constructions, graphio, kneser
 from chroma.cli import main
 from chroma.groups import ElementSet, make_group
 
@@ -59,6 +59,26 @@ def test_kneser_exact_chi(tmp_path, capsys):
     assert res["vertices"] == 10
     assert res["chi_exact"] is True
     assert res["chi"] == 3
+
+
+@pytest.mark.parametrize("command, cfg", [
+    # C(30, 3) = 4,060 vertices
+    ("kneser", {"n": 30, "k": 3, "m": 1, "action": "chi"}),
+    ("cayley", {"group": "Z(2003)", "connection": [1, 5], "action": "chi"}),
+    ("cayley", {"group": "Z(2003)", "connection": [1, 5], "action": "alpha"}),
+])
+def test_solver_cap_refuses_before_the_graph_is_built(tmp_path, capsys, monkeypatch,
+                                                      command, cfg):
+    def no_build(*args, **kwargs):
+        raise AssertionError("graph built before the exact-solver cap check")
+
+    monkeypatch.setattr(kneser, "build_graph", no_build)
+    monkeypatch.setattr(cayley.CayleyView, "to_graph", no_build)
+    code, rep, err = invoke(tmp_path, capsys, command, cfg)
+    assert code == 1 and rep is None
+    vertices = 4060 if command == "kneser" else 2003
+    assert err.strip() == (f"error: vertex count {vertices} exceeds the exact-solver "
+                           f"cap {config.EXACT_SOLVER_CAP}")
 
 
 def test_kneser_infeasible_params(tmp_path, capsys):

@@ -55,6 +55,7 @@ DEFAULTED = {
     ("cayley", "_clique_cover", "skip"),
     ("cayley", "independence_number_exact", "budget_s"),
     ("cayley", "__init__", "vertex_transitive"),
+    ("cayley", "__init__", "bracket"),
     ("cli", "_ListOf", "nonempty"),
     ("cli", "_Object", "required"),
     ("cli", "_Object", "exactly_one"),

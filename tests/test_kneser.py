@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chroma import config, kneser
-from chroma.cayley import chromatic_number_exact
+from chroma import cayley, config, kneser
+from chroma.cayley import Graph, chromatic_number_exact, independence_number_exact
+from chroma.graphio import read_dimacs, write_dimacs
 from chroma.exact import Surd
 from chroma.kneser import (
     HammingBallSet,
@@ -162,6 +163,79 @@ def test_classical_chromatic_identity_small():
     verts, graph = build_graph(KneserParams(6, 2, 1))
     res = chromatic_number_exact(graph)
     assert res.exact and res.lower == 6 - 2 * 2 + 2
+
+
+# test_01's instances, the pinned chi search trees' and a few more that the
+# bare-graph search closes in well under a second, chi and alpha both
+_SEARCHED = [(5, 2), (6, 2), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (9, 3), (10, 2), (13, 6)]
+
+
+@pytest.mark.parametrize("n, k", _SEARCHED, ids=lambda v: str(v))
+def test_theorem_bounds_equal_the_searched_values(n, k):
+    # Lovasz's chi and the Erdos-Ko-Rado alpha against a search on the same
+    # rows without the bracket; alpha(KG(13, 6)) stays open there, so only
+    # its bracket is checked, under a 0.5 s budget
+    _, graph = build_graph(KneserParams(n, k, 1))
+    bare = Graph(graph.n, graph.indptr, graph.indices, vertex_transitive=True)
+    chi = chromatic_number_exact(bare)
+    assert chi.exact and chi.proof == "exhausted-search"
+    assert chi.chromatic_number == graph.bracket.chi_lower == n - 2 * k + 2
+    ekr = graph.bracket.alpha_upper
+    assert ekr == math.comb(n - 1, k - 1) == graph.bracket.independent.size
+    if (n, k) == (13, 6):
+        alpha = independence_number_exact(bare, budget_s=0.5)
+        assert alpha.lower <= ekr <= alpha.upper
+    else:
+        alpha = independence_number_exact(bare)
+        assert alpha.exact and alpha.proof == "exhausted-search"
+        assert alpha.independence_number == ekr
+
+
+def test_only_classical_build_graph_carries_the_bracket(tmp_path):
+    _, graph = build_graph(KneserParams(7, 2, 1))
+    bracket = graph.bracket
+    assert (bracket.chi_lower, bracket.chi_lower_proof, bracket.coloring_proof) == (
+        5, "lovasz-1978", "kneser-min-coloring")
+    assert (bracket.alpha_upper, bracket.alpha_upper_proof) == (6, "ekr-1961")
+    assert bracket.coloring.num_colors == 5
+    for params in [(6, 2, 2), (7, 1, 3), (7, 2, 2)]:
+        assert build_graph(KneserParams(*params))[1].bracket is None
+    assert Graph.from_edges(graph.n, graph.edges()).bracket is None
+    path = tmp_path / "kg72.dimacs"
+    write_dimacs(graph, path)
+    back = read_dimacs(path)
+    assert back.bracket is None
+    assert np.array_equal(back.indices, graph.indices)
+
+
+def test_classical_graphs_close_without_search(monkeypatch):
+    # every classical KG(n, k) in test_02's range: no greedy bound, no search
+    # and no bitset rows, and validated witnesses of the theorems' values
+    def no_work(*args):
+        raise AssertionError("searched a theorem-closed graph")
+
+    for name in ("_bitset_rows", "greedy_clique", "dsatur_coloring", "_greedy_independent"):
+        monkeypatch.setattr(cayley, name, no_work)
+    closed = 0
+    for n in range(2, 16):
+        for k in range(1, n // 2 + 1):
+            params = KneserParams(n, k, 1)
+            if count_vertices(params) > config.EXACT_SOLVER_CAP:
+                continue
+            verts, graph = build_graph(params)
+            chi = chromatic_number_exact(graph, budget_s=0)
+            assert (chi.exact, chi.nodes, chi.proof) == (True, 0, "lovasz-1978")
+            assert chi.chromatic_number == chi.coloring.num_colors == n - 2 * k + 2
+            colors = np.array(chi.coloring.colors)
+            u, v = np.array(list(graph.edges())).reshape(-1, 2).T
+            assert not (colors[u] == colors[v]).any()
+            alpha = independence_number_exact(graph, budget_s=0)
+            assert (alpha.exact, alpha.nodes, alpha.proof) == (True, 0, "ekr-1961")
+            assert alpha.independence_number == math.comb(n - 1, k - 1)
+            assert all(0 in verts[v].parts[0] for v in alpha.vertex_set.members)
+            assert "masks" not in vars(graph)
+            closed += 1
+    assert closed == 50
 
 
 def test_embedding_coordinates():
