@@ -14,7 +14,9 @@ is MCS/BBMC maximum-clique search (Tomita-Seki 2003; San Segundo et al.
 2011) on the complement graph: a greedy clique cover of the candidates
 bounds each node, and the root cover bounds alpha when the budget runs out.
 Cayley graphs are vertex-transitive, so the independence search fixes
-vertex 0 there and the clique-coclique bound alpha * omega <= n applies.
+vertex 0 there and the clique-coclique bound alpha * omega <= n applies;
+on a graph built from its group it also drops the mirror image of each
+branch under x -> -x at the root and x -> v - x one level down.
 
 A graph may carry a `Bracket` of bounds its builder proved: today only the
 classical Kneser graphs, whose chi is Lovasz's n - 2k + 2 (`lovasz-1978`,
@@ -77,19 +79,28 @@ class Graph:
     Kneser graphs); the independence solver then fixes vertex 0.  `bracket`
     holds the bounds on chi and alpha a builder proved for this graph (only
     `kneser.build_graph` sets it); graphs read from edges never carry one.
+
+    `group` says that vertex i is the element with index i of that group and
+    the graph is Cay(group, S) with S = -S.  Only `CayleyView.to_graph` sets
+    it; it implies `vertex_transitive`.  Then x -> -x and, for each v,
+    x -> v - x are automorphisms (y - x in S iff x - y in S), and the
+    independence solver drops the mirror image of each branch under them.
     """
 
     def __init__(self, n: int, indptr, indices, vertex_transitive: bool = False,
-                 bracket: Bracket | None = None):
+                 bracket: Bracket | None = None, group: GroupSpec | None = None):
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int32)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError("row pointers do not match the vertex count and neighbour array")
+        if group is not None and group.order != n:
+            raise ValueError(f"group of order {group.order} on {n} vertices")
         self.n = n
         self.indptr = indptr
         self.indices = indices
-        self.vertex_transitive = vertex_transitive
+        self.vertex_transitive = vertex_transitive or group is not None
         self.bracket = bracket
+        self.group = group
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -292,7 +303,7 @@ class CayleyView:
             ts = g.coords_to_indices(g.indices_to_coords(vs)[:, None, :] + scoords)
             ts.sort(axis=1)
             indices[start * d:(start + vs.size) * d] = ts.ravel()
-        return Graph(n, np.arange(n + 1) * d, indices, vertex_transitive=True)
+        return Graph(n, np.arange(n + 1) * d, indices, group=g)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +655,24 @@ def independence_number_exact(graph: Graph,
     with every vertex.  Either way the root's candidates are renumbered by
     ascending (degree among the candidates, index) before the search.
 
+    On a graph that carries its `group` (Cay(G, S), S = -S) two reflections
+    prune the top of the tree; the branch loop skips dropped candidates.
+    - At the root {0}, once the branch on v returns, -v is dropped too:
+      nu: x -> -x is an automorphism fixing 0.
+    - Inside the branch on v, once its branch on w returns, v - w is dropped
+      too: sigma_v: x -> v - x is an automorphism swapping 0 and v.
+    Each rule drops a set closed under its map, so the search stays exact.
+    Call a root candidate removed once it was branched on or dropped.  At
+    the root, let I hold 0 and meet a removed vertex, {v_j, -v_j} being the
+    first pair it meets: I or -I holds {0, v_j} and avoids the earlier
+    pairs, so the branch on v_j covered a set of |I| vertices.  Inside the
+    branch on v, let I hold {0, v} and meet a removed vertex, {w_j, v - w_j}
+    being the first pair: I or sigma_v(I) holds {0, v, w_j} and avoids the
+    earlier pairs, so the branch on w_j covered it, unless that set meets a
+    vertex the root removed before v; an earlier root branch covered it
+    then (induction on the root branch index).  What is left of a node's
+    candidates is a subset of its precomputed cover, which still bounds it.
+
     When the graph carries a closed `Bracket` (its independent set meets its
     upper bound, as the Erdos-Ko-Rado star does on a classical Kneser graph)
     the validated set is returned with the bracket's proof and nothing is
@@ -677,8 +706,18 @@ def independence_number_exact(graph: Graph,
     cands = np.setdiff1d(np.arange(n), root + graph.neighbors(0)) if root else np.arange(n)
     order = cands[np.argsort(np.diff(_induced(graph, cands)[0]), kind="stable")]
     masks = _bitset_rows(*_induced(graph, order), order.size)
+    group = graph.group
+    if group is not None:
+        local = np.full(n, -1, dtype=np.int64)
+        local[order] = np.arange(order.size)
+        coords = group.indices_to_coords(order)
 
-    def search(cand: int, cur: int, cur_size: int, cover: list[tuple[int, int]]) -> None:
+        def reflect(x) -> list[int]:
+            """Local number of x - w for each candidate w, x in coordinates."""
+            return local[group.coords_to_indices(x - coords)].tolist()
+
+    def search(cand: int, cur: int, cur_size: int, cover: list[tuple[int, int]],
+               mirror: list[int] | None) -> None:
         nonlocal best, best_found
         if budget.tick():
             return
@@ -690,19 +729,24 @@ def independence_number_exact(graph: Graph,
         for v, bound in reversed(cover):
             if cur_size + bound <= best:
                 return
+            if mirror is not None and not cand >> v & 1:
+                continue            # dropped as the mirror image of an earlier branch
             cand ^= 1 << v
             child = cand & ~masks[v]
             # classes at or below best - cur_size - 1 can never be branched on
             search(child, cur | 1 << v, cur_size + 1,
-                   _clique_cover(masks, child, best - cur_size - 1))
+                   _clique_cover(masks, child, best - cur_size - 1),
+                   reflect(coords[v]) if mirror is not None and not cur else None)
             if budget.exhausted or best >= ceiling:
                 return
+            if mirror is not None:
+                cand &= ~(1 << mirror[v])
 
     full = (1 << order.size) - 1
     root_cover = _clique_cover(masks, full)
     if best < ceiling:
         with _search_stack(order.size):
-            search(full, 0, len(root), root_cover)
+            search(full, 0, len(root), root_cover, None if group is None else reflect(0))
 
     if best_found is not None:
         seed = root + [int(v) for i, v in enumerate(order) if best_found >> i & 1]

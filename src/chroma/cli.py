@@ -231,7 +231,7 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         out["clique"] = list(gb.clique)
     elif action == "chi":
         res = cayley_mod.chromatic_number_exact(graph, budget_s=budget)
-        out.update(_chi_report(res), search_nodes=res.nodes)
+        out.update(_chi_report(res), search_nodes=res.nodes, proof=res.proof)
     elif action == "alpha":
         res = cayley_mod.independence_number_exact(graph, budget_s=budget)
         out["alpha_lower"] = res.lower
@@ -240,6 +240,7 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         if res.exact:
             out["alpha"] = res.lower
         out["search_nodes"] = res.nodes
+        out["proof"] = res.proof
     elif action == "export":
         if "dimacs" not in cfg and "cnf" not in cfg:
             raise CliError("export action needs 'dimacs' and/or 'cnf' paths")

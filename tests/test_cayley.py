@@ -185,6 +185,80 @@ def test_alpha_budget_takes_the_clique_coclique_bound():
     res.vertex_set.validate_independent(graph)
 
 
+def brute_alpha(graph):
+    """Largest independent set by enumerating every independent set."""
+    nbrs = [sum(1 << u for u in graph.neighbors(v)) for v in range(graph.n)]
+
+    def grow(v, allowed):
+        if v == graph.n:
+            return 0
+        skip = grow(v + 1, allowed)
+        return max(skip, 1 + grow(v + 1, allowed & ~nbrs[v])) if allowed >> v & 1 else skip
+
+    return grow(0, (1 << graph.n) - 1)
+
+
+def _seeded_cayley_graphs():
+    """(moduli, members) of 120 Cayley graphs: prime and composite Z_n,
+    Z_a x Z_b, Z_2^5 and Z_3^3, each with one to n / 4 seeded elements."""
+    rng = np.random.default_rng(20261019)
+    groups = [(n,) for n in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)]
+    groups += [(n,) for n in (6, 8, 9, 10, 12, 14, 15, 16, 18, 20, 21, 24, 27, 30, 32, 36)]
+    groups += [(2, 4), (2, 6), (3, 3), (4, 4), (3, 5), (2, 8), (4, 6), (5, 5), (3, 9)]
+    groups += [(2,) * 5, (3,) * 3]
+    out = []
+    while len(out) < 120:
+        moduli = groups[len(out) % len(groups)]
+        order = int(np.prod(moduli))
+        size = int(rng.integers(1, order // 4 + 1))
+        out.append((moduli, sorted({int(x) for x in rng.integers(1, order, size)})))
+    return out
+
+
+_SEEDED_CAYLEY = _seeded_cayley_graphs()
+
+
+def test_reflections_keep_alpha_on_seeded_cayley_graphs():
+    # a bare copy of the CSR carries no group: it searches from nothing, with
+    # neither vertex 0 fixed nor any reflection
+    for moduli, members in _SEEDED_CAYLEY:
+        graph = _cayley_graph(moduli, members)
+        got = independence_number_exact(graph)
+        want = independence_number_exact(Graph(graph.n, graph.indptr, graph.indices))
+        assert got.exact and want.exact
+        assert got.lower == want.lower, (moduli, members)
+        got.vertex_set.validate_independent(graph)
+        assert got.vertex_set.size == got.lower
+
+
+def test_reflections_match_brute_force_on_small_cayley_graphs():
+    small = [(moduli, members) for moduli, members in _SEEDED_CAYLEY if np.prod(moduli) <= 16]
+    assert len(small) >= 50
+    for moduli, members in small:
+        graph = _cayley_graph(moduli, members)
+        assert independence_number_exact(graph).lower == brute_alpha(graph), (moduli, members)
+
+
+def test_reflections_cut_the_alpha_search_on_z127():
+    # Cay(Z_127, +-{1,5,11,20,27,40}): 19,506 nodes with vertex 0 fixed alone
+    graph = _cayley_graph((127,), [1, 5, 11, 20, 27, 40])
+    fixed = independence_number_exact(Graph(graph.n, graph.indptr, graph.indices,
+                                            vertex_transitive=True))
+    res = independence_number_exact(graph)
+    assert (fixed.lower, fixed.nodes) == (38, 19506)
+    assert (res.lower, res.exact, res.proof, res.nodes) == (38, True, "exhausted-search", 6469)
+
+
+def test_budget_bound_alpha_on_z131_brackets_the_truth():
+    # alpha(Cay(Z_131, +-{1,5,11,20,27,40})) = 34 takes about 1 s to close
+    graph = _cayley_graph((131,), [1, 5, 11, 20, 27, 40])
+    res = independence_number_exact(graph, budget_s=0.2)
+    assert res.lower <= 34 <= res.upper
+    assert res.proof == ("exhausted-search" if res.exact else "budget")
+    res.vertex_set.validate_independent(graph)
+    assert res.vertex_set.size == res.lower
+
+
 # KN(n, k, 1) -> (search nodes, coloring with one digit per vertex).  Any
 # change to the branching vertex or its tie-breaks changes one of them.
 _PINNED_CHI_SEARCH = {

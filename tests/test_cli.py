@@ -102,6 +102,24 @@ def test_cayley_exact_chi_and_alpha(tmp_path, capsys):
     assert rep["results"]["search_nodes"] >= 1
 
 
+@pytest.mark.parametrize("action, connection, budget, proof", [
+    ("chi", [1, 5], None, "exhausted-search"),
+    ("chi", [1, 2, 3, 4, 5, 6], None, "clique-meets-coloring"),     # K_13
+    ("chi", [1, 5], "0s", "budget"),
+    ("alpha", [1, 5], None, "exhausted-search"),
+    ("alpha", [1, 5], "0s", "budget"),
+])
+def test_cayley_reports_the_proof(tmp_path, capsys, action, connection, budget, proof):
+    cfg = {"group": "Z(13)", "connection": connection, "action": action}
+    if budget is not None:
+        cfg["budget"] = budget
+    code, rep, _ = invoke(tmp_path, capsys, "cayley", cfg)
+    assert code == 0
+    res = rep["results"]
+    assert res["proof"] == proof
+    assert res[f"{action}_exact"] is (proof != "budget")
+
+
 def test_cayley_alpha_budget_reports_the_cover_bound(tmp_path, capsys):
     # Cay(Z_127, +-{1,5,11,20,27,40}) stays open at a zero budget; the root
     # clique cover still bounds alpha well below the vertex count

@@ -56,6 +56,7 @@ DEFAULTED = {
     ("cayley", "independence_number_exact", "budget_s"),
     ("cayley", "__init__", "vertex_transitive"),
     ("cayley", "__init__", "bracket"),
+    ("cayley", "__init__", "group"),
     ("cli", "_ListOf", "nonempty"),
     ("cli", "_Object", "required"),
     ("cli", "_Object", "exactly_one"),

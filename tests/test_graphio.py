@@ -112,6 +112,20 @@ def test_only_builders_that_know_it_flag_vertex_transitivity(tmp_path):
     assert not read_dimacs(path).vertex_transitive
 
 
+def test_only_cayley_views_carry_their_group(tmp_path):
+    # the alpha search's reflections read the group; no other builder knows one
+    group = make_group([5])
+    assert _cayley((5,), [1]).group == group
+    cycle = Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+    path = tmp_path / "c5.dimacs"
+    write_dimacs(cycle, path)
+    for params in ((5, 2, 1), (6, 1, 2)):
+        assert build_graph(KneserParams(*params))[1].group is None
+    assert cycle.group is None and read_dimacs(path).group is None
+    with pytest.raises(ValueError, match="order 5 on 6 vertices"):
+        Graph(6, np.zeros(7, dtype=np.int64), [], group=group)
+
+
 def test_from_edges_merges_repeats_and_rejects_bad_edges():
     graph = Graph.from_edges(4, [(2, 0), (0, 2), (3, 1), (0, 2)])
     assert list(graph.edges()) == [(0, 2), (1, 3)]
