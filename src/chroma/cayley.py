@@ -4,8 +4,10 @@ Cay(G, A) has the group elements as vertices and an edge {u, v} whenever
 v - u lies in the symmetrized connection set A u (-A) minus the identity.
 Graphs up to the adjacency cap are materialized as sorted CSR neighbour rows
 (int32), row v being v + (A u -A); the greedy bounds, the validators and
-DIMACS I/O run on those.  The branch-and-bound solvers work on bitset rows
-(Python ints), which a graph builds from its CSR rows only when first asked.
+DIMACS I/O run on those.  The chromatic search reads neighbour lists; the
+independence search builds bitset rows (Python ints) of the subgraph it
+searches.  Only the alpha seed and budget-time cover read `Graph.masks`,
+the whole graph's bitset rows, which a graph builds when first asked.
 
 The chromatic solver is DSATUR branch and bound (Brelaz 1979) seeded with a
 greedy clique; it finds each node's branching vertex in per-saturation
@@ -70,9 +72,10 @@ class Graph:
 
     Row v is `indices[indptr[v]:indptr[v + 1]]`: the neighbours of v as
     ascending int32.  This is the graph's one representation; the builders,
-    greedy bounds, validators and DIMACS I/O all read it.  The exact solvers
-    need n-bit adjacency rows (Python ints); `masks` builds them from the CSR
-    rows on first use and keeps them.
+    greedy bounds, validators and DIMACS I/O all read it.  `masks` builds
+    n-bit adjacency rows (Python ints) from the CSR rows on first use and
+    keeps them; only the independence solver's greedy seed and its
+    budget-time clique cover read them.
 
     `vertex_transitive` says that the automorphism group is transitive on
     the vertices.  Only builders that know it set it (Cayley views and
@@ -425,11 +428,14 @@ class ChromaticResult:
     lower: int
     upper: int
     coloring: Coloring
-    exact: bool
     nodes: int
     # when exact: "clique-meets-coloring", "exhausted-search", or the graph's
     # bracket's lower-bound proof ("lovasz-1978"); else "budget"
     proof: str
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def chromatic_number(self) -> int:
@@ -455,16 +461,16 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     the DSATUR and the bracket's colorings.
 
     Within budget the result is exact (lower == upper) and carries a validated
-    Coloring plus an exhausted-search proof for upper-1 colors.  On budget
-    exhaustion a bracket [lower, upper] with the best coloring found is
-    returned instead, flagged exact=False.
+    Coloring plus an exhausted-search proof for upper-1 colors.  When the
+    budget runs out before lower meets upper, the open bracket with the best
+    coloring found is returned instead; `exact` reads lower == upper.
     """
     n = graph.n
     check_exact_solver_cap(n)
     bracket = graph.bracket
     if bracket is not None and bracket.chi_lower == bracket.coloring.num_colors:
         bracket.coloring.validate(graph)
-        return ChromaticResult(bracket.chi_lower, bracket.chi_lower, bracket.coloring, True, 0,
+        return ChromaticResult(bracket.chi_lower, bracket.chi_lower, bracket.coloring, 0,
                                bracket.chi_lower_proof)
 
     budget = _Budget(budget_s)
@@ -550,9 +556,9 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     coloring = Coloring(tuple(best_colors))
     coloring.validate(graph)
     if budget.exhausted and lb < best:
-        return ChromaticResult(lb, best, coloring, False, budget.nodes, "budget")
+        return ChromaticResult(lb, best, coloring, budget.nodes, "budget")
     proof = lower_proof if lb >= best else "exhausted-search"
-    return ChromaticResult(best, best, coloring, True, budget.nodes, proof)
+    return ChromaticResult(best, best, coloring, budget.nodes, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +571,15 @@ class IndependenceResult:
     lower: int
     upper: int
     vertex_set: VertexSet
-    exact: bool
     nodes: int
-    # when exact: "exhausted-search" or the graph's bracket's upper-bound
-    # proof ("ekr-1961"); else "budget"
+    # when exact: "exhausted-search", the graph's bracket's upper-bound proof
+    # ("ekr-1961"), or the bound that met the best set when the budget ran
+    # out ("clique-cover", "clique-coclique"); else "budget"
     proof: str
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def independence_number(self) -> int:
@@ -682,7 +692,10 @@ def independence_number_exact(graph: Graph,
     On budget exhaustion the bracket's upper end is the smallest of the
     clique cover of G, the root's size plus the cover of its candidates,
     the graph's bracket's upper bound, and, on a vertex-transitive graph,
-    n // omega for the greedy clique (alpha * omega <= n there).
+    n // omega for the greedy clique (alpha * omega <= n there).  When that
+    end meets the best set found, the result is exact and names the bound
+    that closed it: `clique-cover` for either cover, `clique-coclique` for
+    n // omega.
     """
     n = graph.n
     check_exact_solver_cap(n)
@@ -690,9 +703,9 @@ def independence_number_exact(graph: Graph,
     if bracket is not None and bracket.independent.size == bracket.alpha_upper:
         bracket.independent.validate_independent(graph)
         return IndependenceResult(bracket.alpha_upper, bracket.alpha_upper,
-                                  bracket.independent, True, 0, bracket.alpha_upper_proof)
+                                  bracket.independent, 0, bracket.alpha_upper_proof)
     if n == 0:
-        return IndependenceResult(0, 0, VertexSet(()), True, 0, "exhausted-search")
+        return IndependenceResult(0, 0, VertexSet(()), 0, "exhausted-search")
 
     budget = _Budget(budget_s)
     seed = _greedy_independent(graph)
@@ -753,11 +766,12 @@ def independence_number_exact(graph: Graph,
     vs = VertexSet(tuple(sorted(seed)))
     vs.validate_independent(graph)
     if best >= ceiling:
-        return IndependenceResult(best, best, vs, True, budget.nodes, bracket.alpha_upper_proof)
+        return IndependenceResult(best, best, vs, budget.nodes, bracket.alpha_upper_proof)
     if not budget.exhausted:
-        return IndependenceResult(best, best, vs, True, budget.nodes, "exhausted-search")
-    upper = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
-                len(root) + _cover_size(root_cover), ceiling)
-    if graph.vertex_transitive:
-        upper = min(upper, n // len(greedy_clique(graph)))
-    return IndependenceResult(best, upper, vs, False, budget.nodes, "budget")
+        return IndependenceResult(best, best, vs, budget.nodes, "exhausted-search")
+    upper, proof = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
+                       len(root) + _cover_size(root_cover), ceiling), "clique-cover"
+    if graph.vertex_transitive and (coclique := n // len(greedy_clique(graph))) < upper:
+        upper, proof = coclique, "clique-coclique"
+    # best < ceiling here, so a bound that meets best is a cover or n // omega
+    return IndependenceResult(best, upper, vs, budget.nodes, proof if upper == best else "budget")

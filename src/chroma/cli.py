@@ -214,6 +214,10 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
     action = cfg["action"]
     if action in ("chi", "alpha"):
         cayley_mod.check_exact_solver_cap(group.order)
+    if action == "export" and "dimacs" not in cfg and "cnf" not in cfg:
+        raise CliError("export action needs 'dimacs' and/or 'cnf' paths")
+    if "cnf" in cfg and cfg.get("cnf_colors", 0) < 1:
+        raise CliError("'cnf' export needs 'cnf_colors' >= 1")
     conn = ElementSet.from_indices(group, _connection_indices(group, cfg["connection"]))
     view = cayley_mod.CayleyView(group, conn)
     graph = view.to_graph()
@@ -241,21 +245,15 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
             out["alpha"] = res.lower
         out["search_nodes"] = res.nodes
         out["proof"] = res.proof
-    elif action == "export":
-        if "dimacs" not in cfg and "cnf" not in cfg:
-            raise CliError("export action needs 'dimacs' and/or 'cnf' paths")
     if "dimacs" in cfg:
         path = _cache_path(cfg["dimacs"])
         graphio.write_dimacs(graph, path)
         out["dimacs"] = path
     if "cnf" in cfg:
-        colors = cfg.get("cnf_colors")
-        if colors is None:
-            raise CliError("'cnf' export needs 'cnf_colors'")
         path = _cache_path(cfg["cnf"])
-        graphio.write_coloring_cnf(graph, colors, path)
+        graphio.write_coloring_cnf(graph, cfg["cnf_colors"], path)
         out["cnf"] = path
-        out["cnf_colors"] = colors
+        out["cnf_colors"] = cfg["cnf_colors"]
     return out, 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_, sub
 
@@ -90,12 +91,6 @@ class KneserVertex:
                 m |= 1 << j
             out.append(m)
         return tuple(out)
-
-    def support(self) -> int:
-        s = 0
-        for m in self.masks():
-            s |= m
-        return s
 
 
 def count_vertices(params: KneserParams) -> int:
@@ -256,34 +251,13 @@ def embed_vertex(v: KneserVertex, p: int, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EmbeddingEdgeCheck:
-    direction: str                 # "forward", "reverse", or "both"
-    distance: int                  # Hamming distance of the difference from all-ones
-    distance_bound: int            # p*n - p^2*k
-    within_bound: bool
-    within_ball: bool              # distance <= p*sqrt(n)
-    complement_overlap: int        # |A_0 and B_{p-1}|, expected == k
-    complement_overlap_ok: bool
-    min_part_overlap_ok: bool      # |A_i and B_{i-1}| >= (p+1)k - n for all i
-    ok: bool
+    within_bound: bool             # distance from all-ones <= p*n - p^2*k
+    within_ball: bool              # distance from all-ones <= p*sqrt(n)
+    overlaps_ok: bool              # |A_0 and B_{p-1}| = k, |A_i and B_{i-1}| >= (p+1)k - n
 
-
-def _difference_distance_from_ones(xa: tuple[int, ...], xb: tuple[int, ...], p: int) -> int:
-    return sum(1 for a, b in zip(xa, xb) if (a - b) % p != 1)
-
-
-def _claim_checks(a: KneserVertex, b: KneserVertex, p: int, n: int, k: int):
-    full = (1 << n) - 1
-    amasks, bmasks = a.masks(), b.masks()
-    a0 = full & ~a.support()
-    b0 = full & ~b.support()
-    comp_overlap = (a0 & bmasks[p - 2]).bit_count()
-    lo = (p + 1) * k - n
-    mins_ok = True
-    for i in range(1, p):          # part A_i against B_{i-1}
-        bi_prev = b0 if i == 1 else bmasks[i - 2]
-        if (amasks[i - 1] & bi_prev).bit_count() < lo:
-            mins_ok = False
-    return comp_overlap, mins_ok
+    @property
+    def ok(self) -> bool:
+        return self.within_bound and self.within_ball and self.overlaps_ok
 
 
 def check_embedding_edge(a: KneserVertex, b: KneserVertex, p: int, n: int,
@@ -291,47 +265,28 @@ def check_embedding_edge(a: KneserVertex, b: KneserVertex, p: int, n: int,
     """Verify that an edge's embedded difference sits near the all-ones vector.
 
     Orientation follows whichever adjacency cascade holds: for the forward
-    cascade the difference x_a - x_b is examined, for the reverse x_b - x_a.
-    Sub-checks: the complement of a meets the last part of b in exactly k
-    coordinates, and consecutive parts overlap at least (p+1)k - n.
+    cascade the difference x_a - x_b is examined, for the reverse x_b - x_a;
+    when both hold, each flag must hold for both.  The distance is read from
+    `HammingBallSet(p, n, p*sqrt(n))`.  Overlap claims, with part 0 the
+    complement of a vertex's support: the complement of a meets the last
+    part of b in exactly k coordinates, and consecutive parts overlap at
+    least (p+1)k - n.
     """
     fwd, rev = _cascades(a, b)
     if not (fwd or rev):
         raise ValueError("vertices are not adjacent")
-
-    oriented: list[tuple[str, KneserVertex, KneserVertex]] = []
-    if fwd:
-        oriented.append(("forward", a, b))
-    if rev:
-        oriented.append(("reverse", b, a))
-    results = []
-    for tag, va, vb in oriented:
-        xa = embed_vertex(va, p, n)
-        xb = embed_vertex(vb, p, n)
-        dist = _difference_distance_from_ones(xa, xb, p)
-        comp_overlap, mins_ok = _claim_checks(va, vb, p, n, k)
-        results.append((tag, dist, comp_overlap, mins_ok))
-
-    bound = p * n - p * p * k
-    ball = Surd.sqrt(p, n)
-    dist = max(r[1] for r in results)
-    comp_ok = all(r[2] == k for r in results)
-    mins_ok = all(r[3] for r in results)
-    within_bound = all(r[1] <= bound for r in results)
-    within_ball = all(ball >= r[1] for r in results)
-    direction = "both" if len(results) == 2 else results[0][0]
-    ok = within_bound and within_ball and comp_ok and mins_ok
-    return EmbeddingEdgeCheck(
-        direction=direction,
-        distance=dist,
-        distance_bound=bound,
-        within_bound=within_bound,
-        within_ball=within_ball,
-        complement_overlap=results[0][2],
-        complement_overlap_ok=comp_ok,
-        min_part_overlap_ok=mins_ok,
-        ok=ok,
-    )
+    ball = HammingBallSet(p, n, Surd.sqrt(p, n))
+    full, lo = (1 << n) - 1, (p + 1) * k - n
+    within_bound = within_ball = overlaps_ok = True
+    for va, vb in [(a, b)] * fwd + [(b, a)] * rev:
+        dist = ball.distance(np.subtract(embed_vertex(va, p, n), embed_vertex(vb, p, n)))
+        within_bound &= bool(dist <= p * n - p * p * k)
+        within_ball &= bool(dist <= ball.distance_cutoff())
+        amasks, bmasks = va.masks(), vb.masks()
+        a0, b0 = (full & ~reduce(or_, masks) for masks in (amasks, bmasks))
+        overlaps_ok &= (a0 & bmasks[-1]).bit_count() == k and all(
+            (x & y).bit_count() >= lo for x, y in zip(amasks, (b0, *bmasks)))
+    return EmbeddingEdgeCheck(within_bound, within_ball, overlaps_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +310,18 @@ class HammingBallSet:
         """Largest integer distance inside the ball (exact)."""
         return self.radius.floor()
 
+    def distance(self, coords):
+        """Hamming distance from all-ones: the coordinates (last axis) not 1 mod p."""
+        return (np.asarray(coords) % self.p != 1).sum(axis=-1)
+
     def contains_coords(self, coords) -> bool:
-        d = sum(1 for c in coords if c % self.p != 1)
-        return d <= self.distance_cutoff()
+        return bool(self.distance(coords) <= self.distance_cutoff())
 
     def to_element_set(self) -> ElementSet:
         group = self.group
         idx = np.arange(materialized_order(group), dtype=np.int64)
-        coords = group.indices_to_coords(idx)
-        dist = (coords != 1).sum(axis=1)
-        return ElementSet(group, dist <= self.distance_cutoff())
+        return ElementSet(group, self.distance(group.indices_to_coords(idx))
+                          <= self.distance_cutoff())
 
 
 def ones_weight(p: int, coords) -> Fraction:

@@ -127,6 +127,10 @@ def test_exact_chi_of_edgeless_graphs(n, chi):
     assert res.coloring.num_colors == chi
 
 
+# the bounds that can close an alpha bracket once the budget is spent
+_BUDGET_CLOSERS = ("clique-cover", "clique-coclique")
+
+
 def test_exact_alpha_matches_oracle_on_random_graphs(rng):
     for density in (0.2, 0.5, 0.8):
         for _ in range(6):
@@ -138,7 +142,8 @@ def test_exact_alpha_matches_oracle_on_random_graphs(rng):
             got.vertex_set.validate_independent(graph)
             assert got.vertex_set.size == want
             res = independence_number_exact(graph, budget_s=0)
-            assert not res.exact and res.nodes == 1
+            assert res.exact == (res.lower == res.upper) and res.nodes == 1
+            assert res.proof in (_BUDGET_CLOSERS if res.exact else ("budget",))
             assert res.lower <= want <= res.upper
 
 
@@ -155,7 +160,8 @@ def test_exact_alpha_matches_oracle_on_circulants(rng):
         assert got.vertex_set.size == want
         # a spent budget leaves the root clique cover as the upper end
         res = independence_number_exact(graph, budget_s=0)
-        assert not res.exact and res.nodes == 1
+        assert res.exact == (res.lower == res.upper) and res.nodes == 1
+        assert res.proof in (_BUDGET_CLOSERS if res.exact else ("budget",))
         assert res.lower <= want <= res.upper < n, (n, members)
         res.vertex_set.validate_independent(graph)
 
@@ -183,6 +189,14 @@ def test_alpha_budget_takes_the_clique_coclique_bound():
     assert not res.exact and res.nodes == 1
     assert res.lower <= 38 <= res.upper == 42
     res.vertex_set.validate_independent(graph)
+
+
+def test_alpha_budget_closed_by_the_clique_coclique_bound_is_exact():
+    # Cay(Z_13, +-{2}) is a 13-cycle: at a zero budget the greedy set of 6
+    # meets 13 // omega = 6, below both clique covers
+    res = independence_number_exact(_cayley_graph((13,), [2]), budget_s=0)
+    assert (res.lower, res.upper, res.exact, res.proof, res.nodes) == (6, 6, True, "clique-coclique", 1)
+    assert res.independence_number == 6
 
 
 def brute_alpha(graph):

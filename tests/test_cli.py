@@ -120,6 +120,21 @@ def test_cayley_reports_the_proof(tmp_path, capsys, action, connection, budget, 
     assert res[f"{action}_exact"] is (proof != "budget")
 
 
+def test_cayley_alpha_budget_closed_by_the_cover_is_exact(tmp_path, capsys):
+    # Cay(Z_6, {1}) is the 6-cycle: at a zero budget the greedy set of 3
+    # meets the clique cover, so the bracket [3, 3] is closed
+    view = cayley.CayleyView(make_group([6]), ElementSet.from_indices(make_group([6]), [1]))
+    res = cayley.independence_number_exact(view.to_graph(), budget_s=0)
+    assert (res.lower, res.upper, res.exact, res.proof) == (3, 3, True, "clique-cover")
+    assert res.independence_number == 3
+    code, rep, _ = invoke(tmp_path, capsys, "cayley",
+                          {"group": "Z(6)", "connection": [1], "action": "alpha", "budget": "0s"})
+    assert code == 0
+    res = rep["results"]
+    assert (res["alpha_lower"], res["alpha_upper"], res["alpha_exact"], res["alpha"]) == (3, 3, True, 3)
+    assert (res["proof"], res["search_nodes"]) == ("clique-cover", 1)
+
+
 def test_cayley_alpha_budget_reports_the_cover_bound(tmp_path, capsys):
     # Cay(Z_127, +-{1,5,11,20,27,40}) stays open at a zero budget; the root
     # clique cover still bounds alpha well below the vertex count
@@ -185,12 +200,32 @@ def test_cayley_export_files(tmp_path, capsys):
     assert rep["results"]["dimacs"] == str(dimacs)
 
 
-def test_cayley_export_needs_a_path(tmp_path, capsys):
+@pytest.fixture
+def no_cayley_graph(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("graph built before the config was checked")
+
+    monkeypatch.setattr(cayley.CayleyView, "to_graph", no_build)
+
+
+def test_cayley_export_needs_a_path(tmp_path, capsys, no_cayley_graph):
     code, _, err = invoke(tmp_path, capsys, "cayley",
                           {"group": "Z(5)", "connection": [1],
                            "action": "export"})
     assert code == 1
     assert "export" in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"action": "alpha", "cnf": "z131.cnf"},
+    {"action": "export", "cnf": "z131.cnf", "cnf_colors": 0},
+])
+def test_cayley_cnf_colors_are_checked_before_the_graph_is_built(tmp_path, capsys,
+                                                                 no_cayley_graph, fields):
+    code, rep, err = invoke(tmp_path, capsys, "cayley",
+                            {"group": "Z(131)", "connection": [1, 5, 11, 20, 27, 40], **fields})
+    assert code == 1 and rep is None
+    assert err.strip() == "error: 'cnf' export needs 'cnf_colors' >= 1"
 
 
 def test_construct_pinned_thresholds(tmp_path, capsys):

@@ -274,6 +274,37 @@ def test_embedded_edges_land_in_ball_small():
     assert checked > 0
 
 
+# Flags pinned to what the check reported before its fields were trimmed
+# (within_bound, within_ball, and complement_overlap_ok and min_part_overlap_ok).
+@pytest.mark.parametrize("a, b, p, n, k, flags", [
+    # an edge of KN(9, 3), checked at k, k + 1 and k - 1
+    (((0, 1, 2),), ((3, 4, 5),), 2, 9, 3, (True, True, True)),
+    (((0, 1, 2),), ((3, 4, 5),), 2, 9, 4, (False, True, False)),
+    (((0, 1, 2),), ((3, 4, 5),), 2, 9, 2, (True, True, False)),
+    # an edge of the (9, 2, 2) graph, checked at k, k + 1 and k - 1
+    (((0, 1), (2, 3)), ((2, 3), (4, 5)), 3, 9, 2, (True, True, True)),
+    (((0, 1), (2, 3)), ((2, 3), (4, 5)), 3, 9, 3, (False, True, False)),
+    (((0, 1), (2, 3)), ((2, 3), (4, 5)), 3, 9, 1, (True, True, False)),
+    # KN(20, 1): the difference of two singletons is 1 on 2 of the 20
+    # coordinates, 18 away from all-ones and outside the ball 2*sqrt(20)
+    (((0,),), ((1,),), 2, 20, 1, (True, False, True)),
+])
+def test_embedding_edge_flags(a, b, p, n, k, flags):
+    res = check_embedding_edge(KneserVertex(a), KneserVertex(b), p, n, k)
+    assert (res.within_bound, res.within_ball, res.overlaps_ok) == flags
+    assert res.ok == all(flags)
+
+
+def test_hamming_ball_distance_reduces_mod_p():
+    ball = HammingBallSet(3, 4, Surd.rational(1))
+    # 4, -2 and 7 are 1 mod 3; 3, 0, 2, 5 and -1 are not
+    assert ball.distance((4, -2, 7, 3)) == 1
+    rows = np.array([[4, -2, 7, 3], [1, 1, 1, 1], [0, 2, 5, -1]])
+    assert ball.distance(rows).tolist() == [1, 0, 4]
+    assert ball.contains_coords((4, -2, 7, 3))
+    assert not ball.contains_coords((0, 2, 5, -1))
+
+
 def test_ones_weight_values():
     assert ones_weight(5, (0, 0, 0)) == 0
     assert ones_weight(5, (1,)) == 1
