@@ -5,7 +5,10 @@ whether a subset of a cyclic group is free of injective solutions (one scan
 over x1..x_{k-1} for every k, meet-in-the-middle for k = 4), and counts
 solutions two independent ways: exact brute-force convolution (one
 shift-and-add kernel for every brute count, plain or injective) and a
-Fourier-analytic counter (the two are cross-checked in the test suite).
+Fourier counter over F_p (the two are cross-checked in the test suite).
+The Fourier counter is exact too: it convolves through power-of-two real
+FFTs and rounds a product only under Percival's error bound on centred
+operands, splitting them into limbs where the bound fails.
 
 The k = 4 meet-in-the-middle joins ordered pairs through p-byte membership
 bitmaps of the pair sums: a set whose left pairs want no right sum is free
@@ -25,10 +28,13 @@ could pass int64.
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -469,20 +475,25 @@ def _conv_count_table(group: GroupSpec, terms: Sequence[tuple[int, np.ndarray]],
     exact in int64; with dtype bool it marks the sumset c_1*X_1 + ... +
     c_k*X_k instead (+= on bools is a logical or).  Each element shifts the
     whole table once, so the sum of |X_i| * order is checked against
-    `config.SHIFT_ENTRY_CAP` before anything is allocated.
+    `config.SHIFT_ENTRY_CAP` before anything is allocated.  A shift by s
+    along an axis of length n moves [0, n - s) to [s, n) and [n - s, n) to
+    [0, s), so one element is 2^rank slice-adds into the next table.
     """
     work = group.order * sum(len(idx) for _, idx in terms)
     if work > config.SHIFT_ENTRY_CAP:
         raise ValueError(f"shift-and-add work of {work} entries exceeds the cap "
                          f"{config.SHIFT_ENTRY_CAP}")
     shape = group.moduli
-    axes = tuple(range(len(shape)))
     acc = np.zeros(shape, dtype=dtype)
     acc.flat[0] = 1
     for c, idx in terms:
         nxt = np.zeros_like(acc)
-        for a in group.indices_to_coords(idx):
-            nxt += np.roll(acc, tuple(int(c * ai % ni) for ai, ni in zip(a, shape)), axis=axes)
+        for a in group.indices_to_coords(idx).tolist():
+            ranges = [((slice(s, n), slice(0, n - s)), (slice(0, s), slice(n - s, n)))
+                      for s, n in ((c * ai % ni, ni) for ai, ni in zip(a, shape))]
+            for parts in itertools.product(*ranges):
+                dst, src = zip(*parts)
+                nxt[dst] += acc[src]
         acc = nxt
     return acc.reshape(group.order)
 
@@ -561,35 +572,164 @@ def prime_field_order(group: GroupSpec) -> int:
     return p
 
 
-def _dft_product(eq: Equation, A: ElementSet) -> tuple[int, np.ndarray]:
+# Percival (Math. Comp. 72, 2003; Brent & Zimmermann, Modern Computer Arithmetic,
+# 2010, sec. 3.3): a float64 product of vectors x and y through
+# transforms of length L = 2^n is off from x*y by at most eta(L)*|x|_2*|y|_2 in the
+# Euclidean norm, so in every entry.  A product is rounded only when that bound is
+# at most _ROUND_MARGIN, half of the 1/2 that rounding needs.
+_ROUND_MARGIN = 0.25
+_EPS = Fraction(1, 1 << 53)            # unit roundoff of float64
+_TWIDDLE_ERR = Fraction(1, 1 << 52)    # beta: assumed error of numpy's twiddle factors
+_SQRT5_UP = Fraction(2237, 1000)       # > sqrt(5)
+
+
+@functools.lru_cache(maxsize=None)
+def _fft_error(L: int) -> float:
+    """eta(L) = (1+eps)^3n (1+eps*sqrt5)^(3n+1) (1+beta)^3n - 1, n = log2 L, rounded up."""
+    n = L.bit_length() - 1
+    eta = ((1 + _EPS) ** (3 * n) * (1 + _EPS * _SQRT5_UP) ** (3 * n + 1)
+           * (1 + _TWIDDLE_ERR) ** (3 * n) - 1)
+    return math.nextafter(float(eta), math.inf)
+
+
+def _norm2(limb: np.ndarray) -> float:
+    # a float64 sum of n rounded squares, in any order, is within (n + 2) * 2^-53 of
+    # its value (relative); (n + 8) * 2^-52 also covers the few float operations of
+    # the bound test
+    f = limb.astype(np.float64)
+    return float(f @ f) * (1 + (f.size + 8) * 2.0 ** -52)
+
+
+def _limbs(d: np.ndarray, b: int) -> list[tuple[int, np.ndarray, float]]:
+    """Nonzero limbs (i, limb, upper bound on |limb|_2^2) of d = sum 2^(b*i) limb_i.
+
+    Each limb holds b bits of |d| with the sign of d; d itself is the one limb
+    when |d| fits b bits.
+    """
+    mag = np.abs(d)
+    top = int(mag.max()).bit_length()
+    if top <= b:
+        parts = [(0, d)]
+    else:
+        sign = np.sign(d)
+        parts = [(i, sign * ((mag >> (b * i)) & ((1 << b) - 1))) for i in range(-(-top // b))]
+    return [(i, limb, _norm2(limb)) for i, limb in parts if limb.any()]
+
+
+def _spectrum(limb: np.ndarray, L: int) -> np.ndarray:
+    # rfft pads to length L in its own row buffer: no length-L float array is built
+    return np.fft.rfft(limb.astype(np.float64), L)
+
+
+def _centred(t: np.ndarray, p: int) -> tuple[int, int, np.ndarray]:
+    """(mu, sum(t - mu), t - mu) with mu = round(sum(t) / p), all in integers."""
+    s = int(t.sum())
+    mu = (2 * s + p) // (2 * p)
+    return mu, s - p * mu, t - mu
+
+
+def _cyclic_product(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Exact x * y over Z_p for nonnegative integer tables (y may be x itself).
+
+    With x = mx + dx and y = my + dy centred by their integer means, x * y =
+    p*mx*my + mx*sum(dy) + my*sum(dx) + dx * dy; only dx * dy goes through
+    floats, as a linear convolution at the power of two L >= 2p - 1, whose
+    entries y and y + p fold onto y.  It is rounded once eta(L)*|dx|*|dy| <=
+    1/4 for the widest limbs: dx and dy are cut into b-bit limbs, b falling,
+    until that holds (it does at b = 1 for p <= 1/(4 eta)), and each pair of
+    limbs is one rounded product.  Entries add up mod 2^64, which gives the
+    result wherever it fits int64.
+    """
+    L = 1 << (2 * p - 2).bit_length()
+    eta = _fft_error(L)
+    same = y is x
+    ops = [_centred(x, p)] if same else [_centred(x, p), _centred(y, p)]
+    (mx, sx, _), (my, sy, _) = ops[0], ops[-1]
+    out = np.full(p, (p * mx * my + mx * sy + my * sx) % (1 << 64), dtype=np.uint64)
+    bits = max(1, *(int(np.abs(d).max()).bit_length() for *_, d in ops))
+    for b in sorted({-(-bits // m) for m in range(1, bits + 1)}, reverse=True):
+        split = [_limbs(d, b) for *_, d in ops]
+        widest = [max((n2 for *_, n2 in limbs), default=0.0) for limbs in split]
+        if eta * eta * widest[0] * widest[-1] <= _ROUND_MARGIN ** 2:
+            break
+    else:
+        raise AssertionError(f"no limb width bounds the float error at p = {p}")
+    del ops
+    xs = [(i, _spectrum(limb, L)) for i, limb, _ in split[0]]
+    ys = xs if same else [(j, _spectrum(limb, L)) for j, limb, _ in split[-1]]
+    del split
+    while xs:
+        i, fx = xs.pop()
+        row = [(i, fx), *xs] if same else list(ys)
+        if not xs and not same:
+            ys.clear()
+        while row:
+            j, fy = row.pop()
+            # the last pair of the row is the last use of fx: multiply in place
+            prod = np.multiply(fx, fy, out=fx if not row else None)
+            del fy
+            w = np.fft.irfft(prod, L)
+            del prod
+            np.rint(w, out=w)
+            t = w[:p].astype(np.int64)
+            t[:p - 1] += w[p:2 * p - 1].astype(np.int64)
+            del w
+            t = t.view(np.uint64)
+            scale = (2 if same and j != i else 1) << (b * (i + j))
+            if scale != 1:
+                t *= np.uint64(scale % (1 << 64))
+            out += t
+        del fx
+    return out.view(np.int64)
+
+
+def _product_table(coeffs: tuple[int, ...], idx: np.ndarray, p: int) -> np.ndarray:
+    """Count table of sum c*x_i over the residues c, each x_i in the indices idx.
+
+    A repeated residue is squared: the table of 2H + R is the square of H's
+    table times R's, and R's distinct residues split in halves; a leaf is the
+    indicator of c*A.
+    """
+    if len(coeffs) == 1:
+        leaf = np.zeros(p, dtype=np.int8)
+        leaf[coeffs[0] * idx % p] = 1
+        return leaf
+    counts = Counter(coeffs)
+    half = tuple(c for c, n in counts.items() for _ in range(n // 2))
+    rest = tuple(c for c, n in counts.items() if n % 2)
+    if not half:
+        mid = len(rest) // 2
+        return _cyclic_product(_product_table(rest[:mid], idx, p),
+                               _product_table(rest[mid:], idx, p), p)
+    h = _product_table(half, idx, p)
+    sq = _cyclic_product(h, h, p)
+    del h
+    return _cyclic_product(sq, _product_table(rest, idx, p), p) if rest else sq
+
+
+def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
+    """All-targets solution count over F_p by exact Fourier convolution.
+
+    Entry y counts the tuples of A^k with sum c_i*x_i = y mod p.  The table
+    is a tree of cyclic convolutions over Z_p, one leaf 1_{cA} per distinct
+    c mod p, each product taken through numpy's real FFT at a power-of-two
+    length L >= 2p - 1 and rounded only under Percival's bound
+    eta(L)*|dx|_2*|dy|_2 <= 1/4 on the centred operands, with eta(L) =
+    (1+eps)^3n (1+eps*sqrt5)^(3n+1) (1+beta)^3n - 1, n = log2 L, eps = 2^-53
+    and beta = 2^-52.  The bound assumes that numpy's power-of-two transforms
+    err no more than the radix-2 FFT of that analysis and that their twiddle
+    factors are within beta of exact.  Operands that fail it are split into
+    limbs until every limb product meets it, and means, sums and limb
+    weights are combined in integers, so every entry is exact.
+
+    Raises ValueError before any work when |A|^(k-1), a bound on N(y) over
+    F_p, passes int64, when the group is not a prime field within
+    `config.DFT_CAP`, or when p does not exceed every |c_i|.
+    """
+    if A.count ** (eq.k - 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"count bound {A.count}^{eq.k - 1} exceeds int64")
     p = prime_field_order(A.group)
     if p <= eq.max_abs_coeff:
         raise ValueError(f"modulus {p} must exceed the largest coefficient magnitude "
                          f"{eq.max_abs_coeff}")
-    ahat = dft(A.mask().astype(np.float64))
-    xi = np.arange(p, dtype=np.int64)
-    prod = np.ones(p, dtype=np.complex128)
-    for c in eq.coeffs:
-        prod *= ahat[(c * xi) % p]
-    return p, prod
-
-
-def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
-    """All-targets Fourier solution count, rounded to integers.
-
-    Raises ArithmeticError if any rounded value strays from an integer by more
-    than 1e-6 * p^(k-1) (the documented instability tolerance), and ValueError
-    before any work when |A|^(k-1), a bound on N(y) over F_p, passes int64.
-    """
-    if A.count ** (eq.k - 1) > np.iinfo(np.int64).max:
-        raise ValueError(f"count bound {A.count}^{eq.k - 1} exceeds int64")
-    p, prod = _dft_product(eq, A)
-    raw = (p ** (eq.k - 1)) * idft(prod)
-    tol = 1e-6 * p ** (eq.k - 1)
-    rounded = np.rint(raw.real)
-    if np.abs(raw.real - rounded).max() > tol or np.abs(raw.imag).max() > tol:
-        raise ArithmeticError(
-            "Fourier solution count did not round cleanly to integers; "
-            "instability beyond the documented tolerance"
-        )
-    return rounded.astype(np.int64)
+    return _product_table(tuple(sorted(c % p for c in eq.coeffs)), A.indices(), p)

@@ -691,6 +691,7 @@ def test_transform_cap_refuses_before_the_bitmap_is_read(monkeypatch, entry):
         raise AssertionError("the bitmap was read before the cap check")
 
     monkeypatch.setattr(ElementSet, "mask", trap)
+    monkeypatch.setattr(ElementSet, "indices", trap)
     with pytest.raises(ValueError, match="exceeds"):
         call()
 

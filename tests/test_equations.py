@@ -182,7 +182,8 @@ def test_counters_refuse_counts_that_could_pass_int64(count, monkeypatch):
     # shift work of 7 * 2000 * 4001 entries is far under its cap
     a = ElementSet.from_indices(make_group([4001]), range(0, 4000, 2))
     monkeypatch.setattr(np, "zeros", _no_work)
-    monkeypatch.setattr(equations_module, "dft", _no_work)
+    # the first transform the Fourier counter makes
+    monkeypatch.setattr(np.fft, "rfft", _no_work)
     with pytest.raises(ValueError, match="exceeds int64"):
         count(Equation((1, 1, 1, 1, 1, 1, -1)), a)
 
@@ -192,6 +193,59 @@ def test_brute_count_is_exact_at_101_to_the_ninth():
     a = ElementSet.from_indices(make_group([101]), range(101))
     counts = count_solutions_brute_all(Equation((1,) * 9 + (-1,)), a)
     assert counts.tolist() == [101 ** 9] * 101
+
+
+def test_dft_count_is_exact_at_101_to_the_ninth():
+    # 101^9 is about 2^60, past the integers float64 holds
+    a = ElementSet.from_indices(make_group([101]), range(101))
+    counts = count_solutions_dft_all(Equation((1,) * 9 + (-1,)), a)
+    assert counts.tolist() == [101 ** 9] * 101
+
+
+def test_dft_count_sums_to_size_power_at_a_million():
+    # x1 + x2 - x3 - x4 over Z_1000003: sum_y N(y) = |A|^4 is about 2^56, and N is even
+    p = 1_000_003
+    a = ElementSet.from_indices(make_group([p]),
+                                np.flatnonzero(np.random.default_rng(0).random(p) < 0.5))
+    counts = count_solutions_dft_all(Equation((1, 1, -1, -1)), a)
+    assert counts.min() >= 0
+    assert sum(counts.tolist()) == a.count ** 4
+    assert np.array_equal(counts[1:], counts[:0:-1])
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1, 1, -1, -1), (1, 1, 1, 1, 1, -1)])
+def test_dft_count_splits_limbs_where_the_centred_bound_fails(coeffs, monkeypatch):
+    # an interval makes peaked tables: the square of the three-fold table, and
+    # the four-fold table times the table of x1 - x2, fail the centred bound,
+    # so those products run on limbs
+    widths = []
+
+    def spy(d, b):
+        limbs = _limbs(d, b)
+        widths.append(len(limbs))
+        return limbs
+
+    _limbs = equations_module._limbs
+    monkeypatch.setattr(equations_module, "_limbs", spy)
+    a = ElementSet.from_indices(make_group([4001]), range(2000))
+    eq = Equation(coeffs)
+    got = count_solutions_dft_all(eq, a)
+    assert max(widths) > 1
+    assert np.array_equal(got, count_solutions_brute_all(eq, a))
+
+
+@pytest.mark.parametrize("p, size", [(5, 3), (4001, 1), (4001, 1 << 12), (4001, 1 << 20)])
+def test_fft_product_error_stays_under_the_stated_bound(p, size, rng):
+    # the float error of a product against the exact convolution, where the
+    # operands are random signed integers below size in magnitude
+    L = 1 << (2 * p - 2).bit_length()
+    x, y = rng.integers(-size, size + 1, (2, p))
+    got = np.fft.irfft(equations_module._spectrum(x, L) * equations_module._spectrum(y, L), L)
+    exact = np.convolve(x, y)                  # below 4001 * 2^40: exact in int64
+    err = np.abs(got[:2 * p - 1] - exact).max()
+    bound = equations_module._fft_error(L) * np.sqrt(float(x @ x) * float(y @ y))
+    assert err <= bound
+    assert np.abs(got[2 * p - 1:]).max() <= bound
 
 
 def oracle_injective_table_coords(coeffs, members, moduli):
