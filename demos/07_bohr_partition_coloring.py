@@ -31,7 +31,7 @@ spectrum = large_spectrum(arith, 0.1)
 print("20-term progression in F_101: spectrum at nu=0.1 ->", spectrum.tolist())
 
 b = bohr_set([1], 0.1, 11)
-print("Bohr set B({1}, 1/10) in F_11:", b.members.indices().tolist())
+print("Bohr set B({1}, 1/10) in F_11:", b.indices().tolist())
 
 ok, inter = claim_ab_test(arith, bohr_set([29], 0.05, p), k=3)
 print("progression meets B({29}, 1/20) in", inter.size, "points; |A n B| < 3:", ok)

@@ -36,7 +36,6 @@ from .primes import mod_inverse
 
 __all__ = [
     "SpectrumParams",
-    "BohrSet",
     "ColoringReport",
     "large_spectrum",
     "bohr_set",
@@ -98,25 +97,12 @@ def large_spectrum(a_set: ElementSet, nu: float) -> np.ndarray:
     return np.flatnonzero(keep).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class BohrSet:
-    """B(Gamma, rho) = {x : every xi*x has phase within rho of an integer}."""
+def bohr_set(frequencies, rho, p: int) -> ElementSet:
+    """B(Gamma, rho) = {x in F_p : every xi*x has phase within rho of an integer}.
 
-    p: int
-    frequencies: tuple[int, ...]
-    rho: Fraction
-    members: ElementSet
-
-    @property
-    def count(self) -> int:
-        return self.members.count
-
-
-def bohr_set(frequencies, rho, p: int) -> BohrSet:
-    """Exact membership: min(r, p - r) <= rho*p for r = xi*x mod p.
-
-    The comparison runs over integers (r*q <= rho_num*p style), so float
-    radii like 0.1 mean exactly 1/10.
+    Exact membership: min(r, p - r) <= rho*p for r = xi*x mod p.  The
+    comparison runs over integers (r*q <= rho_num*p style), so float radii
+    like 0.1 mean exactly 1/10.
     """
     freqs = tuple(sorted({int(f) % p for f in frequencies}))
     if not freqs:
@@ -128,13 +114,12 @@ def bohr_set(frequencies, rho, p: int) -> BohrSet:
     for xi in freqs:
         r = (xi * xs) % p
         ok &= np.minimum(r, p - r) * den <= num * p
-    members = ElementSet(make_group([p]), ok)
-    return BohrSet(p, freqs, rho, members)
+    return ElementSet(make_group([p]), ok)
 
 
-def claim_ab_test(a_set: ElementSet, bohr: BohrSet, k: int) -> tuple[bool, np.ndarray]:
+def claim_ab_test(a_set: ElementSet, bohr: ElementSet, k: int) -> tuple[bool, np.ndarray]:
     """Whether |A n B| < k; returns the intersection as evidence either way."""
-    inter = a_set.intersection(bohr.members).indices()
+    inter = a_set.intersection(bohr).indices()
     return inter.size < k, inter
 
 

@@ -22,7 +22,7 @@ branch under x -> -x at the root and x -> v - x one level down.
 
 A graph may carry a `Bracket` of bounds its builder proved: today only the
 classical Kneser graphs, whose chi is Lovasz's n - 2k + 2 (`lovasz-1978`,
-met by the `kneser-min-coloring`) and whose alpha is the Erdos-Ko-Rado star
+met by a coloring by least elements) and whose alpha is the Erdos-Ko-Rado star
 size C(n-1, k-1) (`ekr-1961`).  Both solvers re-check its witnesses, return
 at once when it is closed, and otherwise start their search from it.
 """
@@ -56,6 +56,7 @@ __all__ = [
     "dsatur_coloring",
     "greedy_bounds",
     "check_exact_solver_cap",
+    "check_adjacency_cap",
     "chromatic_number_exact",
     "independence_number_exact",
 ]
@@ -250,7 +251,6 @@ class Bracket:
     chi_lower: int
     chi_lower_proof: str
     coloring: Coloring
-    coloring_proof: str
     independent: VertexSet
     alpha_upper: int
     alpha_upper_proof: str
@@ -289,9 +289,7 @@ class CayleyView:
 
     def to_graph(self) -> Graph:
         n = self.order
-        if n > config.ADJACENCY_CAP:
-            raise ValueError(
-                f"group order {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
+        check_adjacency_cap(n)
         g = self.group
         d = self.degree
         if n * d > config.CSR_ENTRY_CAP:
@@ -367,10 +365,16 @@ def dsatur_coloring(graph: Graph) -> Coloring:
 
 @dataclass(frozen=True)
 class GreedyBounds:
-    clique_lower: int
-    dsatur_upper: int
     clique: tuple[int, ...]
     coloring: Coloring
+
+    @property
+    def clique_lower(self) -> int:
+        return len(self.clique)
+
+    @property
+    def dsatur_upper(self) -> int:
+        return self.coloring.num_colors
 
 
 def greedy_bounds(graph: Graph) -> GreedyBounds:
@@ -378,7 +382,7 @@ def greedy_bounds(graph: Graph) -> GreedyBounds:
     clique = greedy_clique(graph)
     coloring = dsatur_coloring(graph)
     coloring.validate(graph)
-    bounds = GreedyBounds(len(clique), coloring.num_colors, tuple(clique), coloring)
+    bounds = GreedyBounds(tuple(clique), coloring)
     if bounds.clique_lower > bounds.dsatur_upper:
         raise AssertionError("clique bound exceeds coloring bound; solver bug")
     return bounds
@@ -423,15 +427,26 @@ def check_exact_solver_cap(n: int) -> None:
             f"vertex count {n} exceeds the exact-solver cap {config.EXACT_SOLVER_CAP}")
 
 
+def check_adjacency_cap(n: int) -> None:
+    """Refuse n vertices above `config.ADJACENCY_CAP`; both graph builders call
+    it, and callers that build their input sets call it on the vertex count first."""
+    if n > config.ADJACENCY_CAP:
+        raise ValueError(
+            f"vertex count {n} exceeds the adjacency cap {config.ADJACENCY_CAP}")
+
+
 @dataclass(frozen=True)
 class ChromaticResult:
     lower: int
-    upper: int
-    coloring: Coloring
+    coloring: Coloring          # its color count is the upper bound
     nodes: int
     # when exact: "clique-meets-coloring", "exhausted-search", or the graph's
     # bracket's lower-bound proof ("lovasz-1978"); else "budget"
     proof: str
+
+    @property
+    def upper(self) -> int:
+        return self.coloring.num_colors
 
     @property
     def exact(self) -> bool:
@@ -470,8 +485,7 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     bracket = graph.bracket
     if bracket is not None and bracket.chi_lower == bracket.coloring.num_colors:
         bracket.coloring.validate(graph)
-        return ChromaticResult(bracket.chi_lower, bracket.chi_lower, bracket.coloring, 0,
-                               bracket.chi_lower_proof)
+        return ChromaticResult(bracket.chi_lower, bracket.coloring, 0, bracket.chi_lower_proof)
 
     budget = _Budget(budget_s)
     clique = greedy_clique(graph)
@@ -556,9 +570,9 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     coloring = Coloring(tuple(best_colors))
     coloring.validate(graph)
     if budget.exhausted and lb < best:
-        return ChromaticResult(lb, best, coloring, budget.nodes, "budget")
+        return ChromaticResult(lb, coloring, budget.nodes, "budget")
     proof = lower_proof if lb >= best else "exhausted-search"
-    return ChromaticResult(best, best, coloring, budget.nodes, proof)
+    return ChromaticResult(best, coloring, budget.nodes, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +582,17 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
 
 @dataclass(frozen=True)
 class IndependenceResult:
-    lower: int
     upper: int
-    vertex_set: VertexSet
+    vertex_set: VertexSet       # its size is the lower bound
     nodes: int
     # when exact: "exhausted-search", the graph's bracket's upper-bound proof
     # ("ekr-1961"), or the bound that met the best set when the budget ran
     # out ("clique-cover", "clique-coclique"); else "budget"
     proof: str
+
+    @property
+    def lower(self) -> int:
+        return self.vertex_set.size
 
     @property
     def exact(self) -> bool:
@@ -702,10 +719,10 @@ def independence_number_exact(graph: Graph,
     bracket = graph.bracket
     if bracket is not None and bracket.independent.size == bracket.alpha_upper:
         bracket.independent.validate_independent(graph)
-        return IndependenceResult(bracket.alpha_upper, bracket.alpha_upper,
-                                  bracket.independent, 0, bracket.alpha_upper_proof)
+        return IndependenceResult(bracket.alpha_upper, bracket.independent, 0,
+                                  bracket.alpha_upper_proof)
     if n == 0:
-        return IndependenceResult(0, 0, VertexSet(()), 0, "exhausted-search")
+        return IndependenceResult(0, VertexSet(()), 0, "exhausted-search")
 
     budget = _Budget(budget_s)
     seed = _greedy_independent(graph)
@@ -766,12 +783,12 @@ def independence_number_exact(graph: Graph,
     vs = VertexSet(tuple(sorted(seed)))
     vs.validate_independent(graph)
     if best >= ceiling:
-        return IndependenceResult(best, best, vs, budget.nodes, bracket.alpha_upper_proof)
+        return IndependenceResult(best, vs, budget.nodes, bracket.alpha_upper_proof)
     if not budget.exhausted:
-        return IndependenceResult(best, best, vs, budget.nodes, "exhausted-search")
+        return IndependenceResult(best, vs, budget.nodes, "exhausted-search")
     upper, proof = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
                        len(root) + _cover_size(root_cover), ceiling), "clique-cover"
     if graph.vertex_transitive and (coclique := n // len(greedy_clique(graph))) < upper:
         upper, proof = coclique, "clique-coclique"
     # best < ceiling here, so a bound that meets best is a cover or n // omega
-    return IndependenceResult(best, upper, vs, budget.nodes, proof if upper == best else "budget")
+    return IndependenceResult(upper, vs, budget.nodes, proof if upper == best else "budget")

@@ -4,7 +4,7 @@ One experiment per invocation: `chroma <command> --config file.json` reads a
 JSON config, checks it against the command's field table, runs the named
 pipeline, and emits a JSON report (stdout by default, `--out` to write a
 file).  Reports are deterministic for a fixed (config, seed) apart from the
-`timing` block.
+`timing` block, which holds every measured second.
 
 Exit codes: 0 on success, 2 when a requested certificate or claim fails
 (a finding, with the evidence in the report), 1 on configuration or
@@ -29,7 +29,7 @@ from . import cayley as cayley_mod
 from . import constructions as cons
 from . import config, graphio, kneser
 from .bohr import SpectrumParams, bohr_color
-from .equations import Equation, classify
+from .equations import Equation, classify, prime_field_order
 from .exact import Surd
 from .groups import ElementSet, make_group, parse_group_literal
 from .primes import next_prime
@@ -158,24 +158,27 @@ def _threshold(text: str | None, fallback: Surd | None) -> Surd | None:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (results dict, exit code)
+# Command handlers: each returns (results dict, exit code, stage seconds for
+# the report's `timing` block)
 # ---------------------------------------------------------------------------
 
 
-def _run_classify(cfg: dict) -> tuple[dict, int]:
+def _run_classify(cfg: dict) -> tuple[dict, int, dict]:
     eq = Equation.parse(cfg["equation"])
     res = classify(eq)
-    return {"equation": str(eq), "k": eq.k, **res.to_report()}, 0
+    return {"equation": str(eq), "k": eq.k, **res.to_report()}, 0, {}
 
 
-def _chi_report(res: cayley_mod.ChromaticResult) -> dict:
-    out = {"chi_lower": res.lower, "chi_upper": res.upper, "chi_exact": res.exact}
+def _bracket_report(name: str, res) -> dict:
+    """<name>_lower, _upper and _exact of a chi or alpha result, and <name>
+    itself once the bracket is closed."""
+    out = {f"{name}_lower": res.lower, f"{name}_upper": res.upper, f"{name}_exact": res.exact}
     if res.exact:
-        out["chi"] = res.chromatic_number
+        out[name] = res.lower
     return out
 
 
-def _run_kneser(cfg: dict) -> tuple[dict, int]:
+def _run_kneser(cfg: dict) -> tuple[dict, int, dict]:
     params = kneser.KneserParams(cfg["n"], cfg["k"], cfg["m"])
     out: dict = {
         "n": params.n, "k": params.k, "m": params.m,
@@ -190,9 +193,9 @@ def _run_kneser(cfg: dict) -> tuple[dict, int]:
     if action == "chi":
         cayley_mod.check_exact_solver_cap(out["vertices"])
         _, graph = kneser.build_graph(params)
-        out.update(_chi_report(cayley_mod.chromatic_number_exact(
+        out.update(_bracket_report("chi", cayley_mod.chromatic_number_exact(
             graph, budget_s=_parse_budget(cfg.get("budget")))))
-    return out, 0
+    return out, 0, {}
 
 
 def _connection_indices(group, conn) -> list[int]:
@@ -209,11 +212,12 @@ def _connection_indices(group, conn) -> list[int]:
     return idx
 
 
-def _run_cayley(cfg: dict) -> tuple[dict, int]:
+def _run_cayley(cfg: dict) -> tuple[dict, int, dict]:
     group = parse_group_literal(cfg["group"])
     action = cfg["action"]
     if action in ("chi", "alpha"):
         cayley_mod.check_exact_solver_cap(group.order)
+    cayley_mod.check_adjacency_cap(group.order)
     if action == "export" and "dimacs" not in cfg and "cnf" not in cfg:
         raise CliError("export action needs 'dimacs' and/or 'cnf' paths")
     if "cnf" in cfg and cfg.get("cnf_colors", 0) < 1:
@@ -233,18 +237,11 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         out["clique_lower"] = gb.clique_lower
         out["greedy_colors"] = gb.dsatur_upper
         out["clique"] = list(gb.clique)
-    elif action == "chi":
-        res = cayley_mod.chromatic_number_exact(graph, budget_s=budget)
-        out.update(_chi_report(res), search_nodes=res.nodes, proof=res.proof)
-    elif action == "alpha":
-        res = cayley_mod.independence_number_exact(graph, budget_s=budget)
-        out["alpha_lower"] = res.lower
-        out["alpha_upper"] = res.upper
-        out["alpha_exact"] = res.exact
-        if res.exact:
-            out["alpha"] = res.lower
-        out["search_nodes"] = res.nodes
-        out["proof"] = res.proof
+    elif action in ("chi", "alpha"):
+        solve = (cayley_mod.chromatic_number_exact if action == "chi"
+                 else cayley_mod.independence_number_exact)
+        res = solve(graph, budget_s=budget)
+        out.update(_bracket_report(action, res), search_nodes=res.nodes, proof=res.proof)
     if "dimacs" in cfg:
         path = _cache_path(cfg["dimacs"])
         graphio.write_dimacs(graph, path)
@@ -254,7 +251,7 @@ def _run_cayley(cfg: dict) -> tuple[dict, int]:
         graphio.write_coloring_cnf(graph, cfg["cnf_colors"], path)
         out["cnf"] = path
         out["cnf_colors"] = cfg["cnf_colors"]
-    return out, 0
+    return out, 0, {}
 
 
 def _pinned_config(cfg: dict) -> cons.PinnedConfig:
@@ -282,7 +279,7 @@ def _lift_report(pinned: cons.PinnedConfig) -> dict:
             "extension_threshold": str(pinned.extension_threshold)}
 
 
-def _run_construct(cfg: dict) -> tuple[dict, int]:
+def _run_construct(cfg: dict) -> tuple[dict, int, dict]:
     pinned = _pinned_config(cfg)
     params, core_t, ext_t = pinned.params, pinned.core_threshold, pinned.extension_threshold
     e0 = cons.build_core_set(params, core_t)
@@ -294,10 +291,10 @@ def _run_construct(cfg: dict) -> tuple[dict, int]:
         "extension_size": f0.count,
         "extension_density": f0.count / params.m,
         "scale_conditions": cons.scale_conditions(params, core_t, ext_t),
-    }, 0
+    }, 0, {}
 
 
-def _run_certify(cfg: dict) -> tuple[dict, int]:
+def _run_certify(cfg: dict) -> tuple[dict, int, dict]:
     if cfg.get("golden"):
         if extra := sorted(cfg.keys() & _LIFT_FIELDS):
             raise CliError(f"certify-lift with golden=true takes none of the fields {extra}")
@@ -313,7 +310,8 @@ def _run_certify(cfg: dict) -> tuple[dict, int]:
         pinned.params, e0, f0, lift,
         pinned.core_threshold, pinned.extension_threshold)
     out = {**_lift_report(pinned), "interval": list(lift.interval), **bundle.to_report()}
-    return out, 0 if bundle.all_passed else 2
+    seconds = {r.name: round(r.elapsed, 6) for r in bundle.records}
+    return out, 0 if bundle.all_passed else 2, {"certificates_s": seconds}
 
 
 def _bohr_input_set(cfg: dict, p: int):
@@ -336,8 +334,9 @@ def _bohr_input_set(cfg: dict, p: int):
     return ElementSet.from_indices(group, picks)
 
 
-def _run_bohr(cfg: dict) -> tuple[dict, int]:
+def _run_bohr(cfg: dict) -> tuple[dict, int, dict]:
     p = cfg["p"]
+    prime_field_order(make_group([p]))      # refuses p before the input set is built
     eq = Equation.parse(cfg["equation"])
     a_set = _bohr_input_set(cfg, p)
     params = SpectrumParams(**{k: cfg[k] for k in ("nu", "rho", "s_index") if k in cfg})
@@ -350,10 +349,10 @@ def _run_bohr(cfg: dict) -> tuple[dict, int]:
             for v, c in enumerate(colors.tolist()):
                 fh.write(f"{v},{c}\n")
         out["colors_out"] = path
-    return out, 0 if report.proper else 2
+    return out, 0 if report.proper else 2, {}
 
 
-def _run_indep(cfg: dict) -> tuple[dict, int]:
+def _run_indep(cfg: dict) -> tuple[dict, int, dict]:
     p, n = cfg["p"], cfg["n"]
     cap = config.WEIGHT_ENUM_CAP
     # for p >= 2, p**n exceeds the cap exactly when p**min(n, bits of cap) does
@@ -380,7 +379,7 @@ def _run_indep(cfg: dict) -> tuple[dict, int]:
             for row in coords.tolist():
                 fh.write(",".join(str(v) for v in row) + "\n")
         out["csv"] = path
-    return out, 0
+    return out, 0, {}
 
 
 # command -> (handler, the config fields it accepts)
@@ -429,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(command: str, cfg: dict) -> tuple[dict, int]:
     """Execute one pipeline; returns (full report, exit code)."""
     t0 = time.perf_counter()
-    results, code = _COMMANDS[command][0](cfg)
+    results, code, stages = _COMMANDS[command][0](cfg)
     elapsed = time.perf_counter() - t0
     report = {
         "command": command,
         "config": cfg,
         "results": results,
-        "timing": {"total_s": round(elapsed, 6)},
+        "timing": {**stages, "total_s": round(elapsed, 6)},
     }
     return report, code
 

@@ -172,32 +172,18 @@ class ConstructionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
-        cs = self.eq.coeffs
+        cs, c, d = self.eq.coeffs, self.eq.coeff_sum, self.eq.abs_coeff_sum
         if cs[0] + cs[1] != 0:
             raise ValueError("expected a normalized equation with c1 + c2 = 0")
-        if self.coeff_sum < 1:
+        if c < 1:
             raise ValueError("expected a normalized equation with sum(c) >= 1")
-        if not self.q > self.abs_sum > self.coeff_sum >= 1:
-            raise ValueError(
-                f"need q > sum|c_i| > sum c_i >= 1, got "
-                f"{self.q}, {self.abs_sum}, {self.coeff_sum}"
-            )
+        if not self.q > d > c >= 1:
+            raise ValueError(f"need q > sum|c_i| > sum c_i >= 1, got {self.q}, {d}, {c}")
         self.context  # runs NormContext validation (q prime, p_i > q*n, ...)
         if not is_prime(self.p):
             raise ValueError(f"lift prime p = {self.p} is not prime")
-        if self.p <= self.abs_sum * self.m:
-            raise ValueError(
-                f"lift prime {self.p} must exceed sum|c_i|*m = "
-                f"{self.abs_sum * self.m}"
-            )
-
-    @property
-    def coeff_sum(self) -> int:
-        return self.eq.coeff_sum
-
-    @property
-    def abs_sum(self) -> int:
-        return self.eq.abs_coeff_sum
+        if self.p <= d * self.m:
+            raise ValueError(f"lift prime {self.p} must exceed sum|c_i|*m = {d * self.m}")
 
     @property
     def n(self) -> int:
@@ -235,7 +221,7 @@ def default_core_threshold(params: ConstructionParams) -> Surd:
 def default_extension_threshold(params: ConstructionParams) -> Surd:
     """n/2 - q^2*D*sqrt(n) with D the absolute coefficient sum."""
     n = params.n
-    return Surd(Fraction(n, 2), Fraction(-params.q ** 2 * params.abs_sum), n)
+    return Surd(Fraction(n, 2), Fraction(-params.q ** 2 * params.eq.abs_coeff_sum), n)
 
 
 def build_core_set(params: ConstructionParams, threshold: Surd) -> ElementSet:
@@ -255,7 +241,7 @@ def core_norm_bound(params: ConstructionParams, threshold: Surd) -> Surd:
     large-n t = n - q*sqrt(n) - 1 this is the familiar n - (q-1)*D*(q*sqrt(n)+1).
     Positive bound certifies the core set solution-free.
     """
-    n, q, d = params.n, params.q, params.abs_sum
+    n, q, d = params.n, params.q, params.eq.abs_coeff_sum
     slack_a = Fraction(n) - threshold.a          # n - t = slack_a - t.b*sqrt(n)
     return Surd(Fraction(n) - (q - 1) * d * slack_a,
                 (q - 1) * d * threshold.b, threshold.under)
@@ -269,7 +255,7 @@ def build_extension_set(params: ConstructionParams, threshold: Surd) -> ElementS
     ctx = params.context
     m = materialized_order(params.group_m)
     c1 = params.eq.coeffs[0]
-    big_c = params.coeff_sum
+    big_c = params.eq.coeff_sum
     ys = np.arange(m, dtype=np.int64)
     pos = norm_numerators(ctx, (c1 * ys) % m, big_c)
     neg = norm_numerators(ctx, (-c1 * ys) % m, big_c)
@@ -306,7 +292,7 @@ def scale_conditions(params: ConstructionParams, core_threshold: Surd,
     one inequality so a report can say precisely which regime the chosen
     parameters are in.
     """
-    n, q, d, m, p = params.n, params.q, params.abs_sum, params.m, params.p
+    n, q, d, m, p = params.n, params.q, params.eq.abs_coeff_sum, params.m, params.p
     lo, hi = _interval(params)
     return {
         "q_exceeds_abs_coeff_sum": q > d,
@@ -399,7 +385,7 @@ class LiftResult:
 
 
 def _interval(params: ConstructionParams) -> tuple[int, int]:
-    d, p = params.abs_sum, params.p
+    d, p = params.eq.abs_coeff_sum, params.p
     return (-(-p // (d + 1)), p // d)
 
 
@@ -437,18 +423,21 @@ def lift_to_prime_field(params: ConstructionParams, core_m: ElementSet,
 @dataclass(frozen=True)
 class CertificateRecord:
     name: str
-    passed: bool
-    witness: tuple | None
+    witness: tuple | None       # every certificate carries one exactly when it fails
     detail: str
     elapsed: float
 
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
     def to_report(self) -> dict:
+        """The deterministic fields; `elapsed` is left to the caller's timing."""
         return {
             "name": self.name,
             "passed": self.passed,
             "witness": list(self.witness) if self.witness is not None else None,
             "detail": self.detail,
-            "elapsed_s": round(self.elapsed, 6),
         }
 
 
@@ -472,10 +461,11 @@ class CertificateBundle:
 
 
 def extension_property_holds(eq: Equation, mod: int, core_idx: np.ndarray,
-                             ext_idx: np.ndarray) -> tuple[bool, tuple | None, str]:
+                             ext_idx: np.ndarray) -> tuple[tuple | None, str]:
     """(-c1*F - c2*F) disjoint from (c3*E + ... + ck*E) modulo mod.
 
-    Returns (holds, witness, detail); the witness is the least common value.
+    Returns (witness, detail): the witness is the least common value, None
+    when the property holds.
     """
     cs = eq.coeffs
     group = make_group([mod])
@@ -483,11 +473,11 @@ def extension_property_holds(eq: Equation, mod: int, core_idx: np.ndarray,
     rhs = _conv_count_table(group, [(c, core_idx) for c in cs[2:]], bool)
     common = np.flatnonzero(lhs & rhs)
     detail = "difference sums from F avoid the core combination sums in F_p"
-    return not common.size, (int(common[0]),) if common.size else None, detail
+    return ((int(common[0]),) if common.size else None), detail
 
 
 def _induced_subgraph_matches(params: ConstructionParams, core_m: ElementSet,
-                              lift: LiftResult) -> tuple[bool, tuple | None, str]:
+                              lift: LiftResult) -> tuple[tuple | None, str]:
     """Edges on {0..m-1} agree between Cay(Z_m, E0) and Cay(F_p, E).
 
     Both adjacency tests depend only on the integer difference d in [1, m-1]:
@@ -521,10 +511,9 @@ def _induced_subgraph_matches(params: ConstructionParams, core_m: ElementSet,
         f"{symmetric}/{idx.size} core members negation-symmetric"
     )
     if only_m == 0 and only_p == 0:
-        return True, None, detail
+        return None, detail
     bad = np.flatnonzero(adj_m != adj_p)
-    worst = int(d[bad[0]])
-    return False, (0, worst), detail
+    return (0, int(d[bad[0]])), detail
 
 
 def certify_lift(params: ConstructionParams, core_m: ElementSet,
@@ -543,8 +532,7 @@ def certify_lift(params: ConstructionParams, core_m: ElementSet,
     eq, p = params.eq, params.p
 
     def solution_free(a_set: ElementSet, detail: str):
-        res = is_solution_free(eq, a_set)
-        return res.free, res.witness, detail
+        return is_solution_free(eq, a_set).witness, detail
 
     checks = (
         ("core-solution-free", lambda: solution_free(
@@ -558,9 +546,8 @@ def certify_lift(params: ConstructionParams, core_m: ElementSet,
     records = []
     for name, check in checks:
         t0 = time.perf_counter()
-        passed, witness, detail = check()
-        records.append(CertificateRecord(name, passed, witness, detail,
-                                         time.perf_counter() - t0))
+        witness, detail = check()
+        records.append(CertificateRecord(name, witness, detail, time.perf_counter() - t0))
 
     conditions = scale_conditions(params, core_threshold, extension_threshold)
     counts = (

@@ -136,17 +136,23 @@ class EquationClass:
     """Degeneracy flags derived from zero-sum subsets of the coefficients.
 
     roth_degenerate:  the full coefficient sum is 0.
-    rt_degenerate:    some nonempty subset of coefficients sums to 0.
-    chi_vanishing:    some subset of size >= 3 sums to 0.
+    rt_degenerate:    some nonempty subset of coefficients sums to 0 (`rt_witness`).
+    chi_vanishing:    some subset of size >= 3 sums to 0 (`chi_witness`).
 
     Implications (validated in tests): roth => chi_vanishing => rt.
     """
 
     roth_degenerate: bool
-    rt_degenerate: bool
-    chi_vanishing: bool
     rt_witness: tuple[int, ...] | None
     chi_witness: tuple[int, ...] | None
+
+    @property
+    def rt_degenerate(self) -> bool:
+        return self.rt_witness is not None
+
+    @property
+    def chi_vanishing(self) -> bool:
+        return self.chi_witness is not None
 
     @property
     def witness_subset(self) -> tuple[int, ...] | None:
@@ -224,8 +230,6 @@ def classify(eq: Equation) -> EquationClass:
 
     return EquationClass(
         roth_degenerate=(eq.coeff_sum == 0),
-        rt_degenerate=rt_mask is not None,
-        chi_vanishing=chi_mask is not None,
         rt_witness=mask_to_subset(rt_mask),
         chi_witness=mask_to_subset(chi_mask),
     )
@@ -262,8 +266,11 @@ def first_zero_sum_subset(eq: Equation, min_size: int) -> tuple[int, ...] | None
 
 @dataclass(frozen=True)
 class SolutionFreeResult:
-    free: bool
     witness: tuple[int, ...] | None   # field elements, one per variable
+
+    @property
+    def free(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.free
@@ -314,7 +321,7 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
     elems = A.indices()
     n = elems.size
     if n < eq.k:
-        return SolutionFreeResult(True, None)
+        return SolutionFreeResult(None)
 
     if eq.k == 4 and n * n <= 4_000_000:
         witness = _find_injective_mitm4(eq, p, elems)
@@ -326,9 +333,9 @@ def is_solution_free(eq: Equation, A: ElementSet) -> SolutionFreeResult:
         witness = _find_injective_scan(eq, p, elems, A.mask())
 
     if witness is None:
-        return SolutionFreeResult(True, None)
+        return SolutionFreeResult(None)
     _verify_witness(eq, p, witness)
-    return SolutionFreeResult(False, tuple(witness))
+    return SolutionFreeResult(tuple(witness))
 
 
 def _find_injective_scan(eq, p, elems, in_a):

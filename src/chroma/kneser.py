@@ -24,7 +24,7 @@ from operator import or_, sub
 import numpy as np
 
 from . import config
-from .cayley import Bracket, Coloring, Graph, VertexSet
+from .cayley import Bracket, Coloring, Graph, VertexSet, check_adjacency_cap
 from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group, materialized_order
 from .primes import is_prime
@@ -102,9 +102,7 @@ def count_vertices(params: KneserParams) -> int:
 def kneser_vertices(params: KneserParams) -> list[KneserVertex]:
     """All vertices in lexicographic order; refused above `config.ADJACENCY_CAP`."""
     total = count_vertices(params)
-    if total > config.ADJACENCY_CAP:
-        raise ValueError(
-            f"vertex count {total} exceeds the adjacency cap {config.ADJACENCY_CAP}")
+    check_adjacency_cap(total)
     n, k, m = params.n, params.k, params.m
     ground = list(range(n))
     out: list[KneserVertex] = []
@@ -207,7 +205,6 @@ def _classical_bracket(params: KneserParams, verts: list[KneserVertex]) -> Brack
     return Bracket(
         chi_lower=n - 2 * k + 2, chi_lower_proof="lovasz-1978",
         coloring=Coloring(tuple(np.minimum(mins, n - 2 * k + 1).tolist())),
-        coloring_proof="kneser-min-coloring",
         independent=VertexSet(tuple(np.flatnonzero(mins == 0).tolist())),
         alpha_upper=math.comb(n - 1, k - 1), alpha_upper_proof="ekr-1961")
 

@@ -395,8 +395,8 @@ def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
     alpha = searched.independence_number
     assert searched.proof == "exhausted-search"
     assert independence_number_exact(graph, budget_s=0).proof == "budget"
-    bracket = Bracket(1, "none", Coloring(tuple(range(graph.n))), "none",
-                      VertexSet((0,)), alpha, "given")
+    bracket = Bracket(1, "none", Coloring(tuple(range(graph.n))), VertexSet((0,)), alpha,
+                      "given")
     res = independence_number_exact(
         Graph(graph.n, graph.indptr, graph.indices, bracket=bracket))
     assert (res.exact, res.independence_number, res.proof) == (True, alpha, "given")

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from chroma import cayley, config, constructions, graphio, kneser
-from chroma.cli import main
+from chroma.cli import _jsonify, main, run
 from chroma.groups import ElementSet, make_group
 
 
@@ -79,6 +79,26 @@ def test_solver_cap_refuses_before_the_graph_is_built(tmp_path, capsys, monkeypa
     vertices = 4060 if command == "kneser" else 2003
     assert err.strip() == (f"error: vertex count {vertices} exceeds the exact-solver "
                            f"cap {config.EXACT_SOLVER_CAP}")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("bohr-color", {"p": 1 << 24, "equation": "[1,1,-1,-1]", "set": {"random_density": 1.0}},
+     "expected a set over a prime field, got Z(16777216)"),
+    ("cayley", {"group": "Z(67108863)", "connection": [1], "action": "greedy"},
+     f"vertex count 67108863 exceeds the adjacency cap {config.ADJACENCY_CAP}"),
+    ("cayley", {"group": "Z(67108863)", "connection": [1], "action": "export",
+                "dimacs": "big.dimacs"},
+     f"vertex count 67108863 exceeds the adjacency cap {config.ADJACENCY_CAP}"),
+], ids=["bohr-color", "cayley-greedy", "cayley-export"])
+def test_caps_refuse_before_the_input_set_is_built(tmp_path, capsys, monkeypatch,
+                                                   command, cfg, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("input set built before the cap check")
+
+    monkeypatch.setattr(ElementSet, "from_indices", no_build)
+    code, rep, err = invoke(tmp_path, capsys, command, cfg)
+    assert code == 1 and rep is None
+    assert err.strip() == f"error: {message}"
 
 
 def test_kneser_infeasible_params(tmp_path, capsys):
@@ -483,6 +503,21 @@ def test_cache_dir_redirects_relative_artifacts(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (cache / "rel.dimacs").exists()
     assert rep["results"]["dimacs"] == str(cache / "rel.dimacs")
+
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in (_ROOT / "configs").glob("*.json")))
+def test_shipped_configs_match_the_bench_snapshots(stem):
+    # each shipped config's report, minus `timing`, and its exit code are the
+    # ones the benchmark's snapshot pins; the snapshot names the command
+    snap = json.loads((_ROOT / "bench" / "snapshots" / f"{stem}.json").read_text())
+    cfg = json.loads((_ROOT / "configs" / f"{stem}.json").read_text())
+    report, code = run(snap["command"], cfg)
+    report = json.loads(json.dumps(report, default=_jsonify))
+    del report["timing"]
+    assert (report, code) == (snap["report"], snap["exit_code"])
 
 
 def test_out_flag_writes_report_file(tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_core_norm_bound_value_and_random_tuples(rng):
     for _ in range(300):
         xs = rng.choice(idx, size=3, replace=False).tolist()
         combo = sum(c * x for c, x in zip(cfg.params.eq.coeffs, xs)) % cfg.params.m
-        val = norm(cfg.params.context, combo, cfg.params.coeff_sum)
+        val = norm(cfg.params.context, combo, cfg.params.eq.coeff_sum)
         assert bound.cmp(val) <= 0 and val >= Fraction(2, 7)
 
 

@@ -194,8 +194,7 @@ def test_theorem_bounds_equal_the_searched_values(n, k):
 def test_only_classical_build_graph_carries_the_bracket(tmp_path):
     _, graph = build_graph(KneserParams(7, 2, 1))
     bracket = graph.bracket
-    assert (bracket.chi_lower, bracket.chi_lower_proof, bracket.coloring_proof) == (
-        5, "lovasz-1978", "kneser-min-coloring")
+    assert (bracket.chi_lower, bracket.chi_lower_proof) == (5, "lovasz-1978")
     assert (bracket.alpha_upper, bracket.alpha_upper_proof) == (6, "ekr-1961")
     assert bracket.coloring.num_colors == 5
     for params in [(6, 2, 2), (7, 1, 3), (7, 2, 2)]:
