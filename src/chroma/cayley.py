@@ -4,10 +4,10 @@ Cay(G, A) has the group elements as vertices and an edge {u, v} whenever
 v - u lies in the symmetrized connection set A u (-A) minus the identity.
 Graphs up to the adjacency cap are materialized as sorted CSR neighbour rows
 (int32), row v being v + (A u -A); the greedy bounds, the validators and
-DIMACS I/O run on those.  The chromatic search reads neighbour lists; the
-independence search builds bitset rows (Python ints) of the subgraph it
-searches.  Only the alpha seed and budget-time cover read `Graph.masks`,
-the whole graph's bitset rows, which a graph builds when first asked.
+DIMACS I/O run on those.  The chromatic search and the independence seed
+read neighbour lists; the independence search builds bitset rows (Python
+ints) of the subgraph it searches, and of the whole graph for its bound
+when the budget runs out.
 
 The chromatic solver is DSATUR branch and bound (Brelaz 1979) seeded with a
 greedy clique; it finds each node's branching vertex in per-saturation
@@ -35,7 +35,6 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,7 +63,7 @@ __all__ = [
 
 # Upper bound on the entries of one block of rows: the target coordinates of
 # a `CayleyView.to_graph` block, or the packed bytes plus the neighbour entries
-# of a `Graph.masks` block.  Both build their rows a block at a time.
+# of a `_bitset_rows` block.  Both build their rows a block at a time.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -72,11 +71,8 @@ class Graph:
     """Undirected graph on vertices 0..n-1, stored as CSR neighbour rows.
 
     Row v is `indices[indptr[v]:indptr[v + 1]]`: the neighbours of v as
-    ascending int32.  This is the graph's one representation; the builders,
-    greedy bounds, validators and DIMACS I/O all read it.  `masks` builds
-    n-bit adjacency rows (Python ints) from the CSR rows on first use and
-    keeps them; only the independence solver's greedy seed and its
-    budget-time clique cover read them.
+    ascending int32.  A graph keeps its rows in this form only; the builders,
+    greedy bounds, solvers, validators and DIMACS I/O all read it.
 
     `vertex_transitive` says that the automorphism group is transitive on
     the vertices.  Only builders that know it set it (Cayley views and
@@ -121,9 +117,10 @@ class Graph:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(arcs // n, minlength=n))))
         return cls(n, indptr, arcs % n)
 
-    @cached_property
+    @property
     def masks(self) -> list[int]:
-        """Bitset rows: bit u of row v is set when uv is an edge."""
+        """Bitset rows (bit u of row v set when uv is an edge), all rebuilt on
+        each call.  No `src/` path reads them; this goes once bench reads CSR."""
         return _bitset_rows(self.indptr, self.indices, self.n)
 
     def degrees(self) -> np.ndarray:
@@ -606,21 +603,21 @@ class IndependenceResult:
 
 
 def _greedy_independent(graph: Graph) -> list[int]:
-    full = (1 << graph.n) - 1
-    alive = full
+    """Take the alive vertex of least residual degree, lowest index on ties,
+    and remove it with its neighbours, until none is alive.  A removed vertex
+    reads 2n in `deg` and then loses at most its degree, so stays above n."""
+    n = graph.n
+    deg = graph.degrees().copy()
     out = []
-    while alive:
-        # take the alive vertex of minimum residual degree (lowest index tie)
-        pick, pick_key = -1, None
-        m = alive
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            key = ((graph.masks[v] & alive).bit_count(), v)
-            if pick_key is None or key < pick_key:
-                pick, pick_key = v, key
+    for _ in range(n):
+        pick = int(deg.argmin())
+        if deg[pick] >= n:
+            break
         out.append(pick)
-        alive &= ~(graph.masks[pick] | (1 << pick))
+        row = graph.row(pick)
+        removed = np.append(row[deg[row] < n], pick)
+        deg[removed] = 2 * n
+        np.subtract.at(deg, graph._gather(removed)[1], 1)
     return sorted(out)
 
 
@@ -786,7 +783,8 @@ def independence_number_exact(graph: Graph,
         return IndependenceResult(best, vs, budget.nodes, bracket.alpha_upper_proof)
     if not budget.exhausted:
         return IndependenceResult(best, vs, budget.nodes, "exhausted-search")
-    upper, proof = min(_cover_size(_clique_cover(graph.masks, (1 << n) - 1)),
+    rows = _bitset_rows(graph.indptr, graph.indices, n)
+    upper, proof = min(_cover_size(_clique_cover(rows, (1 << n) - 1)),
                        len(root) + _cover_size(root_cover), ceiling), "clique-cover"
     if graph.vertex_transitive and (coclique := n // len(greedy_clique(graph))) < upper:
         upper, proof = coclique, "clique-coclique"

@@ -32,7 +32,7 @@ from .bohr import SpectrumParams, bohr_color
 from .equations import Equation, classify, prime_field_order
 from .exact import Surd
 from .groups import ElementSet, make_group, parse_group_literal
-from .primes import next_prime
+from .primes import is_prime, next_prime
 
 # Config fields, checked before any work.  A kind is one of the JSON type
 # names in _SCALARS, a frozenset of allowed strings, a tuple of alternative
@@ -186,7 +186,8 @@ def _run_kneser(cfg: dict) -> tuple[dict, int, dict]:
         "vertices": kneser.count_vertices(params),
     }
     action = cfg["action"]
-    if action in ("chi-bound", "chi"):
+    # the spectral bound needs m + 1 prime: chi-bound refuses otherwise, chi omits it
+    if action == "chi-bound" or (action == "chi" and is_prime(params.p)):
         bound = kneser.chi_lower_bound(params)
         out["chi_bound"] = str(bound)
         out["chi_bound_ceil"] = -(-bound.numerator // bound.denominator)

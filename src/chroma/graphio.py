@@ -55,14 +55,11 @@ def write_coloring_cnf(graph: Graph, k: int, path) -> None:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    clauses: list[list[int]] = []
-    for v in range(graph.n):
-        clauses.append([v * k + c + 1 for c in range(k)])
-    for u, v in graph.edges():
-        for c in range(k):
-            clauses.append([-(u * k + c + 1), -(v * k + c + 1)])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"c k-colorability encoding, k={k}\n")
-        fh.write(f"p cnf {graph.n * k} {len(clauses)}\n")
-        for cl in clauses:
-            fh.write(" ".join(map(str, cl)) + " 0\n")
+        fh.write(f"p cnf {graph.n * k} {graph.n + k * graph.edge_count()}\n")
+        for v in range(graph.n):
+            fh.write(" ".join(str(v * k + c + 1) for c in range(k)) + " 0\n")
+        for u, v in graph.edges():
+            for c in range(k):
+                fh.write(f"-{u * k + c + 1} -{v * k + c + 1} 0\n")

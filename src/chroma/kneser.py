@@ -337,10 +337,16 @@ class IndependentSetResult:
     n: int
     radius: Surd
     threshold: Surd               # n/2 - radius, the weight cutoff
-    degenerate: bool              # threshold < 0, so the set is empty
     count: int
     member_indices: np.ndarray | None   # None above config.WEIGHT_ENUM_CAP elements
-    density: float                # count / p**n
+
+    @property
+    def degenerate(self) -> bool:     # the threshold is negative, so the set is empty
+        return self.threshold < 0
+
+    @property
+    def density(self) -> float:
+        return self.count / self.p ** self.n
 
     def members_coords(self) -> np.ndarray:
         if self.member_indices is None:
@@ -408,7 +414,5 @@ def independent_set(p: int, n: int, radius: Surd | None = None) -> IndependentSe
         w_pos = ((p - coords) * (coords != 0)).sum(axis=1)
         w_neg = coords.sum(axis=1)     # (p - ((p - c) % p)) = c on nonzero coords
         members = np.flatnonzero((w_pos <= cutoff) & (w_neg <= cutoff)).astype(np.int64)
-    return IndependentSetResult(
-        p=p, n=n, radius=radius, threshold=threshold, degenerate=threshold < 0,
-        count=count, member_indices=members, density=count / order,
-    )
+    return IndependentSetResult(p=p, n=n, radius=radius, threshold=threshold, count=count,
+                                member_indices=members)

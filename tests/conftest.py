@@ -74,3 +74,14 @@ def oracle_proper(colors, neighbors_of, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260825)
+
+
+@pytest.fixture
+def no_masks(monkeypatch):
+    """Make every read of `Graph.masks`, the whole graph's bitset rows, raise."""
+    from chroma.cayley import Graph
+
+    def trap(graph):
+        raise AssertionError("Graph.masks read")
+
+    monkeypatch.setattr(Graph, "masks", property(trap))

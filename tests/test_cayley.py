@@ -323,7 +323,7 @@ def test_chi_search_tree_is_pinned(params):
     assert res.coloring.colors == tuple(map(int, digits))
 
 
-def test_greedy_bounds_on_a_large_circulant_builds_no_bitsets(monkeypatch):
+def test_greedy_bounds_on_a_large_circulant_builds_no_bitsets(monkeypatch, no_masks):
     # Cay(Z_65521, 30 seeded elements) runs greedy bounds on the neighbour
     # rows alone; the coloring's SHA-256 prefix was recorded with the bitset
     # DSATUR that walked n-bit rows
@@ -337,10 +337,9 @@ def test_greedy_bounds_on_a_large_circulant_builds_no_bitsets(monkeypatch):
     assert (gb.clique, gb.clique_lower, gb.dsatur_upper) == ((0, 866), 2, 11)
     colors = np.array(gb.coloring.colors, dtype="<i4").tobytes()
     assert hashlib.sha256(colors).hexdigest()[:16] == "2bbf27c4307addc1"
-    assert "masks" not in vars(graph)
 
 
-def test_chromatic_number_exact_builds_no_bitsets(monkeypatch):
+def test_chromatic_number_exact_builds_no_bitsets(monkeypatch, no_masks):
     # the chi search reads the neighbour rows only, solved or budget-bound,
     # and a theorem-closed graph is not searched at all
     def no_bitsets(*args):
@@ -351,11 +350,9 @@ def test_chromatic_number_exact_builds_no_bitsets(monkeypatch):
         graph = bare(build_graph(KneserParams(*params))[1])
         res = chromatic_number_exact(graph, budget_s=budget)
         assert res.exact == (budget is None)
-        assert "masks" not in vars(graph)
     _, graph = build_graph(KneserParams(10, 2, 1))
     res = chromatic_number_exact(graph, budget_s=0)
     assert (res.exact, res.nodes, res.proof, res.upper) == (True, 0, "lovasz-1978", 8)
-    assert "masks" not in vars(graph)
 
 
 def _with_bracket(graph, **changes):
@@ -402,6 +399,48 @@ def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
     assert (res.exact, res.independence_number, res.proof) == (True, alpha, "given")
     assert res.nodes < searched.nodes
     res.vertex_set.validate_independent(graph)
+
+
+def bitset_greedy_independent(graph):
+    """The alpha seed as it ran on whole-graph bitset rows (Python ints)."""
+    masks = [sum(1 << u for u in graph.neighbors(v)) for v in range(graph.n)]
+    alive = (1 << graph.n) - 1
+    out = []
+    while alive:
+        # take the alive vertex of minimum residual degree (lowest index tie)
+        pick, pick_key = -1, None
+        m = alive
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            key = ((masks[v] & alive).bit_count(), v)
+            if pick_key is None or key < pick_key:
+                pick, pick_key = v, key
+        out.append(pick)
+        alive &= ~(masks[pick] | (1 << pick))
+    return sorted(out)
+
+
+def test_greedy_independent_matches_the_bitset_greedy():
+    # 100 seeded circulants, 100 seeded random graphs (edgeless ones among
+    # them), K_7, product groups and generalized Kneser graphs
+    rng = np.random.default_rng(27)
+    graphs = []
+    for _ in range(100):
+        n = int(rng.integers(2, 160))
+        size = int(rng.integers(1, min(n - 1, 6) + 1))
+        graphs.append(_cayley_graph((n,), rng.choice(np.arange(1, n), size, replace=False)))
+    for _ in range(100):
+        graphs.append(random_graph(rng, int(rng.integers(1, 60)), float(rng.random())))
+    graphs += [_cayley_graph((7,), [1, 2, 3]),
+               _cayley_graph((3,) * 4, [1, 3, 9, 27, 40]),
+               _cayley_graph((3,) * 4, [4, 13, 50, 77]),
+               _cayley_graph((2,) * 8, [1, 2, 4, 8, 16, 32, 64, 128, 255]),
+               _cayley_graph((2,) * 8, [3, 21, 90, 170, 201])]
+    graphs += [build_graph(KneserParams(*p))[1] for p in ((7, 2, 2), (8, 2, 2), (6, 1, 4))]
+    assert len(graphs) >= 200
+    for graph in graphs:
+        assert cayley._greedy_independent(graph) == bitset_greedy_independent(graph)
 
 
 def test_attached_witnesses_are_rechecked():
@@ -722,9 +761,11 @@ def test_to_graph_rows_across_block_boundaries(monkeypatch, block_rows, moduli, 
     monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", block_rows * row_entries)
     graph = view.to_graph()
     _assert_coordinatewise_adjacency(view, graph, moduli, members)
-    masks = graph.masks                     # the bitset rows, also built in blocks
+    # the bitset rows, also built in blocks
+    masks = cayley._bitset_rows(graph.indptr, graph.indices, graph.n)
     monkeypatch.undo()
-    assert masks == view.to_graph().masks
+    whole = view.to_graph()
+    assert masks == cayley._bitset_rows(whole.indptr, whole.indices, whole.n)
 
 
 def _assert_coordinatewise_adjacency(view, graph, moduli, members):

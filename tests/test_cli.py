@@ -101,6 +101,20 @@ def test_caps_refuse_before_the_input_set_is_built(tmp_path, capsys, monkeypatch
     assert err.strip() == f"error: {message}"
 
 
+def test_kneser_chi_needs_no_prime_but_chi_bound_does(tmp_path, capsys):
+    # KN(6,1,3): m + 1 = 4 is composite, so there is no spectral bound to
+    # report, but the exact search still closes chi over its 120 vertices
+    cfg = {"n": 6, "k": 1, "m": 3}
+    code, rep, _ = invoke(tmp_path, capsys, "kneser", {**cfg, "action": "chi"})
+    assert code == 0
+    res = rep["results"]
+    assert (res["vertices"], res["chi_exact"], res["chi"]) == (120, True, 6)
+    assert "chi_bound" not in res and "chi_bound_ceil" not in res
+    code, rep, err = invoke(tmp_path, capsys, "kneser", {**cfg, "action": "chi-bound"})
+    assert code == 1 and rep is None
+    assert err.strip() == "error: m+1 = 4 must be prime for the spectral bound"
+
+
 def test_kneser_infeasible_params(tmp_path, capsys):
     code, _, err = invoke(tmp_path, capsys, "kneser",
                           {"n": 5, "k": 3, "m": 1, "action": "count"})
@@ -518,6 +532,26 @@ def test_shipped_configs_match_the_bench_snapshots(stem):
     report = json.loads(json.dumps(report, default=_jsonify))
     del report["timing"]
     assert (report, code) == (snap["report"], snap["exit_code"])
+
+
+def test_no_path_reads_the_whole_graph_bitset_rows(tmp_path, no_masks):
+    # Graph.masks raises here: alpha closed, budget-bound and theorem-closed,
+    # chi, greedy bounds, a DIMACS round trip and every shipped config run
+    g = make_group([127])
+    graph = cayley.CayleyView(g, ElementSet.from_indices(g, [1, 5, 11, 20, 27, 40])).to_graph()
+    assert cayley.independence_number_exact(graph).independence_number == 38
+    res = cayley.independence_number_exact(graph, budget_s=0)
+    assert (res.nodes, res.upper) == (1, 42)
+    _, kn = kneser.build_graph(kneser.KneserParams(7, 2, 1))
+    assert cayley.independence_number_exact(kn).proof == "ekr-1961"
+    assert cayley.chromatic_number_exact(graph).chromatic_number == 4
+    assert cayley.greedy_bounds(graph).clique_lower == 3
+    graphio.write_dimacs(graph, tmp_path / "g.dimacs")
+    back = graphio.read_dimacs(tmp_path / "g.dimacs")
+    assert back.indices.tobytes() == graph.indices.tobytes()
+    for path in sorted((_ROOT / "configs").glob("*.json")):
+        snap = json.loads((_ROOT / "bench" / "snapshots" / path.name).read_text())
+        assert run(snap["command"], json.loads(path.read_text()))[1] == snap["exit_code"]
 
 
 def test_out_flag_writes_report_file(tmp_path, capsys):

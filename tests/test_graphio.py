@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chroma import cayley
 from chroma.cayley import CayleyView, Graph
 from chroma.graphio import read_dimacs, write_coloring_cnf, write_dimacs
 from chroma.groups import ElementSet, make_group
@@ -84,10 +85,11 @@ def test_graph_forms_match_the_bitset_builders(tmp_path, name):
     graph = build()
     assert graph.vertex_transitive
     width = (graph.n + 7) // 8
-    packed = b"".join(m.to_bytes(width, "little") for m in graph.masks)
+    masks = cayley._bitset_rows(graph.indptr, graph.indices, graph.n)
+    packed = b"".join(m.to_bytes(width, "little") for m in masks)
     assert hashlib.sha256(packed).hexdigest()[:16] == masks_digest
     # edges, degrees and neighbours read off the bitset rows bit by bit
-    rows = [[v for v in range(graph.n) if m >> v & 1] for m in graph.masks]
+    rows = [[v for v in range(graph.n) if m >> v & 1] for m in masks]
     assert list(graph.edges()) == [(u, v) for u in range(graph.n) for v in rows[u] if v > u]
     assert graph.edge_count() == edge_count
     assert graph.degrees().tolist() == [len(r) for r in rows]
@@ -97,7 +99,7 @@ def test_graph_forms_match_the_bitset_builders(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == dimacs_digest
     back = read_dimacs(path)
     assert not back.vertex_transitive
-    assert back.masks == graph.masks
+    assert cayley._bitset_rows(back.indptr, back.indices, back.n) == masks
     assert np.array_equal(back.indptr, graph.indptr)
     assert np.array_equal(back.indices, graph.indices)
 
@@ -195,3 +197,19 @@ def test_cnf_accepts_known_coloring(tmp_path):
 def test_cnf_rejects_bad_k(tmp_path):
     with pytest.raises(ValueError):
         write_coloring_cnf(Graph.from_edges(2, [(0, 1)]), 0, tmp_path / "x.cnf")
+
+
+@pytest.mark.parametrize("build, k, header, digest", [
+    (lambda: _cayley((13,), [1, 5]), 4, "p cnf 52 117", "3c10b7aa27f4a542"),
+    (lambda: build_graph(KneserParams(5, 2, 1))[1], 3, "p cnf 30 55", "5f14aede61c68396"),
+    # vertex 4 is isolated, so it has a color clause and no edge clause
+    (lambda: Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]), 2, "p cnf 10 11", "cc61e1a17cb853c0"),
+], ids=["Z13", "KN(5,2,1)", "P4+K1"])
+def test_cnf_bytes_are_pinned(tmp_path, build, k, header, digest):
+    # SHA-256 prefixes recorded when the writer held every clause in a list
+    # before writing; the header's clause count is n + k * edges
+    path = tmp_path / "g.cnf"
+    write_coloring_cnf(build(), k, path)
+    data = path.read_bytes()
+    assert data.decode("ascii").splitlines()[1] == header
+    assert hashlib.sha256(data).hexdigest()[:16] == digest

@@ -117,9 +117,9 @@ def test_build_graph_matches_adjacency_on_every_pair(n, k, m):
     verts, graph = build_graph(KneserParams(n, k, m))
     assert graph.n == len(verts) == count_vertices(KneserParams(n, k, m))
     for i, a in enumerate(verts):
-        want = sum(1 << j for j, b in enumerate(verts) if j != i and kneser_adjacent(a, b))
-        assert graph.masks[i] == want
-        assert not graph.masks[i] >> i & 1
+        want = [j for j, b in enumerate(verts) if j != i and kneser_adjacent(a, b)]
+        assert graph.neighbors(i) == want
+        assert i not in graph.neighbors(i)
 
 
 @pytest.mark.parametrize("n, k, m", [(7, 2, 2), (9, 3, 1)])
@@ -145,9 +145,9 @@ def test_build_graph_rows_of_a_sample(n, k, m):
     sample = np.random.default_rng(n).choice(len(verts), 12, replace=False)
     for i in sorted(sample.tolist()) + [0, len(verts) - 1]:
         a = verts[i]
-        want = sum(1 << j for j, b in enumerate(verts) if j != i and kneser_adjacent(a, b))
-        assert graph.masks[i] == want
-    assert not any(mask >> i & 1 for i, mask in enumerate(graph.masks))
+        want = [j for j, b in enumerate(verts) if j != i and kneser_adjacent(a, b)]
+        assert graph.neighbors(i) == want
+    assert not any(i in graph.neighbors(i) for i in range(graph.n))
 
 
 def test_chi_lower_bound_values():
@@ -207,7 +207,7 @@ def test_only_classical_build_graph_carries_the_bracket(tmp_path):
     assert np.array_equal(back.indices, graph.indices)
 
 
-def test_classical_graphs_close_without_search(monkeypatch):
+def test_classical_graphs_close_without_search(monkeypatch, no_masks):
     # every classical KG(n, k) in test_02's range: no greedy bound, no search
     # and no bitset rows, and validated witnesses of the theorems' values
     def no_work(*args):
@@ -232,7 +232,6 @@ def test_classical_graphs_close_without_search(monkeypatch):
             assert (alpha.exact, alpha.nodes, alpha.proof) == (True, 0, "ekr-1961")
             assert alpha.independence_number == math.comb(n - 1, k - 1)
             assert all(0 in verts[v].parts[0] for v in alpha.vertex_set.members)
-            assert "masks" not in vars(graph)
             closed += 1
     assert closed == 50
 
