@@ -29,10 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .equations import Equation, dft, first_zero_sum_subset, prime_field_order
+from .equations import Equation, classify, dft, prime_field_order
 from .exact import _as_fraction
 from .groups import ElementSet, make_group
-from .primes import mod_inverse
 
 __all__ = [
     "SpectrumParams",
@@ -52,8 +51,8 @@ class SpectrumParams:
     nu in (0, 1] thresholds |hat 1_A|; rho in (0, 1/2) is the phase radius;
     M = ceil(2/rho) is the number of arcs in the phase discretization (at
     least 4 by the rho bound).  s_index, when given, fixes which equation
-    coefficient pulls the spectrum back; by default the first index of the
-    lexicographically first zero-sum subset of size >= 3 is used, and if the
+    coefficient pulls the spectrum back; by default it is the first index of
+    `classify`'s zero-sum subset of size >= 3 (`chi_witness`), and if the
     equation has none, an explicit s_index is required.  The paper takes
     nu = delta/6 and rho = delta^3/(216*pi*D'), with delta a supersaturation
     constant and D' the sum of |c_i| outside the zero-sum subset.
@@ -85,11 +84,16 @@ def large_spectrum(a_set: ElementSet, nu: float) -> np.ndarray:
     """Frequencies where |hat 1_A| >= nu; sorted, always a subset of F_p.
 
     With f = 1_A, Parseval gives sum |hat f|^2 = |A|/p <= 1, so at most
-    nu^-2 frequencies can pass the threshold.
+    nu^-2 frequencies can pass the threshold.  No |hat f| exceeds
+    hat f(0) = |A|/p, so when |A| < nu*p, decided in integers with nu read
+    as its decimal value, the spectrum is empty and no transform runs.
     """
-    prime_field_order(a_set.group)
+    p = prime_field_order(a_set.group)
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
+    nu_exact = _as_fraction(nu)
+    if a_set.count * nu_exact.denominator < nu_exact.numerator * p:
+        return np.empty(0, dtype=np.int64)
     coeffs = dft(a_set.mask().astype(np.float64))
     # Exactness at the boundary is float-limited; nudge by one ulp so that
     # coefficients mathematically equal to nu are kept.
@@ -169,7 +173,7 @@ class ColoringReport:
 
 def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:
     """Gamma = {eta : c_s * eta in L}, i.e. c_s^{-1} * L."""
-    inv = mod_inverse(c_s % p, p)
+    inv = pow(c_s, -1, p)
     return np.unique((inv * spectrum) % p)
 
 
@@ -273,13 +277,13 @@ def bohr_color(a_set: ElementSet, eq: Equation,
 
     s_index = params.s_index
     if s_index is None:
-        subset = first_zero_sum_subset(eq, min_size=3)
-        if subset is None:
+        witness = classify(eq).chi_witness
+        if witness is None:
             raise ValueError(
                 "equation has no zero-sum subset of size >= 3; "
                 "pass an explicit s_index"
             )
-        s_index = subset[0]
+        s_index = witness[0]
     if not 0 <= s_index < k:
         raise ValueError(f"s_index {s_index} out of range")
     c_s = eq.coeffs[s_index]

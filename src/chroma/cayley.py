@@ -63,7 +63,7 @@ __all__ = [
 
 # Upper bound on the entries of one block of rows: the target coordinates of
 # a `CayleyView.to_graph` block, or the packed bytes plus the neighbour entries
-# of a `_bitset_rows` block.  Both build their rows a block at a time.
+# of a `_bitset_rows` block (`Graph.edges` gathers a sixteenth of it at a time).
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -133,10 +133,16 @@ class Graph:
         return self.row(v).tolist()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Each edge (u, v) once, u < v, ascending by u and then v."""
-        rows, cols = self._gather(np.arange(self.n))
-        up = cols > rows
-        return zip(rows[up].tolist(), cols[up].tolist())
+        """Each edge (u, v) once, u < v, ascending by u and then v; rows are gathered
+        in blocks of at most `_BLOCK_ENTRIES // 16` entries, or one longer row."""
+        start = 0
+        while start < self.n:
+            end = np.searchsorted(self.indptr, self.indptr[start] + _BLOCK_ENTRIES // 16, "right")
+            stop = max(start + 1, int(end) - 1)
+            rows, cols = self._gather(np.arange(start, stop))
+            up = cols > rows
+            yield from zip(rows[up].tolist(), cols[up].tolist())
+            start = stop
 
     def edge_count(self) -> int:
         return self.indices.size // 2

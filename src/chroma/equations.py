@@ -41,14 +41,13 @@ import numpy as np
 
 from . import config
 from .groups import ElementSet, GroupSpec
-from .primes import is_prime, mod_inverse
+from .primes import is_prime
 
 __all__ = [
     "Equation",
     "EquationClass",
     "SolutionFreeResult",
     "classify",
-    "first_zero_sum_subset",
     "is_solution_free",
     "count_solutions_brute_all",
     "count_solutions_dft_all",
@@ -235,30 +234,6 @@ def classify(eq: Equation) -> EquationClass:
     )
 
 
-def first_zero_sum_subset(eq: Equation, min_size: int) -> tuple[int, ...] | None:
-    """Lexicographically first index subset of size >= min_size summing to 0.
-
-    Subsets are ordered as sorted index tuples ((0,1,2) < (0,1,2,3) < (0,1,3)).
-    """
-    k = eq.k
-    if k > 24:
-        raise ValueError("lexicographic subset scan supports k <= 24")
-    coeffs = eq.coeffs
-
-    def dfs(start: int, prefix: list[int], total: int) -> tuple[int, ...] | None:
-        if len(prefix) >= min_size and total == 0:
-            return tuple(prefix)
-        for i in range(start, k):
-            prefix.append(i)
-            hit = dfs(i + 1, prefix, total + coeffs[i])
-            if hit is not None:
-                return hit
-            prefix.pop()
-        return None
-
-    return dfs(0, [], 0)
-
-
 # ---------------------------------------------------------------------------
 # Injective solution search over prime fields
 # ---------------------------------------------------------------------------
@@ -349,7 +324,7 @@ def _find_injective_scan(eq, p, elems, in_a):
     p^2 + p (exact for p < 3e9).
     """
     *head, ca, cb, ck = eq.coeffs
-    m = -mod_inverse(ck, p)
+    m = -pow(ck, -1, p)
     ma, mb = m * ca % p, m * cb % p
     block = max(1, 4_000_000 // elems.size)
     free = in_a.copy()   # A minus the prefix

@@ -1,4 +1,4 @@
-"""Small integer number-theory helpers: primality, next prime, inverses.
+"""Small integer number-theory helpers: primality, next prime, distinct primes.
 
 Primality is a deterministic Miller-Rabin test to the thirteen prime bases
 2..41, which no composite below 3.3 * 10**24 passes (Sorenson and Webster,
@@ -6,8 +6,6 @@ Primality is a deterministic Miller-Rabin test to the thirteen prime bases
 """
 
 from __future__ import annotations
-
-import math
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The smallest composite that is a strong pseudoprime to every base above.
@@ -65,10 +63,3 @@ def check_distinct_primes(factors: list[int] | tuple[int, ...]) -> None:
             raise ValueError(f"repeated prime factor {f}")
         seen.add(f)
 
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises ValueError if gcd(a, m) != 1."""
-    g = math.gcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m} (gcd={g})")
-    return pow(a % m, -1, m)

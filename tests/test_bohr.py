@@ -16,7 +16,7 @@ from chroma.bohr import (
     phase_partition,
 )
 from chroma.constructions import golden_config, transfer_config
-from chroma.equations import Equation, first_zero_sum_subset
+from chroma.equations import Equation, classify, dft
 from chroma.groups import ElementSet, make_group
 from chroma.primes import is_prime
 from conftest import oracle_dft, oracle_proper, oracle_torus_distance
@@ -102,6 +102,33 @@ def test_spectrum_matches_direct_scan(rng):
         expected = sorted(np.flatnonzero(mags >= nu).tolist())
         got = large_spectrum(ElementSet(make_group([p]), mask), nu)
         assert got.tolist() == expected
+
+
+def test_spectrum_below_nu_p_runs_no_transform(monkeypatch, rng):
+    # |hat 1_A| <= |A|/p, so |A| < nu*p leaves an empty spectrum untransformed
+    calls = []
+
+    def counted_dft(values):
+        calls.append(values.size)
+        return dft(values)
+
+    monkeypatch.setattr(bohr_module, "dft", counted_dft)
+    assert large_spectrum(field_set(101, range(1, 11)), 0.1).tolist() == []  # 10 < 10.1
+    assert large_spectrum(field_set(5, [1]), 0.4).tolist() == []  # 1 < 2
+    assert calls == []
+    # |A| = nu*p: every coefficient of a singleton in F_5 has modulus 1/5 = nu
+    assert large_spectrum(field_set(5, [1]), 0.2).tolist() == [0, 1, 2, 3, 4]
+    assert calls == [5]
+    p, nu = 101, 0.1
+    sets = [np.isin(np.arange(p), range(1, 12))] + [rng.random(p) < 0.3 for _ in range(5)]
+    for mask in sets:
+        mags = np.abs(oracle_dft(mask.astype(float)))
+        if mask.sum() < nu * p or np.any(np.abs(mags - nu) < 1e-9):
+            continue
+        calls.clear()
+        got = large_spectrum(ElementSet(make_group([p]), mask), nu)
+        assert calls == [p]
+        assert got.tolist() == np.flatnonzero(mags >= nu).tolist()
 
 
 def test_spectrum_size_bounded_by_inverse_nu_squared(rng):
@@ -341,6 +368,15 @@ def test_color_pullback_index_selection():
         bohr_color(a, eq, SpectrumParams(s_index=5))
     with pytest.raises(ValueError):  # chosen coefficient vanishes mod p
         bohr_color(a, Equation([11, -11, 1]), SpectrumParams(s_index=0))
+    # the default is the first index of classify's witness: (2, 3, 4) for
+    # x1 + x2 - x3 - x4 + 2x5, and k = 25 lies within classify's k <= 30
+    a = field_set(101, [1, 7])
+    eq = Equation([1, 1, -1, -1, 2])
+    assert classify(eq).chi_witness == (2, 3, 4)
+    _, report = bohr_color(a, eq)
+    assert report.s_index == 2 and report.proper
+    _, report = bohr_color(a, Equation([1, 1, -2] + [1] * 22))
+    assert report.s_index == 0 and report.k == 25 and report.proper
 
 
 def oracle_bohr_color(a_set, eq, params):
@@ -353,7 +389,7 @@ def oracle_bohr_color(a_set, eq, params):
     members = a_set.indices().tolist()
     s_index = params.s_index
     if s_index is None:
-        s_index = first_zero_sum_subset(eq, min_size=3)[0]
+        s_index = classify(eq).chi_witness[0]
     inv = pow(eq.coeffs[s_index] % p, -1, p)
     spectrum = large_spectrum(a_set, params.nu).tolist()
     freqs = sorted({inv * x % p for x in spectrum}) or [0]

@@ -17,7 +17,6 @@ from chroma.equations import (
     count_solutions_brute_all,
     count_solutions_dft_all,
     dft,
-    first_zero_sum_subset,
     idft,
     is_solution_free,
 )
@@ -79,12 +78,6 @@ def test_classification_implication_chain(rng):
         if cls.chi_vanishing:
             w = cls.chi_witness
             assert w and len(w) >= 3 and sum(coeffs[i] for i in w) == 0
-
-
-def test_first_zero_sum_subset():
-    assert first_zero_sum_subset(Equation((1, -1, 1)), min_size=3) is None
-    assert first_zero_sum_subset(Equation((1, -1, 1)), min_size=2) == (0, 1)
-    assert first_zero_sum_subset(Equation((1, -2, 3, -4)), min_size=3) == (0, 2, 3)
 
 
 def test_count_solutions_small_frozen_case():

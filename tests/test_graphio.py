@@ -104,6 +104,34 @@ def test_graph_forms_match_the_bitset_builders(tmp_path, name):
     assert np.array_equal(back.indices, graph.indices)
 
 
+@pytest.mark.parametrize("block_entries", [16, 16 * 64])
+def test_edges_keep_their_order_across_row_blocks(monkeypatch, block_entries):
+    # one entry per block puts each row alone, longer rows included
+    graphs = [build() for build, *_ in _PINNED_FORMS.values()]
+    graphs.append(Graph.from_edges(6, [(4, 5), (0, 1)]))  # isolated middle rows
+    monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", block_entries)
+    for graph in graphs:
+        want = [(u, v) for u in range(graph.n) for v in graph.neighbors(u) if v > u]
+        assert list(graph.edges()) == want
+
+
+def test_first_edge_gathers_at_most_one_block(monkeypatch):
+    rng = np.random.default_rng(0)
+    graph = _cayley((65521,), rng.choice(np.arange(1, 65521), 15, replace=False).tolist())
+    assert graph.indices.size > cayley._BLOCK_ENTRIES
+    gathered = []
+    gather = Graph._gather
+
+    def spy(self, vs):
+        rows, cols = gather(self, vs)
+        gathered.append(cols.size)
+        return rows, cols
+
+    monkeypatch.setattr(Graph, "_gather", spy)
+    assert next(iter(graph.edges())) == (0, graph.neighbors(0)[0])
+    assert sum(gathered) <= cayley._BLOCK_ENTRIES // 16
+
+
 def test_only_builders_that_know_it_flag_vertex_transitivity(tmp_path):
     # C_5 is vertex-transitive, but nothing that reads an edge list knows it
     cycle = [(v, (v + 1) % 5) for v in range(5)]

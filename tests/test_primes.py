@@ -1,10 +1,10 @@
-"""Primality, next-prime, modular inverses, and distinctness validation."""
+"""Primality, next-prime, and distinctness validation."""
 
 import math
 
 import pytest
 
-from chroma.primes import check_distinct_primes, is_prime, mod_inverse, next_prime
+from chroma.primes import check_distinct_primes, is_prime, next_prime
 from conftest import oracle_is_prime
 
 
@@ -82,22 +82,6 @@ def test_next_prime_values():
     assert next_prime(17) == 19
     # the pinned construction prime: 374509..374530 are all composite
     assert next_prime(374508) == 374531
-
-
-def test_mod_inverse_property(rng):
-    for _ in range(300):
-        m = int(rng.integers(2, 10**6))
-        a = int(rng.integers(1, m))
-        if math.gcd(a, m) != 1:
-            continue
-        inv = mod_inverse(a, m)
-        assert 0 < inv < m
-        assert (a * inv) % m == 1
-
-
-def test_mod_inverse_rejects_non_units():
-    with pytest.raises(ValueError):
-        mod_inverse(6, 9)
 
 
 def test_check_distinct_primes():
