@@ -16,7 +16,12 @@ so each of its vertices takes the smallest color free among neighbours
 colored before the run, exactly as it would in the vertex-by-vertex pass.
 Only earlier neighbours can hold a color: for d in A u -A above the run's
 last vertex, every v - d wraps mod p to a vertex after v, still uncolored,
-so the pass reads colors only through d up to that vertex.
+so the pass reads colors only through d up to that vertex.  A color c < 64
+is stored as the bit 1 << c of a uint64 word per vertex: a vertex ORs its
+earlier neighbours' words and takes the lowest clear bit.  Only a vertex
+whose word is full, which needs a cell that has used all 64 of those
+colors, goes on to a high-color step: a boolean scatter of its neighbours'
+colors from 64 up and an argmin.
 
 Everything is checked after the fact: the emitted coloring is re-validated
 against the actual adjacency, whether or not the degree bound held.
@@ -105,8 +110,10 @@ def bohr_set(frequencies, rho, p: int) -> ElementSet:
     """B(Gamma, rho) = {x in F_p : every xi*x has phase within rho of an integer}.
 
     Exact membership: min(r, p - r) <= rho*p for r = xi*x mod p.  The
-    comparison runs over integers (r*q <= rho_num*p style), so float radii
-    like 0.1 mean exactly 1/10.
+    distance is an integer, so it is compared with floor(rho*p), computed
+    from rho's numerator and denominator as Python ints: float radii like
+    0.1 mean exactly 1/10, and no product of the denominator and p
+    overflows int64.
     """
     freqs = tuple(sorted({int(f) % p for f in frequencies}))
     if not freqs:
@@ -114,10 +121,10 @@ def bohr_set(frequencies, rho, p: int) -> ElementSet:
     rho = _as_fraction(rho)
     xs = np.arange(p, dtype=np.int64)
     ok = np.ones(p, dtype=bool)
-    num, den = rho.numerator, rho.denominator
+    radius = rho.numerator * p // rho.denominator
     for xi in freqs:
         r = (xi * xs) % p
-        ok &= np.minimum(r, p - r) * den <= num * p
+        ok &= np.minimum(r, p - r) <= radius
     return ElementSet(make_group([p]), ok)
 
 
@@ -133,15 +140,21 @@ def phase_partition(frequencies, arc_count: int, p: int) -> np.ndarray:
     Row u holds (floor(M * (xi*u mod p) / p)) over the frequencies; vertices
     sharing a row lie in the same cell, and then for each frequency the two
     phases sit in one arc of width 1/M, giving |xi*(u - v)/p| within 2/M of
-    an integer.
+    an integer.  With M = q*p + m the label is q*r + floor(m*r/p) for
+    r = xi*u mod p, whose products stay below M and p^2, so no int64
+    product overflows while M does not.
     """
     freqs = tuple(sorted({int(f) % p for f in frequencies}))
     if not freqs:
         raise ValueError("frequency set must be nonempty")
-    if arc_count < 1:
-        raise ValueError("arc_count must be positive")
+    if not 1 <= arc_count <= np.iinfo(np.int64).max:
+        raise ValueError("arc_count must be a positive int64")
+    q, m = divmod(arc_count, p)
     xs = np.arange(p, dtype=np.int64)
-    cols = [(arc_count * ((xi * xs) % p)) // p for xi in freqs]
+    cols = []
+    for xi in freqs:
+        r = (xi * xs) % p
+        cols.append(q * r + m * r // p)
     return np.stack(cols, axis=1)
 
 
@@ -191,19 +204,24 @@ def _difference_scan(labels: np.ndarray, conn: np.ndarray):
 
 
 def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
-    """Proper iff no difference of like-colored vertices lands in conn = A u -A."""
+    """Proper iff no difference of like-colored vertices lands in conn = A u -A.
+
+    The scan compares an int32 copy: every color is below p <= DFT_CAP.
+    """
     return not any(same.any() or wrap.any()
-                   for _, same, wrap in _difference_scan(colors, conn))
+                   for _, same, wrap in _difference_scan(colors.astype(np.int32), conn))
 
 
 def _cell_degrees(cell_of: np.ndarray, conn: np.ndarray) -> np.ndarray:
     """Per vertex, its neighbours in Cay(Z_p, conn) that share its cell.
 
     Each edge of the difference scan counts at both of its ends, once per
-    end when the scan meets it twice (d = p - d).
+    end when the scan meets it twice (d = p - d).  Each d in the symmetric
+    conn adds at most one to a vertex, so the counts sit in the narrowest
+    unsigned type that holds |conn|.
     """
     p = cell_of.size
-    degree = np.zeros(p, dtype=np.int64)
+    degree = np.zeros(p, dtype=np.min_scalar_type(conn.size))
     for d, same, wrap in _difference_scan(cell_of, conn):
         degree[:p - d] += same
         degree[p - d:] += wrap
@@ -215,43 +233,69 @@ def _cell_degrees(cell_of: np.ndarray, conn: np.ndarray) -> np.ndarray:
 
 # Upper bound on the entries of one run's gathered neighbour-color matrix;
 # a run is split into consecutive sub-runs of at most this many entries.
+# Both the low-color words and the high-color step of a sub-run gather
+# through that one matrix of vertex indices.
 _GATHER_ENTRIES = 1 << 20
 
 
-def _color_cell(verts: np.ndarray, conn: np.ndarray, local: np.ndarray) -> np.ndarray:
+def _color_cell(verts: np.ndarray, conn: np.ndarray, low: np.ndarray,
+                high: np.ndarray) -> np.ndarray:
     """Greedy colors of one cell's ascending vertices, a run at a time.
 
-    local is scratch space that reads -1 on every vertex outside the cell,
-    before and after the call.  A run spans less than min(conn), so it holds
-    no edge and its vertices see only colors given before the run starts.
-    Those colors sit on vertices below the run, so only the d in conn up to
-    the run's last vertex are gathered: a larger d takes v - d below 0,
-    which wraps mod p to a vertex after v, uncolored, and would read -1.
+    low and high are scratch space that read 0 and -1 on every vertex
+    outside the cell, before and after the call.  A vertex colored c < 64
+    holds the bit 1 << c in low; one colored c >= 64 holds c - 64 in high
+    and 0 in low.  A run spans less than min(conn), so it holds no edge and
+    its vertices see only colors given before the run starts.  Those colors
+    sit on vertices below the run, so only the d in conn up to the run's
+    last vertex are gathered: a larger d takes v - d below 0, which wraps
+    mod p to a vertex after v, uncolored, and would read 0 and -1.
+
+    Each vertex ORs its earlier neighbours' words into w, and the lowest
+    clear bit ~w & (w + 1) is its color.  That bit is 0 only when w is
+    full, which needs all 64 low colors used in the cell already; such
+    vertices take the smallest high color that no earlier neighbour holds,
+    by a scatter into a boolean row per vertex and an argmin.
     """
     max_rows = max(1, _GATHER_ENTRIES // max(1, conn.size))
-    ends = np.searchsorted(verts, verts + (int(conn[0]) if conn.size else local.size))
-    used = 0
+    ends = np.searchsorted(verts, verts + (int(conn[0]) if conn.size else low.size)).tolist()
+    # per vertex, how many d in conn reach at or below it
+    reach = conn.searchsorted(verts, "right").tolist()
+    used = 0  # high colors given so far
     start = 0
     while start < verts.size:
-        stop = min(int(ends[start]), start + max_rows)
+        stop = min(ends[start], start + max_rows)
         blk = verts[start:stop]
-        # a larger d wraps every v - d to an uncolored vertex after v (-1)
-        near = conn[:int(conn.searchsorted(blk[-1], "right"))]
-        seen = local[blk[:, None] - near]
-        # row i of taken spans flat slots i*width .. i*width + used + 1; an
-        # uncolored neighbour (-1) lands in the spare last slot of the row
-        # before it (row 0: of the last row), which the argmin never reads,
-        # and slot `used` is never taken, so every row has a free color
-        width = used + 2
-        seen += np.arange(0, blk.size * width, width)[:, None]
-        taken = np.zeros(blk.size * width, dtype=bool)
-        taken[seen] = True
-        new = taken.reshape(blk.size, width)[:, :used + 1].argmin(axis=1)
-        local[blk] = new
-        used = max(used, int(new.max()) + 1)
+        back = blk[:, None] - conn[:reach[stop - 1]]
+        w = np.bitwise_or.reduce(low[back], axis=1)
+        free = ~w & (w + 1)
+        low[blk] = free
+        # (argmin: cheaper per call than all() on these short rows)
+        if not free[free.argmin()]:
+            rows = free == 0
+            full = blk[rows]
+            seen = high[back[rows]]
+            # row i of taken spans flat slots i*width .. i*width + used + 1;
+            # an uncolored or low-colored neighbour (-1) lands in the spare
+            # last slot of the row before it (row 0: of the last row), which
+            # the argmin never reads, and slot `used` is never taken, so
+            # every row has a free color
+            width = used + 2
+            seen += np.arange(0, full.size * width, width)[:, None]
+            taken = np.zeros(full.size * width, dtype=bool)
+            taken[seen] = True
+            new = taken.reshape(full.size, width)[:, :used + 1].argmin(axis=1)
+            high[full] = new
+            used = max(used, int(new.max()) + 1)
         start = stop
-    cell_colors = local[verts]
-    local[verts] = -1
+    words = low[verts]
+    # 1 << c is 0.5 * 2**(c + 1), exactly, as a float64
+    cell_colors = np.frexp(words.astype(np.float64))[1].astype(np.int64) - 1
+    if used:
+        rows = words == 0
+        cell_colors[rows] = 64 + high[verts[rows]]
+        high[verts[rows]] = -1
+    low[verts] = 0
     return cell_colors
 
 
@@ -306,7 +350,8 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     order = np.lexsort(cell_matrix.T[::-1])
     rows = cell_matrix[order]
     change = (rows[1:] != rows[:-1]).any(axis=1)
-    cell_of = np.empty(p, dtype=np.int64)
+    # int32 labels (every label is below p <= DFT_CAP) halve the scan's reads
+    cell_of = np.empty(p, dtype=np.int32)
     cell_of[order] = np.concatenate(([0], np.cumsum(change)))
     bounds = np.flatnonzero(change) + 1
     num_cells = bounds.size + 1
@@ -314,10 +359,11 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     conn = a_set.symmetrized_without_zero().indices()
 
     colors = np.full(p, -1, dtype=np.int64)
-    local = np.full(p, -1, dtype=np.int64)
+    low = np.zeros(p, dtype=np.uint64)
+    high = np.full(p, -1, dtype=np.int64)
     next_color = 0
     for verts in np.split(order, bounds):
-        cell_colors = _color_cell(verts, conn, local)
+        cell_colors = _color_cell(verts, conn, low, high)
         colors[verts] = next_color + cell_colors
         next_color += int(cell_colors.max()) + 1
 

@@ -185,6 +185,18 @@ def test_bohr_membership_matches_fraction_oracle(rng):
             assert (x in member) == expected
 
 
+def test_bohr_membership_exact_past_int64_products():
+    # rho's denominator times p passes 2**63: only 0 lies within 10**-17
+    # of an integer, and a near-1/2 radius keeps every x
+    assert bohr_set([1], Fraction(1, 10**17), 1009).indices().tolist() == [0]
+    p = 1009
+    rho = Fraction(10**18 - 1, 2 * 10**18)
+    freqs = [3, 500]
+    member = set(bohr_set(freqs, rho, p).indices().tolist())
+    assert member == {x for x in range(p)
+                      if all(oracle_torus_distance(xi * x, p) <= rho for xi in freqs)}
+
+
 # ---------------------------------------------------------------------------
 # intersection test
 
@@ -233,6 +245,18 @@ def test_partition_rejects_bad_inputs():
         phase_partition([], 40, 11)
     with pytest.raises(ValueError):
         phase_partition([1], 0, 11)
+    with pytest.raises(ValueError):
+        phase_partition([1], 2**63, 11)
+
+
+@pytest.mark.parametrize("arcs", [2 * 10**17, 2**63 - 1])
+def test_partition_labels_exact_past_int64_products(arcs):
+    # M * (xi*u mod p) passes 2**63; the labels still match exact division
+    p = 1009
+    freqs = [3, 7, 500]
+    rows = phase_partition(freqs, arcs, p)
+    assert rows.tolist() == [[int(Fraction(arcs * (xi * u % p), p)) for xi in freqs]
+                             for u in range(p)]
 
 
 def test_partition_cell_count_within_codomain(rng):
@@ -461,6 +485,13 @@ def _oracle_instances():
     yield "wide-gap", field_set(499, list(range(100, 131))), eq, SpectrumParams()
     # one cell holding the single edge {0, 1}, where d = p - d = 1
     yield "p2", field_set(2, [1]), eq, SpectrumParams(nu=0.6)
+    # one cell of 205 colors: more than two words' worth past the low 64
+    rng = np.random.default_rng(5)
+    mask = rng.random(401) < 0.8
+    mask[0] = False
+    yield "wide-palette", ElementSet(make_group([401]), mask), eq, SpectrumParams()
+    # the complete graph on F_257 in one cell: 257 colors, max_cell_degree 256
+    yield "complete-257", field_set(257, range(1, 257)), eq, SpectrumParams()
 
 
 @pytest.mark.parametrize("name,a,eq,params",
@@ -475,17 +506,26 @@ def test_color_matches_vertex_by_vertex_oracle(name, a, eq, params, monkeypatch)
         assert report.to_report() == want_report, (name, cap)
 
 
-@pytest.mark.parametrize("p", [2, 3, 13, 101])
-def test_cell_degrees_match_per_vertex_oracle(p, rng):
-    # three cells; max_cell_degree alone would miss a one-sided count, since
-    # vertex 0 sees every wrapped pair and mirrored cells share their maxima
+@pytest.mark.parametrize("p,halves,cells", [
+    *(pytest.param(p, 4, 3, id=str(p)) for p in (2, 3, 13, 101)),
+    # the complete graph in one cell: every degree is |A u -A| = p - 1, the
+    # largest uint8 (255) and one past it (256)
+    pytest.param(256, 128, 1, id="complete-256"),
+    pytest.param(257, 128, 1, id="complete-257"),
+])
+def test_cell_degrees_match_per_vertex_oracle(p, halves, cells, rng):
+    # three cells at the small p; max_cell_degree alone would miss a one-sided
+    # count, since vertex 0 sees every wrapped pair and mirrored cells share
+    # their maxima
     for _ in range(5):
-        cell_of = rng.integers(0, 3, p)
-        half = rng.choice(np.arange(1, p // 2 + 1), min(4, p // 2), replace=False)
+        cell_of = rng.integers(0, cells, p).astype(np.int32)
+        half = rng.choice(np.arange(1, p // 2 + 1), min(halves, p // 2), replace=False)
         conn = np.unique(np.concatenate((half, p - half)))
         want = [sum(cell_of[(v + d) % p] == cell_of[v] for d in conn.tolist())
                 for v in range(p)]
-        assert bohr_module._cell_degrees(cell_of, conn).tolist() == want
+        degree = bohr_module._cell_degrees(cell_of, conn)
+        assert degree.tolist() == want
+        assert degree.dtype == (np.uint8 if conn.size < 256 else np.uint16)
 
 
 def test_color_golden_lift_pinned():
