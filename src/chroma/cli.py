@@ -23,16 +23,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import cayley as cayley_mod
-from . import constructions as cons
-from . import config, graphio, kneser
-from .bohr import SpectrumParams, bohr_color
-from .equations import Equation, classify, prime_field_order
-from .exact import Surd
-from .groups import ElementSet, make_group, parse_group_literal
-from .primes import is_prime, next_prime
+# Each handler imports the chroma modules it calls, so an invocation loads
+# only its own command's modules (numpy comes in with the package root).
 
 # Config fields, checked before any work.  A kind is one of the JSON type
 # names in _SCALARS, a frozenset of allowed strings, a tuple of alternative
@@ -150,6 +142,7 @@ def _cache_path(path: str) -> str:
 def _threshold(text: str | None, fallback: Surd | None) -> Surd | None:
     if text is None:
         return fallback
+    from .exact import Surd
     try:
         return Surd.rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -164,6 +157,7 @@ def _threshold(text: str | None, fallback: Surd | None) -> Surd | None:
 
 
 def _run_classify(cfg: dict) -> tuple[dict, int, dict]:
+    from .equations import Equation, classify
     eq = Equation.parse(cfg["equation"])
     res = classify(eq)
     return {"equation": str(eq), "k": eq.k, **res.to_report()}, 0, {}
@@ -179,6 +173,8 @@ def _bracket_report(name: str, res) -> dict:
 
 
 def _run_kneser(cfg: dict) -> tuple[dict, int, dict]:
+    from . import cayley as cayley_mod, kneser
+    from .primes import is_prime
     params = kneser.KneserParams(cfg["n"], cfg["k"], cfg["m"])
     out: dict = {
         "n": params.n, "k": params.k, "m": params.m,
@@ -214,6 +210,8 @@ def _connection_indices(group, conn) -> list[int]:
 
 
 def _run_cayley(cfg: dict) -> tuple[dict, int, dict]:
+    from . import cayley as cayley_mod, graphio
+    from .groups import ElementSet, parse_group_literal
     group = parse_group_literal(cfg["group"])
     action = cfg["action"]
     if action in ("chi", "alpha"):
@@ -256,6 +254,9 @@ def _run_cayley(cfg: dict) -> tuple[dict, int, dict]:
 
 
 def _pinned_config(cfg: dict) -> cons.PinnedConfig:
+    from . import constructions as cons
+    from .equations import Equation
+    from .primes import next_prime
     eq = cons.normalize_equation(Equation.parse(cfg["equation"]))
     primes = tuple(cfg["primes"])
     p = cfg["p"]
@@ -281,6 +282,7 @@ def _lift_report(pinned: cons.PinnedConfig) -> dict:
 
 
 def _run_construct(cfg: dict) -> tuple[dict, int, dict]:
+    from . import constructions as cons
     pinned = _pinned_config(cfg)
     params, core_t, ext_t = pinned.params, pinned.core_threshold, pinned.extension_threshold
     e0 = cons.build_core_set(params, core_t)
@@ -296,6 +298,7 @@ def _run_construct(cfg: dict) -> tuple[dict, int, dict]:
 
 
 def _run_certify(cfg: dict) -> tuple[dict, int, dict]:
+    from . import constructions as cons
     if cfg.get("golden"):
         if extra := sorted(cfg.keys() & _LIFT_FIELDS):
             raise CliError(f"certify-lift with golden=true takes none of the fields {extra}")
@@ -316,6 +319,9 @@ def _run_certify(cfg: dict) -> tuple[dict, int, dict]:
 
 
 def _bohr_input_set(cfg: dict, p: int):
+    import numpy as np
+
+    from .groups import ElementSet, make_group
     spec = cfg["set"]
     group = make_group([p])
     if "rle" in spec:
@@ -336,6 +342,9 @@ def _bohr_input_set(cfg: dict, p: int):
 
 
 def _run_bohr(cfg: dict) -> tuple[dict, int, dict]:
+    from .bohr import SpectrumParams, bohr_color
+    from .equations import Equation, prime_field_order
+    from .groups import make_group
     p = cfg["p"]
     prime_field_order(make_group([p]))      # refuses p before the input set is built
     eq = Equation.parse(cfg["equation"])
@@ -354,6 +363,8 @@ def _run_bohr(cfg: dict) -> tuple[dict, int, dict]:
 
 
 def _run_indep(cfg: dict) -> tuple[dict, int, dict]:
+    from . import config, kneser
+    from .exact import Surd
     p, n = cfg["p"], cfg["n"]
     cap = config.WEIGHT_ENUM_CAP
     # for p >= 2, p**n exceeds the cap exactly when p**min(n, bits of cap) does
@@ -442,6 +453,7 @@ def run(command: str, cfg: dict) -> tuple[dict, int]:
 
 def _jsonify(obj):
     """Let numpy scalars pass through json.dumps."""
+    import numpy as np
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
@@ -457,8 +469,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     text = json.dumps(report, indent=2, sort_keys=True, default=_jsonify)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     return code

@@ -92,7 +92,9 @@ class Equation:
         if text.startswith("["):
             try:
                 vals = ast.literal_eval(text)
-            except SyntaxError as exc:
+            except (SyntaxError, ValueError, TypeError) as exc:
+                # a name or an expression ("1+1") raises ValueError with an AST
+                # node's address in its message; an unhashable key, TypeError
                 raise ValueError(f"bad equation literal {text!r}") from exc
             # bool is an int subclass and floats would truncate: exact ints only
             if not isinstance(vals, list) or any(type(v) is not int for v in vals):

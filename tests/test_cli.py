@@ -1,5 +1,6 @@
 """End-to-end runs of the `chroma` command-line front end (in-process but one)."""
 
+import ast
 import json
 import os
 import pathlib
@@ -563,6 +564,26 @@ def test_out_flag_writes_report_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_out_flag_write_error_is_reported(tmp_path, capsys, target):
+    cfg = tmp_path / "classify.json"
+    cfg.write_text(json.dumps({"equation": "[1,1,-1]"}))
+    out = tmp_path / "absent" / "r.json" if target == "missing" else tmp_path
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("literal", ["[1+1,1,-1]", "[x,1,-1]"])
+def test_bad_equation_literal_message(tmp_path, capsys, literal):
+    # ast.literal_eval's own message names an AST node by its address
+    code, rep, err = invoke(tmp_path, capsys, "classify", {"equation": literal})
+    assert (code, rep) == (1, None)
+    assert err == f"error: bad equation literal {literal!r}\n"
+
+
 # Config check, table-driven: (command, config, accepted).  An accepted config
 # may still fail later in its handler; only the validation verdict is pinned.
 _CAYLEY = {"group": "Z(5)", "connection": [1], "action": "greedy"}
@@ -699,6 +720,58 @@ def test_cli_runs_without_jsonschema(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["rt"] is True
+
+
+# the chroma modules that `import chroma.cli` loads (key None), and those each
+# shipped config's command loads on top of them
+_ROOT_MODULES = {"chroma", "chroma.cli", "chroma.config", "chroma.equations",
+                 "chroma.groups", "chroma.primes"}
+_COMMAND_MODULES = {
+    None: set(),
+    "classify_schur": set(),
+    "cycle_bohr": {"bohr", "exact"},
+    "golden": {"constructions", "exact"},
+    "petersen_chi": {"cayley", "exact", "kneser"},
+    "transfer": {"constructions", "exact"},
+}
+
+
+@pytest.mark.parametrize("stem", _COMMAND_MODULES, ids=str)
+def test_each_command_loads_only_its_modules(tmp_path, stem):
+    argv = None
+    if stem is not None:
+        snap = json.loads((_ROOT / "bench" / "snapshots" / f"{stem}.json").read_text())
+        argv = [snap["command"], "--config", str(_ROOT / "configs" / f"{stem}.json"),
+                "--out", str(tmp_path / "report.json")]
+    script = ("import json, sys\n"
+              "import chroma.cli\n"
+              f"argv = {argv!r}\n"
+              "code = None if argv is None else chroma.cli.main(argv)\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.split('.')[0] == 'chroma')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    if stem is not None:
+        assert code == snap["exit_code"]
+    assert set(loaded) == _ROOT_MODULES | {f"chroma.{m}" for m in _COMMAND_MODULES[stem]}
+
+
+def test_cli_imports_only_stdlib_at_the_top():
+    # handlers import the chroma modules they call; a module-level chroma
+    # import would load it for every command
+    tree = ast.parse((_ROOT / "src" / "chroma" / "cli.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else ["chroma"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert all(n.split(".")[0] in sys.stdlib_module_names for n in names), \
+            ast.unparse(node)
 
 
 def test_package_root_stays_lean():
