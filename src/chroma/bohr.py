@@ -24,7 +24,9 @@ colors, goes on to a high-color step: a boolean scatter of its neighbours'
 colors from 64 up and an argmin.
 
 Everything is checked after the fact: the emitted coloring is re-validated
-against the actual adjacency, whether or not the degree bound held.
+against the actual adjacency, whether or not the degree bound held, by the
+check that `Coloring.validate` runs on a cyclic `CayleyView`: the difference
+scan of `chroma.cayley`, which also counts the cell degrees, with no CSR.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cayley import CayleyView, _difference_scan, _monochromatic_edge
 from .equations import Equation, classify, dft, prime_field_order
 from .exact import _as_fraction
 from .groups import ElementSet, make_group
@@ -190,28 +193,6 @@ def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:
     return np.unique((inv * spectrum) % p)
 
 
-def _difference_scan(labels: np.ndarray, conn: np.ndarray):
-    """(d, same, wrap) for each d in conn = A u -A with d <= p // 2.
-
-    The one walk over the edges of Cay(Z_p, conn): conn is symmetric and d,
-    p - d join the same pairs, so these d reach every edge once (twice when
-    d = p - d, at p = 2).  same[v] compares the labels of v and v + d for
-    v < p - d; wrap[v] those of v and v - d mod p = p - d + v for v < d.
-    """
-    p = labels.size
-    for d in conn[conn <= p // 2].tolist():
-        yield d, labels[d:] == labels[:p - d], labels[:d] == labels[p - d:]
-
-
-def _validate_coloring(colors: np.ndarray, conn: np.ndarray) -> bool:
-    """Proper iff no difference of like-colored vertices lands in conn = A u -A.
-
-    The scan compares an int32 copy: every color is below p <= DFT_CAP.
-    """
-    return not any(same.any() or wrap.any()
-                   for _, same, wrap in _difference_scan(colors.astype(np.int32), conn))
-
-
 def _cell_degrees(cell_of: np.ndarray, conn: np.ndarray) -> np.ndarray:
     """Per vertex, its neighbours in Cay(Z_p, conn) that share its cell.
 
@@ -356,7 +337,8 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     bounds = np.flatnonzero(change) + 1
     num_cells = bounds.size + 1
 
-    conn = a_set.symmetrized_without_zero().indices()
+    view = CayleyView(a_set.group, a_set.symmetrized_without_zero())
+    conn = view.symmetric.indices()
 
     colors = np.full(p, -1, dtype=np.int64)
     low = np.zeros(p, dtype=np.uint64)
@@ -370,7 +352,8 @@ def bohr_color(a_set: ElementSet, eq: Equation,
     max_cell_degree = int(_cell_degrees(cell_of, conn).max())
 
     budget = (2 * k - 1) * arc_count ** len(frequencies)
-    proper = _validate_coloring(colors, conn)
+    # an int32 copy halves the scan's reads: every color is below p <= DFT_CAP
+    proper = _monochromatic_edge(view, colors.astype(np.int32)) is None
     report = ColoringReport(
         p=p, k=k, nu=params.nu, rho=params.rho_exact, arc_count=arc_count,
         s_index=s_index, spectrum_size=int(spectrum.size),

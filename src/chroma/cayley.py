@@ -4,10 +4,12 @@ Cay(G, A) has the group elements as vertices and an edge {u, v} whenever
 v - u lies in the symmetrized connection set A u (-A) minus the identity.
 Graphs up to the adjacency cap are materialized as sorted CSR neighbour rows
 (int32), row v being v + (A u -A); the greedy bounds, the validators and
-DIMACS I/O run on those.  The chromatic search and the independence seed
-read neighbour lists; the independence search builds bitset rows (Python
-ints) of the subgraph it searches, and of the whole graph for its bound
-when the budget runs out.
+DIMACS I/O run on those.  `Coloring.validate` also takes a cyclic view
+Cay(Z_n, S) as it stands: a difference scan compares the colors of v and
+v + d for each d in S up to n/2, with no CSR and no adjacency cap.  The
+chromatic search and the independence seed read neighbour lists; the
+independence search builds bitset rows (Python ints) of the subgraph it
+searches, and of the whole graph for its bound when the budget runs out.
 
 The chromatic solver is DSATUR branch and bound (Brelaz 1979) seeded with a
 greedy clique; it finds each node's branching vertex in per-saturation
@@ -188,14 +190,17 @@ class Coloring:
     def num_colors(self) -> int:
         return len(set(self.colors))
 
-    def validate(self, graph: Graph) -> None:
-        """Raise on the first monochromatic edge in `graph.edges()` order."""
-        if len(self.colors) != graph.n:
-            raise ValueError("coloring length does not match vertex count")
-        colors = np.asarray(self.colors, dtype=np.int64)
-        u, v = _same_label_edges(graph, np.arange(graph.n), colors)
-        if u.size:
-            raise ValueError(f"edge ({u[0]},{v[0]}) is monochromatic")
+    def validate(self, target: Graph | CayleyView) -> None:
+        """Raise on the first monochromatic edge in `Graph.edges()` order.
+
+        A `Graph` is checked on its CSR rows.  A `CayleyView` over Z_n is
+        checked by the difference scan, with no CSR and no adjacency cap; a
+        view over a product of cyclic groups is materialized by `to_graph`,
+        under its caps, and checked on those rows.
+        """
+        edge = _monochromatic_edge(target, np.asarray(self.colors, dtype=np.int64))
+        if edge is not None:
+            raise ValueError(f"edge ({edge[0]},{edge[1]}) is monochromatic")
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,43 @@ def _same_label_edges(graph: Graph, vs: np.ndarray,
     return rows[same], cols[same]
 
 
+def _difference_scan(labels: np.ndarray, conn: np.ndarray):
+    """(d, same, wrap) for each d in conn with d <= n // 2, n = labels.size.
+
+    The one walk over the edges of Cay(Z_n, conn), conn = A u -A without 0:
+    conn is symmetric and d, n - d join the same pairs, so these d reach
+    every edge once (twice when d = n - d).  same[v] compares the labels of
+    v and v + d for v < n - d; wrap[v] those of v and v - d mod n = n - d + v
+    for v < d.
+    """
+    n = labels.size
+    for d in conn[conn <= n // 2].tolist():
+        yield d, labels[d:] == labels[:n - d], labels[:d] == labels[n - d:]
+
+
+def _monochromatic_edge(target: Graph | CayleyView,
+                        colors: np.ndarray) -> tuple[int, int] | None:
+    """The first edge (u, v), u < v in `Graph.edges()` order, whose ends share
+    a color, or None.  A view over Z_n is walked by `_difference_scan`, and
+    the least edge over all d is taken; any other view is materialized."""
+    view = isinstance(target, CayleyView)
+    n = target.order if view else target.n
+    if colors.size != n:
+        raise ValueError("coloring length does not match vertex count")
+    if view and target.group.rank == 1:
+        first = None
+        for d, same, wrap in _difference_scan(colors, target._sym_indices):
+            # same[v] is the edge (v, v + d), wrap[v] the edge (v, n - d + v)
+            for hits, step in ((same, d), (wrap, n - d)):
+                v = int(hits.argmax())
+                if hits[v] and (first is None or (v, v + step) < first):
+                    first = (v, v + step)
+        return first
+    graph = target.to_graph() if view else target
+    u, v = _same_label_edges(graph, np.arange(n), colors)
+    return (int(u[0]), int(v[0])) if u.size else None
+
+
 @dataclass(frozen=True)
 class Bracket:
     """Bounds on chi and alpha that a graph's builder proved.
@@ -276,7 +318,7 @@ class CayleyView:
             raise ValueError("connection set lives in a different group")
         if connection.contains_index(0):
             warnings.warn("connection set contains the identity; stripping it",
-                          stacklevel=3)
+                          stacklevel=2)
         self.group = group
         self.connection = connection
         self.symmetric = connection.symmetrized_without_zero()

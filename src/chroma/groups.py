@@ -107,8 +107,8 @@ _LITERAL_PART = re.compile(r"^Z\((\d+)\)(?:\^(\d+))?$")
 def parse_group_literal(text: str) -> GroupSpec:
     """Parse a group literal: "Z(7)", "Z(3)^4", "Z(2)xZ(3)".
 
-    Factors are joined by "x", and "^r" repeats a factor r times; the result
-    prints back as the same canonical literal (GroupSpec.literal).
+    Factors are joined by "x", and "^r" repeats a factor r >= 1 times; the
+    result prints back as the same canonical literal (GroupSpec.literal).
     """
     text = text.strip().replace(" ", "")
     if not text:
@@ -118,8 +118,10 @@ def parse_group_literal(text: str) -> GroupSpec:
         mobj = _LITERAL_PART.match(part)
         if not mobj:
             raise ValueError(f"bad group literal component {part!r}")
-        n, power = int(mobj.group(1)), mobj.group(2)
-        moduli.extend([n] * (int(power) if power else 1))
+        n, power = int(mobj.group(1)), int(mobj.group(2) or 1)
+        if power < 1:
+            raise ValueError(f"group literal component {part!r} has exponent below 1")
+        moduli.extend([n] * power)
     return make_group(moduli)
 
 

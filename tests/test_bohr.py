@@ -15,6 +15,7 @@ from chroma.bohr import (
     large_spectrum,
     phase_partition,
 )
+from chroma.cayley import CayleyView, Coloring
 from chroma.constructions import golden_config, transfer_config
 from chroma.equations import Equation, classify, dft
 from chroma.groups import ElementSet, make_group
@@ -362,16 +363,19 @@ def test_color_pinned_lifted_set():
 
 @pytest.mark.parametrize("p, conn", [(13, [3, 6, 7, 10]), (2, [1]), (3, [1, 2])])
 def test_validate_coloring_catches_every_connection_difference(p, conn):
-    # conn is symmetric; the validator rolls only half of it, so a clash
-    # across d and across p - d (d = p // 2 included) must both be caught
-    conn = np.array(conn, dtype=np.int64)
-    distinct = np.arange(p, dtype=np.int64)
-    assert bohr_module._validate_coloring(distinct, conn)
-    for d in conn.tolist():
+    # conn is symmetric; the difference scan walks only d <= p // 2, so a
+    # clash across d and across p - d (d = p // 2 included) must both be
+    # caught, each named by its one monochromatic edge
+    view = CayleyView(make_group([p]), field_set(p, conn))
+    distinct = list(range(p))
+    Coloring(tuple(distinct)).validate(view)
+    for d in conn:
         for u in range(p):
             colors = distinct.copy()
             colors[(u + d) % p] = colors[u]
-            assert not bohr_module._validate_coloring(colors, conn), (d, u)
+            edge = sorted((u, (u + d) % p))
+            with pytest.raises(ValueError, match=rf"^edge \({edge[0]},{edge[1]}\) "):
+                Coloring(tuple(colors)).validate(view)
 
 
 def test_color_pullback_index_selection():

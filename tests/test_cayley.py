@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 import types
 
 import numpy as np
@@ -587,6 +588,70 @@ def test_validators_name_the_first_bad_pair_in_edge_order(rng):
                 vs.validate_independent(graph)
         else:
             vs.validate_independent(graph)
+
+
+def _named_edge(coloring, target):
+    """The edge `Coloring.validate` names on target, or None when it passes."""
+    try:
+        coloring.validate(target)
+    except ValueError as err:
+        match = re.fullmatch(r"edge \((\d+),(\d+)\) is monochromatic", str(err))
+        assert match, str(err)
+        return int(match[1]), int(match[2])
+    return None
+
+
+def test_cyclic_view_and_csr_validators_agree(rng):
+    # the difference scan on the view and the gathered CSR rows of its graph
+    # must pass the same colorings and name the same first edge: on DSATUR
+    # colorings, on each one with a clash planted across every d, and on
+    # random three-colorings
+    for n in [2, 3, 4, 5, 12, 13, 64, 101, 128, 256, 257, *rng.integers(6, 258, 8).tolist()]:
+        g = make_group([n])
+        members = rng.choice(np.arange(1, n), min(int(rng.integers(1, 6)), n - 1), replace=False)
+        view = CayleyView(g, ElementSet.from_indices(g, members))
+        graph = view.to_graph()
+        dsatur = dsatur_coloring(graph)
+        assert _named_edge(dsatur, view) is None
+        assert _named_edge(dsatur, graph) is None
+        colorings = [Coloring(tuple(int(c) for c in rng.integers(0, 3, n))) for _ in range(3)]
+        for d in view.symmetric.indices().tolist():
+            u = int(rng.integers(n))
+            colors = list(dsatur.colors)
+            colors[(u + d) % n] = colors[u]
+            colorings.append(Coloring(tuple(colors)))
+        for coloring in colorings:
+            edge = _named_edge(coloring, view)
+            assert edge == _named_edge(coloring, graph), (n, coloring)
+            if edge is not None:
+                u, v = edge
+                assert u < v and v in graph.neighbors(u)
+                assert coloring.colors[u] == coloring.colors[v]
+
+
+def test_product_group_view_is_validated_on_its_graph(rng):
+    g = make_group([3, 4])
+    view = CayleyView(g, ElementSet.from_indices(g, [1, 5]))
+    graph = view.to_graph()
+    for _ in range(20):
+        coloring = Coloring(tuple(int(c) for c in rng.integers(0, 3, g.order)))
+        assert _named_edge(coloring, view) == _named_edge(coloring, graph)
+    z12 = make_group([12])
+    for target in (view, CayleyView(z12, ElementSet.from_indices(z12, [1]))):
+        with pytest.raises(ValueError, match="coloring length"):
+            Coloring((0, 1)).validate(target)
+
+
+def test_identity_in_the_connection_set_warns_at_the_caller():
+    g = make_group([13])
+    with pytest.warns(UserWarning, match="contains the identity") as record:
+        view = CayleyView(g, ElementSet.from_indices(g, [0, 1, 5]))
+    assert len(record) == 1
+    assert record[0].filename == __file__
+    graph = view.to_graph()
+    want = CayleyView(g, ElementSet.from_indices(g, [1, 5])).to_graph()
+    assert graph.indptr.tolist() == want.indptr.tolist()
+    assert graph.indices.tolist() == want.indices.tolist()
 
 
 def test_budget_exhaustion_returns_bracket(rng):

@@ -218,6 +218,15 @@ def test_cayley_connection_entry_of_wrong_length(tmp_path, capsys):
     assert "dimension mismatch" in err
 
 
+def test_cayley_group_exponent_below_one(tmp_path, capsys):
+    # "Z(7)^0xZ(5)" is refused before the command runs, not read as Z(5)
+    code, rep, err = invoke(tmp_path, capsys, "cayley",
+                            {"group": "Z(7)^0xZ(5)", "connection": [1],
+                             "action": "greedy"})
+    assert code == 1 and rep is None
+    assert "'Z(7)^0' has exponent below 1" in err
+
+
 def test_cayley_export_files(tmp_path, capsys):
     dimacs = tmp_path / "cycle.dimacs"
     cnf = tmp_path / "cycle.cnf"
@@ -729,7 +738,7 @@ _ROOT_MODULES = {"chroma", "chroma.cli", "chroma.config", "chroma.equations",
 _COMMAND_MODULES = {
     None: set(),
     "classify_schur": set(),
-    "cycle_bohr": {"bohr", "exact"},
+    "cycle_bohr": {"bohr", "cayley", "exact"},
     "golden": {"constructions", "exact"},
     "petersen_chi": {"cayley", "exact", "kneser"},
     "transfer": {"constructions", "exact"},

@@ -17,7 +17,7 @@ def read_cnf(path):
     """Parse a DIMACS CNF file into (num_vars, clauses)."""
     num_vars = None
     clauses = []
-    for line in open(path):
+    for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("c"):
             continue
@@ -44,7 +44,7 @@ def test_dimacs_roundtrip(tmp_path, rng):
     graph = Graph.from_edges(5, edges)  # vertex 4 isolated
     path = tmp_path / "g.dimacs"
     write_dimacs(graph, path)
-    lines = open(path).read().splitlines()
+    lines = path.read_text().splitlines()
     assert lines[0] == "p edge 5 5"
     back = read_dimacs(path)
     assert back.n == graph.n

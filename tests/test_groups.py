@@ -1,5 +1,7 @@
 """Product groups, element indexing, bitmap sets, and RLE serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ def test_literal_rejects_garbage():
     for bad in ["", "Z7", "Z(0)", "Z(3)^", "Q(5)", "Z(3)+Z(4)", "Zm(15015)"]:
         with pytest.raises(ValueError):
             parse_group_literal(bad)
+
+
+@pytest.mark.parametrize("text, part", [("Z(7)^0xZ(5)", "Z(7)^0"), ("Z(5)xZ(7)^00", "Z(7)^00"),
+                                        ("Z(3)^0", "Z(3)^0")])
+def test_literal_rejects_exponent_below_one(text, part):
+    # a factor with exponent 0 is refused, not dropped: "Z(7)^0xZ(5)" is not Z(5)
+    with pytest.raises(ValueError, match=rf"component '{re.escape(part)}' has exponent below 1"):
+        parse_group_literal(text)
 
 
 def test_element_set_algebra_matches_python_sets(rng):
@@ -150,7 +160,7 @@ def test_rle_file_roundtrip(tmp_path):
     s.save(path)
     assert ElementSet.load(path) == s
     # header is human-readable and self-describing
-    assert open(path).readline().startswith("BITS1 ")
+    assert path.read_text().startswith("BITS1 ")
 
 
 def test_rle_rejects_malformed():
