@@ -757,7 +757,8 @@ def independence_number_exact(graph: Graph,
     n // omega for the greedy clique (alpha * omega <= n there).  When that
     end meets the best set found, the result is exact and names the bound
     that closed it: `clique-cover` for either cover, `clique-coclique` for
-    n // omega.
+    n // omega.  With a budget, G's cover and greedy clique are built as the
+    budget starts, so they count against it.
     """
     n = graph.n
     check_exact_solver_cap(n)
@@ -770,6 +771,11 @@ def independence_number_exact(graph: Graph,
         return IndependenceResult(0, VertexSet(()), 0, "exhausted-search")
 
     budget = _Budget(budget_s)
+    if budget_s is not None:
+        # the whole-graph bounds a spent budget falls back on, built inside it
+        whole_cover = _cover_size(_clique_cover(
+            _bitset_rows(graph.indptr, graph.indices, n), (1 << n) - 1))
+        coclique = n // len(greedy_clique(graph)) if graph.vertex_transitive else n + 1
     seed = _greedy_independent(graph)
     # only a bracket's upper bound stops the search before it is exhausted
     ceiling = n + 1 if bracket is None else bracket.alpha_upper
@@ -831,10 +837,8 @@ def independence_number_exact(graph: Graph,
         return IndependenceResult(best, vs, budget.nodes, bracket.alpha_upper_proof)
     if not budget.exhausted:
         return IndependenceResult(best, vs, budget.nodes, "exhausted-search")
-    rows = _bitset_rows(graph.indptr, graph.indices, n)
-    upper, proof = min(_cover_size(_clique_cover(rows, (1 << n) - 1)),
-                       len(root) + _cover_size(root_cover), ceiling), "clique-cover"
-    if graph.vertex_transitive and (coclique := n // len(greedy_clique(graph))) < upper:
+    upper, proof = min(whole_cover, len(root) + _cover_size(root_cover), ceiling), "clique-cover"
+    if coclique < upper:
         upper, proof = coclique, "clique-coclique"
     # best < ceiling here, so a bound that meets best is a cover or n // omega
     return IndependenceResult(upper, vs, budget.nodes, proof if upper == best else "budget")

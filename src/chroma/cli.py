@@ -7,7 +7,7 @@ file).  Reports are deterministic for a fixed (config, seed) apart from the
 `timing` block, which holds every measured second.
 
 Exit codes: 0 on success, 2 when a requested certificate or claim fails
-(a finding, with the evidence in the report), 1 on configuration or
+(a finding, with the evidence in the report), 1 on usage, configuration or
 execution errors.
 """
 
@@ -272,31 +272,6 @@ def _pinned_config(cfg: dict) -> cons.PinnedConfig:
                    cons.default_extension_threshold(params)))
 
 
-def _lift_report(pinned: cons.PinnedConfig) -> dict:
-    """The report fields construct and certify-lift share."""
-    params = pinned.params
-    return {"equation": str(params.eq), "q": params.q, "primes": list(params.primes),
-            "m": params.m, "p": params.p,
-            "core_threshold": str(pinned.core_threshold),
-            "extension_threshold": str(pinned.extension_threshold)}
-
-
-def _run_construct(cfg: dict) -> tuple[dict, int, dict]:
-    from . import constructions as cons
-    pinned = _pinned_config(cfg)
-    params, core_t, ext_t = pinned.params, pinned.core_threshold, pinned.extension_threshold
-    e0 = cons.build_core_set(params, core_t)
-    f0 = cons.build_extension_set(params, ext_t)
-    return {
-        **_lift_report(pinned),
-        "core_size": e0.count,
-        "core_density": e0.count / params.m,
-        "extension_size": f0.count,
-        "extension_density": f0.count / params.m,
-        "scale_conditions": cons.scale_conditions(params, core_t, ext_t),
-    }, 0, {}
-
-
 def _run_certify(cfg: dict) -> tuple[dict, int, dict]:
     from . import constructions as cons
     if cfg.get("golden"):
@@ -313,7 +288,12 @@ def _run_certify(cfg: dict) -> tuple[dict, int, dict]:
     bundle = cons.certify_lift(
         pinned.params, e0, f0, lift,
         pinned.core_threshold, pinned.extension_threshold)
-    out = {**_lift_report(pinned), "interval": list(lift.interval), **bundle.to_report()}
+    params = pinned.params
+    out = {"equation": str(params.eq), "q": params.q, "primes": list(params.primes),
+           "m": params.m, "p": params.p,
+           "core_threshold": str(pinned.core_threshold),
+           "extension_threshold": str(pinned.extension_threshold),
+           "interval": list(lift.interval), **bundle.to_report()}
     seconds = {r.name: round(r.elapsed, 6) for r in bundle.records}
     return out, 0 if bundle.all_passed else 2, {"certificates_s": seconds}
 
@@ -406,7 +386,6 @@ _COMMANDS: dict[str, tuple] = {
          "action": frozenset({"chi", "alpha", "greedy", "export"}),
          "budget": "string", "dimacs": "string", "cnf": "string", "cnf_colors": "integer"},
         ("group", "connection", "action"))),
-    "construct": (_run_construct, _Object(_LIFT_FIELDS, _LIFT_REQUIRED)),
     "bohr-color": (_run_bohr, _Object(
         {"p": "integer", "equation": "string",
          "set": _Object({"rle": "string", "indices": _ListOf("integer"),
@@ -421,8 +400,17 @@ _COMMANDS: dict[str, tuple] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, where argparse exits 2: chroma keeps 2 for
+    findings.  Subparsers inherit the class through `add_subparsers`."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chroma",
         description="Solution-free sets, Cayley/Kneser graphs, and their "
                     "chromatic certificates.",

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import re
+import time
 import types
 
 import numpy as np
@@ -272,6 +273,34 @@ def test_budget_bound_alpha_on_z131_brackets_the_truth():
     assert res.proof == ("exhausted-search" if res.exact else "budget")
     res.vertex_set.validate_independent(graph)
     assert res.vertex_set.size == res.lower
+
+
+def test_alpha_budget_builds_the_whole_graph_bound_inside_the_budget(monkeypatch):
+    # a spent budget falls back on the whole graph's cover and greedy clique;
+    # both are built as the budget starts, not once its deadline has passed
+    graph = _cayley_graph((1999,), [1, 5, 11, 20, 27, 40])
+    budgets, finished = [], []
+
+    class RecordedBudget(_Budget):
+        def __init__(self, seconds):
+            super().__init__(seconds)
+            budgets.append(self)
+
+    def timed(fn):
+        def run(*args):
+            out = fn(*args)
+            finished.append((fn.__name__, time.monotonic()))
+            return out
+        return run
+
+    monkeypatch.setattr(cayley, "_Budget", RecordedBudget)
+    monkeypatch.setattr(cayley, "_bitset_rows", timed(cayley._bitset_rows))
+    monkeypatch.setattr(cayley, "greedy_clique", timed(cayley.greedy_clique))
+    res = independence_number_exact(graph, budget_s=0.2)
+    assert (res.exact, res.proof) == (False, "budget")
+    [budget] = budgets
+    assert {name for name, _ in finished} == {"_bitset_rows", "greedy_clique"}
+    assert all(t < budget.deadline for _, t in finished), (finished, budget.deadline)
 
 
 # KN(n, k, 1) -> (search nodes, coloring with one digit per vertex).  Any

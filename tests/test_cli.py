@@ -1,15 +1,17 @@
 """End-to-end runs of the `chroma` command-line front end (in-process but one)."""
 
 import ast
+import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from chroma import cayley, config, constructions, graphio, kneser
+from chroma import cayley, cli, config, constructions, graphio, kneser
 from chroma.cli import _jsonify, main, run
 from chroma.groups import ElementSet, make_group
 
@@ -272,35 +274,28 @@ def test_cayley_cnf_colors_are_checked_before_the_graph_is_built(tmp_path, capsy
     assert err.strip() == "error: 'cnf' export needs 'cnf_colors' >= 1"
 
 
-def test_construct_pinned_thresholds(tmp_path, capsys):
-    code, rep, _ = invoke(tmp_path, capsys, "construct",
-                          {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13],
-                           "p": 431, "core_threshold": "37/20",
-                           "extension_threshold": "1/12"})
-    assert code == 0
-    res = rep["results"]
-    assert res["m"] == 143
-    assert res["core_size"] == 2
-    assert res["extension_size"] == 1
-    assert res["core_threshold"] == "37/20"
-    conds = res["scale_conditions"]
-    assert sum(conds.values()) == 9 and len(conds) == 11
-
-
-def test_construct_auto_prime(tmp_path, capsys):
+def test_certify_lift_auto_prime(tmp_path, capsys):
     # auto picks the first prime past (sum|c|)^2 (sum|c| + 1) m = 9*4*143
-    code, rep, _ = invoke(tmp_path, capsys, "construct",
+    code, rep, _ = invoke(tmp_path, capsys, "certify-lift",
                           {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13],
                            "p": "auto"})
-    assert code == 0
     res = rep["results"]
     assert res["p"] == 5153
     # omitted thresholds come from default_core/extension_threshold, both
-    # negative at n = 2: the core set is all of Z_m and the extension empty
+    # negative at n = 2: the core set is all of Z_m and the extension empty,
+    # so the core is not solution-free and the findings exit 2
     assert res["core_threshold"] == "1 + -5*sqrt(2)"
     assert res["extension_threshold"] == "1 + -75*sqrt(2)"
-    assert res["core_size"] == 143
-    assert res["extension_size"] == 0
+    assert res["counts"]["core_m"] == res["m"] == 143
+    assert res["counts"]["extension_m"] == 0
+    assert code == 2
+    outcome = {c["name"]: c["passed"] for c in res["certificates"]}
+    assert outcome == {
+        "core-solution-free": False,
+        "induced-subgraph-match": True,
+        "extension-in-lift": True,
+        "no-mixed-solutions": False,
+    }
     assert res["scale_conditions"] == {
         "q_exceeds_abs_coeff_sum": True,
         "primes_exceed_qn": True,
@@ -436,6 +431,10 @@ def test_certify_lift_pinned_small(tmp_path, capsys):
     assert res["counts"] == {"core_lifted": 2, "core_m": 2,
                              "extension_lifted": 1, "extension_m": 1,
                              "full_lifted": 3}
+    assert (res["m"], res["p"]) == (143, 431)
+    assert (res["core_threshold"], res["extension_threshold"]) == ("37/20", "1/12")
+    conds = res["scale_conditions"]
+    assert sum(conds.values()) == 9 and len(conds) == 11
 
 
 def test_certify_lift_golden(tmp_path, capsys):
@@ -454,7 +453,12 @@ def test_certify_lift_golden(tmp_path, capsys):
     assert res["interval"] == [93633, 124843]
 
 
-@pytest.mark.parametrize("extra", [{"q": 7, "equation": "[1,1,1]"}, {"core_threshold": None}])
+@pytest.mark.parametrize("extra", [
+    {"q": 7, "equation": "[1,1,1]"},
+    {"core_threshold": None},
+    {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13], "p": 431,
+     "core_threshold": "37/20", "extension_threshold": "1/12"},
+])
 def test_certify_lift_golden_refuses_lift_fields(tmp_path, capsys, monkeypatch, extra):
     def no_work():
         raise AssertionError("the golden pin was built")
@@ -467,9 +471,14 @@ def test_certify_lift_golden_refuses_lift_fields(tmp_path, capsys, monkeypatch, 
 
 
 def test_certify_lift_needs_params_or_golden(tmp_path, capsys):
-    code, _, err = invoke(tmp_path, capsys, "certify-lift", {"q": 5})
-    assert code == 1
-    assert "golden" in err
+    # both configs pass the field table, which requires no lift field
+    code, rep, err = invoke(tmp_path, capsys, "certify-lift", {"q": 5})
+    assert code == 1 and rep is None
+    assert err.strip() == "error: certify-lift needs either golden=true or the field 'equation'"
+    code, rep, err = invoke(tmp_path, capsys, "certify-lift",
+                            {k: v for k, v in _LIFT.items() if k != "q"})
+    assert code == 1 and rep is None
+    assert err.strip() == "error: certify-lift needs either golden=true or the field 'q'"
 
 
 def test_schema_rejects_unknown_fields(tmp_path, capsys):
@@ -513,8 +522,18 @@ def test_bad_budget_string(tmp_path, capsys):
 
 
 def test_unknown_command_rejected(tmp_path, capsys):
-    with pytest.raises(SystemExit):
+    # a usage error exits 1, as other input errors do; 2 is kept for findings
+    with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x.json"])
+    assert exc.value.code == 1
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 1
+    assert "required: --config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-lift", "--help"])
+    assert exc.value.code == 0
 
 
 def test_cache_dir_redirects_relative_artifacts(tmp_path, capsys, monkeypatch):
@@ -542,6 +561,15 @@ def test_shipped_configs_match_the_bench_snapshots(stem):
     report = json.loads(json.dumps(report, default=_jsonify))
     del report["timing"]
     assert (report, code) == (snap["report"], snap["exit_code"])
+
+
+def test_readme_command_table_lists_each_command():
+    # the rows of the README table headed "| command" name exactly the CLI's commands
+    lines = (_ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| command "))
+    rows = itertools.takewhile(lambda line: line.startswith("| `"), lines[start + 2:])
+    names = [re.match(r"\| `([^`]+)` +\|", row).group(1) for row in rows]
+    assert sorted(names) == sorted(cli._COMMANDS)
 
 
 def test_no_path_reads_the_whole_graph_bitset_rows(tmp_path, no_masks):
@@ -629,18 +657,20 @@ CONFIG_CHECK_ROWS = [
     ("cayley", {**_CAYLEY, "dimacs": None}, False),
     ("cayley", {"group": "Z(5)", "action": "greedy"}, False),
     ("cayley", {**_CAYLEY, "typo": 1}, False),
-    ("construct", _LIFT, True),
-    ("construct", {**_LIFT, "p": "auto"}, True),
-    ("construct", {**_LIFT, "core_threshold": None}, True),
-    ("construct", {**_LIFT, "p": "automatic"}, False),
-    ("construct", {**_LIFT, "p": None}, False),
-    ("construct", {**_LIFT, "primes": []}, False),
-    ("construct", {**_LIFT, "primes": [11, "13"]}, False),
-    ("construct", {**_LIFT, "primes": 11}, False),
-    ("construct", {**_LIFT, "core_threshold": 1.5}, False),
-    ("construct", {**_LIFT, "q": True}, False),
-    ("construct", {**_LIFT, "golden": True}, False),
-    ("construct", {k: v for k, v in _LIFT.items() if k != "q"}, False),
+    ("certify-lift", {**_LIFT, "equation": 5}, False),
+    ("certify-lift", {**_LIFT, "p": "auto"}, True),
+    ("certify-lift", {**_LIFT, "core_threshold": None}, True),
+    ("certify-lift", {**_LIFT, "p": "automatic"}, False),
+    ("certify-lift", {**_LIFT, "p": None}, False),
+    ("certify-lift", {**_LIFT, "primes": [True]}, False),
+    ("certify-lift", {**_LIFT, "primes": [11, "13"]}, False),
+    ("certify-lift", {**_LIFT, "primes": 11}, False),
+    ("certify-lift", {**_LIFT, "core_threshold": 1.5}, False),
+    ("certify-lift", {**_LIFT, "q": True}, False),
+    # the handler refuses these two with exit 1 (test_certify_lift_golden_refuses_lift_fields,
+    # test_certify_lift_needs_params_or_golden)
+    ("certify-lift", {**_LIFT, "golden": True}, True),
+    ("certify-lift", {k: v for k, v in _LIFT.items() if k != "q"}, True),
     ("bohr-color", _BOHR, True),
     ("bohr-color", {**_BOHR, "nu": 1, "rho": 0.05, "s_index": None, "seed": 3}, True),
     ("bohr-color", {**_BOHR, "set": {"random_density": 0.3}}, True),
@@ -678,8 +708,8 @@ CONFIG_CHECK_ROWS = [
     ("cayley", {**_CAYLEY, "cnf_colors": 3.0}, False),
     ("cayley", {**_CAYLEY, "connection": [1.0]}, False),
     ("cayley", {**_CAYLEY, "connection": [[1.0]]}, False),
-    ("construct", {**_LIFT, "q": 5.0}, False),
-    ("construct", {**_LIFT, "p": 431.0}, False),
+    ("certify-lift", {**_LIFT, "q": 5.0}, False),
+    ("certify-lift", {**_LIFT, "p": 431.0}, False),
     ("bohr-color", {**_BOHR, "set": {"indices": [1.0]}}, False),
     ("indep-set", {**_INDEP, "n": 9.0}, False),
     ("indep-set", {"p": 3, "n": 6, "radius_sq": 6.0}, False),
