@@ -431,8 +431,20 @@ def test_certify_lift_pinned_small(tmp_path, capsys):
     assert res["counts"] == {"core_lifted": 2, "core_m": 2,
                              "extension_lifted": 1, "extension_m": 1,
                              "full_lifted": 3}
+
+
+def test_construct_pinned_thresholds(tmp_path, capsys):
+    # the construction's p, thresholds, set sizes and scale conditions, as
+    # certify-lift reports them when p and both thresholds are pinned
+    code, rep, _ = invoke(tmp_path, capsys, "certify-lift",
+                          {"equation": "[1,-1,1]", "q": 5, "primes": [11, 13],
+                           "p": 431, "core_threshold": "37/20",
+                           "extension_threshold": "1/12"})
+    assert code == 2
+    res = rep["results"]
     assert (res["m"], res["p"]) == (143, 431)
     assert (res["core_threshold"], res["extension_threshold"]) == ("37/20", "1/12")
+    assert (res["counts"]["core_m"], res["counts"]["extension_m"]) == (2, 1)
     conds = res["scale_conditions"]
     assert sum(conds.values()) == 9 and len(conds) == 11
 
