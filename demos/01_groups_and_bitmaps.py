@@ -1,16 +1,16 @@
 """
-Finite abelian groups, element bitmaps, and CRT splitting
-=========================================================
+Finite abelian groups and element bitmaps
+=========================================
 
 Everything downstream works over Z_{n1} x ... x Z_{nr}: elements are
-mixed-radix indices of their coordinate tuples, subsets are boolean bitmaps
-over those indices, and products of coprime cyclic factors can be viewed either
-as one big cyclic group or as the product, with an explicit bijection.
+mixed-radix indices of their coordinate tuples, and subsets are boolean
+bitmaps over those indices.
 """
 
+import pathlib
 import tempfile
 
-from chroma.groups import CrtSplit, ElementSet, make_group, parse_group_literal
+from chroma.groups import ElementSet, make_group, parse_group_literal
 
 # -- a product group and its element indexing -------------------------------
 
@@ -38,15 +38,6 @@ print("|A| =", a.count, "|A n B| =", a.intersection(b).count,
 # bitmaps serialize as a one-line run-length format, stable across runs
 with tempfile.NamedTemporaryFile(mode="r", suffix=".bits") as fh:
     a.save(fh.name)
-    print("serialized:", open(fh.name).read().strip()[:60], "...")
+    print("serialized:", pathlib.Path(fh.name).read_text().strip()[:60], "...")
     print("round-trip ok:", ElementSet.load(fh.name).indices().tolist()
           == a.indices().tolist())
-
-# -- CRT: Z_m vs the product of its prime-power factors ---------------------
-
-m = 7 * 11 * 13
-split = CrtSplit(m, (7, 11, 13))
-print("\nZ_%d <-> %s" % (m, split.product_group.literal))
-scalar = 123
-coords = split.to_coords(scalar)
-print("123 splits into", coords, "and recombines to", split.to_scalar(coords))

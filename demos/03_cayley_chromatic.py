@@ -54,6 +54,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     cnf = tmp + "/three_colors.cnf"
     write_coloring_cnf(graph, 3, cnf)
-    header = [ln for ln in open(cnf) if ln.startswith("p cnf")][0].strip()
+    with open(cnf) as fh:
+        header = [ln for ln in fh if ln.startswith("p cnf")][0].strip()
     print("3-colorability as CNF:", header,
           "(UNSAT here, since chi = %d)" % res.chromatic_number)

@@ -10,7 +10,6 @@ four certificates check the claimed structure after the fact.
 """
 
 from chroma.constructions import (
-    NormContext,
     certify_lift,
     golden_config,
     norm,
@@ -19,10 +18,10 @@ from chroma.constructions import (
 
 # -- the norm: a sum of tents, one per prime coordinate ---------------------
 
-ctx = NormContext(q=5, primes=(11, 13))
+params = transfer_config().params      # q = 5, primes (11, 13)
 for y in (0, 3, 68, 100):
-    print(f"|{y:3d}|_1 = {norm(ctx, y, 1)}")
-print("peak value is n =", len(ctx.primes), "at the simultaneous tent tops")
+    print(f"|{y:3d}|_1 = {norm(params, y, 1)}")
+print("peak value is n =", params.n, "at the simultaneous tent tops")
 
 # -- a small pinned pipeline (m = 143, p = 431) -----------------------------
 

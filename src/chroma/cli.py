@@ -202,6 +202,7 @@ def _connection_indices(group, conn) -> list[int]:
             if len(entry) != group.rank:
                 raise ValueError(f"dimension mismatch: got {len(entry)} coords "
                                  f"for rank {group.rank}")
+            # reduce as Python ints: coords_to_indices converts to int64
             reduced = [c % n for c, n in zip(entry, group.moduli)]
             idx.append(int(group.coords_to_indices(reduced)))
         else:

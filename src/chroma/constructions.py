@@ -1,10 +1,10 @@
 """Dense solution-free sets in Z_m and their lift to a prime field.
 
 Pipeline: pick a prime q and distinct primes p_1..p_n with product m; a
-slope-j coordinate norm on Z_m (via the CRT split) measures how close each
-coordinate sits to the balanced point p_i * j/q.  A core set E0 collects the
-elements of near-maximal norm, an extension set F0 collects elements whose
-scaled norms are small on both signs, and both lift along the standard
+slope-j coordinate norm on Z_m reads the residues y mod p_i and measures how
+close each one sits to the balanced point p_i * j/q.  A core set E0 collects
+the elements of near-maximal norm, an extension set F0 collects elements
+whose scaled norms are small on both signs, and both lift along the standard
 representative map into F_p for a large prime p, giving A = E u F.  Exact
 certificates (solution-freeness, induced-subgraph equality, the extension
 property, absence of mixed solutions) are checked by direct scans.
@@ -28,7 +28,6 @@ from .groups import ElementSet, GroupSpec, make_group, materialized_order
 from .primes import check_distinct_primes, is_prime
 
 __all__ = [
-    "NormContext",
     "ConstructionParams",
     "GaussParams",
     "LiftResult",
@@ -51,74 +50,6 @@ __all__ = [
     "golden_config",
     "transfer_config",
 ]
-
-# ---------------------------------------------------------------------------
-# Coordinate norms on Z_m
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormContext:
-    """Slope-j coordinate norms on Z_m = Z_{p_1} x ... x Z_{p_n}.
-
-    The coordinate term at prime p_i is
-        min( q*r/(j*p_i), q*(p_i - r)/((q-j)*p_i) ),   r = y mod p_i,
-    a tent over [0, p_i] peaking at r = p_i*j/q with value 1; the norm of y
-    is the sum of the n coordinate terms, so it lies in [0, n].
-    """
-
-    q: int
-    primes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(int(p) for p in self.primes))
-        if not is_prime(self.q):
-            raise ValueError(f"q = {self.q} must be prime")
-        check_distinct_primes(self.primes)
-        n = len(self.primes)
-        for p in self.primes:
-            if p <= self.q * n:
-                raise ValueError(f"prime {p} must exceed q*n = {self.q * n}")
-        if self.m * self.q * self.q >= 1 << 62:
-            raise ValueError("m*q^2 too large for exact int64 norm numerators")
-
-    @property
-    def n(self) -> int:
-        return len(self.primes)
-
-    @property
-    def m(self) -> int:
-        return math.prod(self.primes)
-
-    def denominator(self, j: int) -> int:
-        j = self._slope(j)
-        return j * (self.q - j) * self.m
-
-    def _slope(self, j: int) -> int:
-        if not 1 <= j <= self.q - 1:
-            raise ValueError(f"slope index {j} outside [1, {self.q - 1}]")
-        return int(j)
-
-
-def norm_numerators(ctx: NormContext, ys: np.ndarray, j: int) -> np.ndarray:
-    """Integer numerators of the slope-j norms over denominator j*(q-j)*m."""
-    j = ctx._slope(j)
-    q, m = ctx.q, ctx.m
-    ys = np.asarray(ys, dtype=np.int64) % m
-    total = np.zeros(ys.shape, dtype=np.int64)
-    for p_i in ctx.primes:
-        r = ys % p_i
-        rising = q * (q - j) * r
-        falling = q * j * (p_i - r)
-        total += (m // p_i) * np.minimum(rising, falling)
-    return total
-
-
-def norm(ctx: NormContext, y: int, j: int) -> Fraction:
-    """Exact slope-j norm of y in Z_m."""
-    num = int(norm_numerators(ctx, np.array([y]), j)[0])
-    return Fraction(num, ctx.denominator(j))
-
 
 # ---------------------------------------------------------------------------
 # Equation normalization and construction parameters
@@ -160,9 +91,16 @@ def normalize_equation(eq: Equation) -> Equation:
 class ConstructionParams:
     """Normalized equation plus the primes (q; p_1..p_n; p) of the pipeline.
 
-    Validations: c1 + c2 = 0 with coefficient sum >= 1; q prime and larger
-    than the absolute coefficient sum; the p_i distinct primes above q*n; the
-    lift prime p above (sum of |c_i|) * m.
+    Validations, in order: c1 + c2 = 0 with coefficient sum >= 1; q larger
+    than the absolute coefficient sum; q prime; the p_i distinct primes, each
+    above q*n; m*q^2 < 2^62, so norm numerators are exact in int64; the lift
+    prime p prime and above (sum of |c_i|) * m.
+
+    The slope-j coordinate norm on Z_m = Z_{p_1} x ... x Z_{p_n} has, at
+    prime p_i, the term
+        min( q*r/(j*p_i), q*(p_i - r)/((q-j)*p_i) ),   r = y mod p_i,
+    a tent over [0, p_i] peaking at r = p_i*j/q with value 1; the norm of y
+    is the sum of the n coordinate terms, so it lies in [0, n].
     """
 
     eq: Equation
@@ -179,7 +117,14 @@ class ConstructionParams:
             raise ValueError("expected a normalized equation with sum(c) >= 1")
         if not self.q > d > c >= 1:
             raise ValueError(f"need q > sum|c_i| > sum c_i >= 1, got {self.q}, {d}, {c}")
-        self.context  # runs NormContext validation (q prime, p_i > q*n, ...)
+        if not is_prime(self.q):
+            raise ValueError(f"q = {self.q} must be prime")
+        check_distinct_primes(self.primes)
+        for p in self.primes:
+            if p <= self.q * self.n:
+                raise ValueError(f"prime {p} must exceed q*n = {self.q * self.n}")
+        if self.m * self.q * self.q >= 1 << 62:
+            raise ValueError("m*q^2 too large for exact int64 norm numerators")
         if not is_prime(self.p):
             raise ValueError(f"lift prime p = {self.p} is not prime")
         if self.p <= d * self.m:
@@ -194,16 +139,47 @@ class ConstructionParams:
         return math.prod(self.primes)
 
     @property
-    def context(self) -> NormContext:
-        return NormContext(self.q, self.primes)
-
-    @property
     def group_m(self) -> GroupSpec:
         return make_group([self.m])
 
     @property
     def group_p(self) -> GroupSpec:
         return make_group([self.p])
+
+    def denominator(self, j: int) -> int:
+        """j*(q-j)*m, the common denominator of the slope-j norms."""
+        j = self._slope(j)
+        return j * (self.q - j) * self.m
+
+    def _slope(self, j: int) -> int:
+        if not 1 <= j <= self.q - 1:
+            raise ValueError(f"slope index {j} outside [1, {self.q - 1}]")
+        return int(j)
+
+
+# ---------------------------------------------------------------------------
+# Coordinate norms on Z_m
+# ---------------------------------------------------------------------------
+
+
+def norm_numerators(params: ConstructionParams, ys: np.ndarray, j: int) -> np.ndarray:
+    """Integer numerators of the slope-j norms over params.denominator(j)."""
+    j = params._slope(j)
+    q, m = params.q, params.m
+    ys = np.asarray(ys, dtype=np.int64) % m
+    total = np.zeros(ys.shape, dtype=np.int64)
+    for p_i in params.primes:
+        r = ys % p_i
+        rising = q * (q - j) * r
+        falling = q * j * (p_i - r)
+        total += (m // p_i) * np.minimum(rising, falling)
+    return total
+
+
+def norm(params: ConstructionParams, y: int, j: int) -> Fraction:
+    """Exact slope-j norm of y in Z_m."""
+    num = int(norm_numerators(params, np.array([y]), j)[0])
+    return Fraction(num, params.denominator(j))
 
 
 def default_core_threshold(params: ConstructionParams) -> Surd:
@@ -226,10 +202,9 @@ def default_extension_threshold(params: ConstructionParams) -> Surd:
 
 def build_core_set(params: ConstructionParams, threshold: Surd) -> ElementSet:
     """{y in Z_m : slope-1 norm of y >= threshold}; exact cutoff comparison."""
-    ctx = params.context
     m = materialized_order(params.group_m)
-    nums = norm_numerators(ctx, np.arange(m, dtype=np.int64), 1)
-    cutoff = threshold.scaled(ctx.denominator(1)).ceil()
+    nums = norm_numerators(params, np.arange(m, dtype=np.int64), 1)
+    cutoff = threshold.scaled(params.denominator(1)).ceil()
     return ElementSet(params.group_m, nums >= cutoff)
 
 
@@ -252,14 +227,13 @@ def build_extension_set(params: ConstructionParams, threshold: Surd) -> ElementS
 
     A negative threshold is the degenerate small-n case: the result is empty.
     """
-    ctx = params.context
     m = materialized_order(params.group_m)
     c1 = params.eq.coeffs[0]
     big_c = params.eq.coeff_sum
     ys = np.arange(m, dtype=np.int64)
-    pos = norm_numerators(ctx, (c1 * ys) % m, big_c)
-    neg = norm_numerators(ctx, (-c1 * ys) % m, big_c)
-    cutoff = threshold.scaled(ctx.denominator(big_c)).floor()
+    pos = norm_numerators(params, (c1 * ys) % m, big_c)
+    neg = norm_numerators(params, (-c1 * ys) % m, big_c)
+    cutoff = threshold.scaled(params.denominator(big_c)).floor()
     return ElementSet(params.group_m, (pos <= cutoff) & (neg <= cutoff))
 
 

@@ -249,9 +249,6 @@ class SolutionFreeResult:
     def free(self) -> bool:
         return self.witness is None
 
-    def __bool__(self) -> bool:
-        return self.free
-
 
 def _require_invertible_modulus(eq: Equation, A: ElementSet) -> int:
     """Cyclic modulus with every coefficient invertible (prime not required)."""

@@ -20,12 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
-from .primes import check_distinct_primes
 
 __all__ = [
     "GroupSpec",
     "ElementSet",
-    "CrtSplit",
     "make_group",
     "materialized_order",
     "parse_group_literal",
@@ -275,40 +273,3 @@ class ElementSet:
     def load(cls, path) -> "ElementSet":
         with open(path, "r", encoding="ascii") as fh:
             return cls.from_rle_text(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Chinese remainder splitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrtSplit:
-    """Isomorphism Z_m ~ Z_{p1} x ... x Z_{pn} for squarefree m = p1*...*pn."""
-
-    m: int
-    primes: tuple[int, ...]
-
-    def __post_init__(self):
-        check_distinct_primes(self.primes)
-        if math.prod(self.primes) != self.m:
-            raise ValueError(
-                f"product of primes {self.primes} is {math.prod(self.primes)}, not {self.m}"
-            )
-
-    @property
-    def product_group(self) -> GroupSpec:
-        return make_group(self.primes)
-
-    def to_coords(self, x: int) -> tuple[int, ...]:
-        x %= self.m
-        return tuple(x % p for p in self.primes)
-
-    def to_scalar(self, residues: Sequence[int]) -> int:
-        if len(residues) != len(self.primes):
-            raise ValueError("residue tuple has wrong length")
-        x = 0
-        for r, p in zip(residues, self.primes):
-            big = self.m // p
-            x = (x + (r % p) * big * pow(big, -1, p)) % self.m
-        return x

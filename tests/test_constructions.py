@@ -1,5 +1,6 @@
 """Coordinate norms, core/extension sets, the prime-field lift, certificates."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from chroma.constructions import (
     ConstructionParams,
     GaussParams,
     LiftResult,
-    NormContext,
     build_core_set,
     build_extension_set,
     certify_lift,
@@ -28,7 +28,8 @@ from chroma.constructions import (
 )
 from chroma.equations import Equation, is_solution_free
 from chroma.exact import Surd
-from chroma.groups import CrtSplit, ElementSet, make_group
+from chroma.groups import ElementSet, make_group
+from chroma.primes import is_prime, next_prime
 from conftest import oracle_surd_fraction
 
 
@@ -46,84 +47,98 @@ def oracle_norm(q, primes, y, j):
 # ---------------------------------------------------------------------------
 
 
+def norm_params(q, primes):
+    """Params for x1 - x2 + x3 = 0 over the given primes, lifted to next_prime(3m)."""
+    return ConstructionParams(Equation((1, -1, 1)), q, primes,
+                              next_prime(3 * math.prod(primes)))
+
+
+def all_ones_grid_point(params):
+    """The y in Z_m with y = p // q (mod p) for every prime p."""
+    ys = np.arange(params.m, dtype=np.int64)
+    hits = np.all([ys % p == p // params.q for p in params.primes], axis=0)
+    return int(np.flatnonzero(hits)[0])
+
+
 def test_norm_context_validation():
-    ctx = NormContext(5, (101, 103))
-    with pytest.raises(ValueError):
-        norm(ctx, 0, 5)                     # slope out of range
-    with pytest.raises(ValueError):
-        NormContext(4, (101, 103))          # q not prime
-    with pytest.raises(ValueError):
-        NormContext(5, (101, 101))          # repeated prime
-    with pytest.raises(ValueError):
-        NormContext(5, (7, 103))            # 7 <= q*n = 10
-    with pytest.raises(ValueError):
+    params = norm_params(5, (101, 103))
+    with pytest.raises(ValueError, match="slope index 5 outside"):
+        norm(params, 0, 5)
+    with pytest.raises(ValueError, match="q = 4 must be prime"):
+        norm_params(4, (101, 103))
+    with pytest.raises(ValueError, match="repeated prime factor 101"):
+        norm_params(5, (101, 101))
+    with pytest.raises(ValueError, match=r"prime 7 must exceed q\*n = 10"):
+        norm_params(5, (7, 103))
+    with pytest.raises(ValueError, match="too large for exact int64"):
         # product overflows the int64 safety margin m*q^2 < 2^62
-        NormContext(5, (1000003, 1000033, 1000037))
+        norm_params(5, (1000003, 1000033, 1000037))
 
 
 def test_single_coordinate_frozen_example():
-    ctx = NormContext(5, (101,))
-    assert norm(ctx, 20, 1) == Fraction(100, 101)
+    params = norm_params(5, (101,))
+    assert norm(params, 20, 1) == Fraction(100, 101)
     assert oracle_norm(5, (101,), 20, 1) == Fraction(100, 101)
 
 
 def test_zero_and_range():
-    ctx = NormContext(5, (101, 103))
-    assert norm(ctx, 0, 1) == 0
+    params = norm_params(5, (101, 103))
+    assert norm(params, 0, 1) == 0
     for y in (1, 50, 5151, 10402):
         for j in (1, 2, 3, 4):
-            v = norm(ctx, y, j)
+            v = norm(params, y, j)
             assert 0 <= v <= 2
-            for p in ctx.primes:
+            for p in params.primes:
                 assert 0 <= oracle_coordinate_norm(5, p, y % p, j) <= 1
 
 
 def test_norm_matches_oracle_randomized(rng):
-    ctx = NormContext(5, (101, 103))
+    params = norm_params(5, (101, 103))
     for _ in range(300):
         y = int(rng.integers(0, 101 * 103))
         j = int(rng.integers(1, 5))
-        assert norm(ctx, y, j) == oracle_norm(5, (101, 103), y, j)
+        assert norm(params, y, j) == oracle_norm(5, (101, 103), y, j)
 
 
 def test_norm_numerators_consistent_with_norm(rng):
-    ctx = NormContext(3, (13, 17, 19, 23))
-    ys = rng.integers(0, 13 * 17 * 19 * 23, size=500).astype(np.int64)
+    params = norm_params(5, (23, 29, 31, 37))
+    ys = rng.integers(0, params.m, size=500).astype(np.int64)
     for j in (1, 2):
-        nums = norm_numerators(ctx, ys, j)
-        den = ctx.denominator(j)
+        nums = norm_numerators(params, ys, j)
+        den = params.denominator(j)
         for y, num in zip(ys[:50], nums[:50]):
-            assert Fraction(int(num), den) == norm(ctx, int(y), j)
+            assert Fraction(int(num), den) == norm(params, int(y), j)
 
 
 def test_negation_swaps_slope():
     # ||-y||_j == ||y||_{q-j}, exhaustively on a single coordinate
     q, p = 5, 101
-    ctx = NormContext(q, (p,))
+    params = norm_params(q, (p,))
     for y in range(p):
         for j in range(1, q):
-            assert norm(ctx, (-y) % p, j) == norm(ctx, y, q - j)
+            assert norm(params, (-y) % p, j) == norm(params, y, q - j)
 
 
 def test_triangle_inequality_vectorized(rng):
-    ctx = NormContext(5, (101, 103))
+    params = norm_params(5, (101, 103))
     m = 101 * 103
     xs = rng.integers(0, m, size=10_000).astype(np.int64)
     ys = rng.integers(0, m, size=10_000).astype(np.int64)
     for j in (1, 2, 4):
-        lhs = norm_numerators(ctx, (xs + ys) % m, j)
-        rhs = norm_numerators(ctx, xs, j) + norm_numerators(ctx, ys, j)
+        lhs = norm_numerators(params, (xs + ys) % m, j)
+        rhs = norm_numerators(params, xs, j) + norm_numerators(params, ys, j)
         assert np.all(lhs <= rhs)
 
 
 def test_discretized_all_ones_lands_high():
     # the grid image of the all-ones point has every coordinate norm > 1 - 1/n
-    ctx = NormContext(3, (13, 17, 19, 23))
-    y = CrtSplit(ctx.m, ctx.primes).to_scalar([p // ctx.q for p in ctx.primes])
+    params = norm_params(5, (23, 29, 31, 37))
+    y = all_ones_grid_point(params)
     n = 4
-    for p in ctx.primes:
-        assert oracle_coordinate_norm(3, p, y % p, 1) > 1 - Fraction(1, n)
-    assert norm(ctx, y, 1) > n - 1
+    for p in params.primes:
+        assert y % p == p // 5
+        assert oracle_coordinate_norm(5, p, y % p, 1) > 1 - Fraction(1, n)
+    assert norm(params, y, 1) > n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +210,28 @@ def test_golden_core_set_frozen_count_and_membership(rng):
     cfg = golden_config()
     e0 = build_core_set(cfg.params, cfg.core_threshold)
     assert e0.count == 108
-    ctx = cfg.params.context
     members = set(e0.indices().tolist())
     theta = Fraction(13, 7)
     for y in map(int, rng.integers(0, cfg.params.m, size=200)):
         assert (oracle_norm(5, (101, 103), y, 1) >= theta) == (y in members)
     assert 0 not in members
     # the discretized all-ones grid point is a member
-    assert CrtSplit(ctx.m, ctx.primes).to_scalar([p // ctx.q for p in ctx.primes]) in members
+    assert all_ones_grid_point(cfg.params) in members
+
+
+def test_golden_build_validates_nothing_again(monkeypatch):
+    # the params validate once, when constructed; building the sets reads them
+    cfg = golden_config()
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("chroma.constructions.is_prime", spy)
+    monkeypatch.setattr("chroma.primes.is_prime", spy)
+    cfg.build()
+    assert calls == []
 
 
 def test_golden_extension_set_frozen_count_and_membership(rng):
@@ -230,7 +259,7 @@ def test_core_norm_bound_value_and_random_tuples(rng):
     for _ in range(300):
         xs = rng.choice(idx, size=3, replace=False).tolist()
         combo = sum(c * x for c, x in zip(cfg.params.eq.coeffs, xs)) % cfg.params.m
-        val = norm(cfg.params.context, combo, cfg.params.eq.coeff_sum)
+        val = norm(cfg.params, combo, cfg.params.eq.coeff_sum)
         assert bound.cmp(val) <= 0 and val >= Fraction(2, 7)
 
 

@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the package in `src/`."""
+"""Every demo script runs to completion against the package in `src/`.
+
+Each runs with PYTHONWARNINGS=error, which its own child processes inherit,
+so a leaked file handle (an unraisable ResourceWarning) shows on stderr.
+"""
 
 import os
 import pathlib
@@ -13,7 +17,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path),
+               PYTHONWARNINGS="error")
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chroma.groups import (
-    CrtSplit,
     ElementSet,
     make_group,
     parse_group_literal,
@@ -25,22 +24,6 @@ def test_index_coords_roundtrip_exhaustive():
     assert np.array_equal(g.coords_to_indices(coords), idx)
     # coordinates are reduced modulo their factor on the way in
     assert np.array_equal(g.coords_to_indices(coords + [4, -9, 50]), idx)
-
-
-def test_crt_split_is_additive_bijection():
-    split = CrtSplit(105, (3, 5, 7))
-    seen = set()
-    for x in range(105):
-        coords = split.to_coords(x)
-        assert split.to_scalar(coords) == x
-        seen.add(tuple(coords))
-    assert len(seen) == 105
-    # homomorphism: splitting commutes with addition
-    for x in range(0, 105, 11):
-        for y in range(0, 105, 13):
-            cx, cy = split.to_coords(x), split.to_coords(y)
-            s = [(a + b) % m for a, b, m in zip(cx, cy, (3, 5, 7))]
-            assert split.to_scalar(s) == (x + y) % 105
 
 
 def test_literal_roundtrip():
