@@ -7,7 +7,7 @@ Graphs up to the adjacency cap are materialized as sorted CSR neighbour rows
 DIMACS I/O run on those.  `Coloring.validate` also takes a cyclic view
 Cay(Z_n, S) as it stands: a difference scan compares the colors of v and
 v + d for each d in S up to n/2, with no CSR and no adjacency cap.  The
-chromatic search and the independence seed read neighbour lists; the
+chromatic search and the independence seeds read neighbour lists; the
 independence search builds bitset rows (Python ints) of the subgraph it
 searches, and of the whole graph for its bound when the budget runs out.
 
@@ -20,7 +20,9 @@ bounds each node, and the root cover bounds alpha when the budget runs out.
 Cayley graphs are vertex-transitive, so the independence search fixes
 vertex 0 there and the clique-coclique bound alpha * omega <= n applies;
 on a graph built from its group it also drops the mirror image of each
-branch under x -> -x at the root and x -> v - x one level down.
+branch under x -> -x at the root and x -> v - x one level down, and it
+starts from the best one-frequency Bohr set {x : chi_u(x) < m_u}, m_u the
+least distance of chi_u(S) to 0, when that beats the greedy set.
 
 A graph may carry a `Bracket` of bounds its builder proved: today only the
 classical Kneser graphs, whose chi is Lovasz's n - 2k + 2 (`lovasz-1978`,
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import math
 import sys
 import time
 import warnings
@@ -669,6 +672,44 @@ def _greedy_independent(graph: Graph) -> list[int]:
     return sorted(out)
 
 
+def _arc_independent(graph: Graph) -> list[int]:
+    """The largest one-frequency Bohr set of a graph that carries its group,
+    lowest u on ties; [] when it carries none.
+
+    With N the exponent of G (the lcm of its moduli), each u in G gives the
+    character chi_u(x) = sum_i u_i x_i N/n_i mod N.  Let m_u be the least
+    chi_u(s) over s in S = N(0), or N when S is empty; as S = -S, that is
+    the least ||chi_u(s)||_N, the distance to 0 mod N.  For x, y in
+    {x : chi_u(x) < m_u}, chi_u(x - y) lies strictly between -m_u and m_u
+    mod N, so x - y is not in S: the set is independent and holds 0.  chi_u
+    takes each multiple of g = gcd(N, u_i N/n_i) exactly |G| g/N times, and
+    m_u is one, so the set has |G| m_u / N elements and the largest m_u wins.
+    On Z_n it is {x : u x mod n < m_u}.  The m_u are scanned in blocks of u
+    of at most `_BLOCK_ENTRIES` character values.  When every m_u is 0 (each
+    character vanishes somewhere on S) the set is {0}."""
+    group = graph.group
+    if group is None:
+        return []
+    exponent = math.lcm(*group.moduli)
+    weight = exponent // np.array(group.moduli)     # chi_u(x) = u . (x * weight) mod N
+    # a graph under the adjacency cap has N <= 2^16 and rank <= 16, so the
+    # dot products (rank terms below N^2) fit int64
+    conn = group.indices_to_coords(graph.row(0)) * weight
+    rows = max(1, _BLOCK_ENTRIES // max(1, conn.size))
+    best_m, best_u = 0, 0
+    for start in range(0, graph.n, rows):
+        us = group.indices_to_coords(np.arange(start, min(start + rows, graph.n)))
+        m = (us @ conn.T % exponent).min(axis=1, initial=exponent)
+        i = int(m.argmax())
+        if m[i] > best_m:
+            best_m, best_u = int(m[i]), start + i
+    if best_m == 0:
+        return [0]
+    u = group.indices_to_coords([best_u])[0]
+    chi = group.indices_to_coords(np.arange(graph.n)) * weight @ u % exponent
+    return np.flatnonzero(chi < best_m).tolist()
+
+
 def _clique_cover(masks: list[int], cand: int, skip: int = 0) -> list[tuple[int, int]]:
     """Greedy clique cover of `cand`: each class starts at the lowest vertex
     left and is narrowed to its neighbours, lowest first.  Returns
@@ -748,8 +789,13 @@ def independence_number_exact(graph: Graph,
     When the graph carries a closed `Bracket` (its independent set meets its
     upper bound, as the Erdos-Ko-Rado star does on a classical Kneser graph)
     the validated set is returned with the bracket's proof and nothing is
-    searched.  Otherwise the search starts from the larger of the greedy and
-    the bracket's sets, and stops once it reaches the bracket's upper bound.
+    searched.  Otherwise the search starts from the largest of three sets,
+    earlier ones winning ties: the greedy set (`_greedy_independent`), on a
+    graph that carries its group the best one-frequency Bohr set
+    {x : chi_u(x) < m_u} (`_arc_independent`; independent because m_u is
+    the least distance of chi_u(S) to 0, so no two of its members differ by
+    an element of S), and the bracket's set.  It stops once it reaches the
+    bracket's upper bound.
 
     On budget exhaustion the bracket's upper end is the smallest of the
     clique cover of G, the root's size plus the cover of its candidates,
@@ -758,7 +804,7 @@ def independence_number_exact(graph: Graph,
     end meets the best set found, the result is exact and names the bound
     that closed it: `clique-cover` for either cover, `clique-coclique` for
     n // omega.  With a budget, G's cover and greedy clique are built as the
-    budget starts, so they count against it.
+    budget starts, and the greedy and arc sets after, so all count against it.
     """
     n = graph.n
     check_exact_solver_cap(n)
@@ -776,7 +822,8 @@ def independence_number_exact(graph: Graph,
         whole_cover = _cover_size(_clique_cover(
             _bitset_rows(graph.indptr, graph.indices, n), (1 << n) - 1))
         coclique = n // len(greedy_clique(graph)) if graph.vertex_transitive else n + 1
-    seed = _greedy_independent(graph)
+    # the arc set replaces the greedy set only when it is strictly larger
+    seed = max(_greedy_independent(graph), _arc_independent(graph), key=len)
     # only a bracket's upper bound stops the search before it is exhausted
     ceiling = n + 1 if bracket is None else bracket.alpha_upper
     if bracket is not None and bracket.independent.size > len(seed):

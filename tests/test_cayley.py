@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import re
 import time
 import types
@@ -149,11 +150,15 @@ def test_exact_alpha_matches_oracle_on_random_graphs(rng):
             assert res.lower <= want <= res.upper
 
 
+def _small_circulants(rng):
+    """(n, members): Cay(Z_n, S) for every 5 <= n <= 16, with one to three
+    seeded generators."""
+    return [(n, sorted({int(x) for x in rng.integers(1, n, size)}))
+            for n in range(5, 17) for size in (1, 2, 3)]
+
+
 def test_exact_alpha_matches_oracle_on_circulants(rng):
-    # Cay(Z_n, S) for every 5 <= n <= 16, with one to three seeded generators
-    circulants = [(n, sorted({int(x) for x in rng.integers(1, n, size)}))
-                  for n in range(5, 17) for size in (1, 2, 3)]
-    for n, members in circulants:
+    for n, members in _small_circulants(rng):
         graph = _cayley_graph((n,), members)
         want = oracle_independence(graph)
         got = independence_number_exact(graph)
@@ -189,7 +194,8 @@ def test_alpha_budget_takes_the_clique_coclique_bound():
     assert len(greedy_clique(graph)) == 3
     res = independence_number_exact(graph, budget_s=0)
     assert not res.exact and res.nodes == 1
-    assert res.lower <= 38 <= res.upper == 42
+    # the seed is the best character arc, which is a maximum independent set here
+    assert res.lower == 38 and res.upper == 42
     res.vertex_set.validate_independent(graph)
 
 
@@ -257,12 +263,65 @@ def test_reflections_match_brute_force_on_small_cayley_graphs():
 
 def test_reflections_cut_the_alpha_search_on_z127():
     # Cay(Z_127, +-{1,5,11,20,27,40}): 19,506 nodes with vertex 0 fixed alone
+    # from the greedy set of 37; 3,610 with the reflections and the arc set of 38
     graph = _cayley_graph((127,), [1, 5, 11, 20, 27, 40])
     fixed = independence_number_exact(Graph(graph.n, graph.indptr, graph.indices,
                                             vertex_transitive=True))
     res = independence_number_exact(graph)
     assert (fixed.lower, fixed.nodes) == (38, 19506)
-    assert (res.lower, res.exact, res.proof, res.nodes) == (38, True, "exhausted-search", 6469)
+    assert (res.lower, res.exact, res.proof, res.nodes) == (38, True, "exhausted-search", 3610)
+
+
+def oracle_arc(graph):
+    """The largest {x : chi_u(x) < m_u} over the characters chi_u of the
+    graph's group, lowest u first, or [0] when each is empty; plain Python."""
+    moduli = graph.group.moduli
+    exponent = math.lcm(*moduli)
+    elements = list(itertools.product(*(range(n) for n in moduli)))  # index order
+    conn = [elements[s] for s in graph.neighbors(0)]
+    best = [0]
+    for u in elements:
+        def chi(x):
+            return sum(ui * xi * (exponent // n) for ui, xi, n in zip(u, x, moduli)) % exponent
+        m = min((min(chi(s), exponent - chi(s)) for s in conn), default=exponent)
+        arc = [i for i, x in enumerate(elements) if chi(x) < m]
+        if len(arc) > len(best):
+            best = arc
+    return best
+
+
+def test_arc_set_is_the_best_character_arc(rng):
+    cases = _SEEDED_CAYLEY + [((n,), members) for n, members in _small_circulants(rng)]
+    # K_4, where every character vanishes on S, and the empty graph on Z_7
+    cases += [((2, 2), [1, 2, 3]), ((7,), [])]
+    for moduli, members in cases:
+        graph = _cayley_graph(moduli, members)
+        arc = cayley._arc_independent(graph)
+        VertexSet(tuple(arc)).validate_independent(graph)
+        assert 0 in arc
+        assert arc == oracle_arc(graph), (moduli, members)
+        bare_alpha = independence_number_exact(Graph(graph.n, graph.indptr, graph.indices))
+        assert independence_number_exact(graph).lower == bare_alpha.lower, (moduli, members)
+
+
+def test_arc_set_of_z3_4_is_a_hyperplane():
+    # Cay(Z_3^4, +-{e1, e2, e3, e4, (1,1,1,1)}): the kernel of a character, alpha = 27
+    graph = _cayley_graph((3, 3, 3, 3), [1, 3, 9, 27, 40])
+    arc = cayley._arc_independent(graph)
+    assert len(arc) == 27 == independence_number_exact(graph).lower
+    coords = graph.group.indices_to_coords(arc)
+    sums = graph.group.coords_to_indices(coords[:, None, :] + coords[None, :, :])
+    assert set(sums.ravel().tolist()) == set(arc)
+
+
+def test_arc_scan_across_block_boundaries(monkeypatch):
+    graphs = [_cayley_graph(m, s) for m, s in [((127,), [1, 5, 11, 20, 27, 40]),
+                                               ((3, 3, 3, 3), [1, 3, 9, 27, 40]),
+                                               ((4, 6), [1, 7, 9]), ((2,) * 5, [3, 5, 17, 30])]]
+    want = [cayley._arc_independent(g) for g in graphs]
+    for entries in (1, 13, 50):
+        monkeypatch.setattr(cayley, "_BLOCK_ENTRIES", entries)
+        assert [cayley._arc_independent(g) for g in graphs] == want, entries
 
 
 def test_budget_bound_alpha_on_z131_brackets_the_truth():
@@ -706,7 +765,7 @@ def test_zero_budget_is_spent_on_the_first_node():
 
 @pytest.fixture
 def seed_spends_budget(monkeypatch):
-    """A clock that ticks 1 ms per read, and greedy seeds that take 2 s of it."""
+    """A clock that ticks 1 ms per read, and greedy and arc seeds that take 2 s of it."""
     clock = [0.0]
 
     def monotonic():
@@ -722,6 +781,7 @@ def seed_spends_budget(monkeypatch):
     monkeypatch.setattr(cayley, "time", types.SimpleNamespace(monotonic=monotonic))
     monkeypatch.setattr(cayley, "dsatur_coloring", slow(cayley.dsatur_coloring))
     monkeypatch.setattr(cayley, "_greedy_independent", slow(cayley._greedy_independent))
+    monkeypatch.setattr(cayley, "_arc_independent", slow(cayley._arc_independent))
 
 
 def test_budget_covers_the_greedy_seed(seed_spends_budget):
@@ -737,6 +797,11 @@ def test_budget_covers_the_greedy_seed(seed_spends_budget):
     assert res.lower <= 10 <= res.upper     # alpha(KN(11,2)) = C(10,1)
     res.vertex_set.validate_independent(graph)
     assert res.vertex_set.size == res.lower
+    # Cay(Z_127, +-{1,5,11,20,27,40}): the arc scan runs inside the budget too
+    graph = _cayley_graph((127,), [1, 5, 11, 20, 27, 40])
+    res = independence_number_exact(graph, budget_s=1.0)
+    assert (res.exact, res.proof, res.nodes, res.lower) == (False, "budget", 1, 38)
+    res.vertex_set.validate_independent(graph)
 
 
 def _cycle(n):
