@@ -175,16 +175,28 @@ class ColoringReport:
     frequency_count: int
     bohr_size: int
     intersection_size: int
-    claim_passed: bool
     cells: int
     max_cell_degree: int
     colors_used: int
-    color_budget: int
-    within_budget: bool
     proper: bool
 
+    @property
+    def claim_passed(self) -> bool:
+        """Whether |A n B| < k, the test behind the color budget."""
+        return self.intersection_size < self.k
+
+    @property
+    def color_budget(self) -> int:
+        """(2k - 1) * M^|Gamma|: the colors a passed claim allows."""
+        return (2 * self.k - 1) * self.arc_count ** self.frequency_count
+
+    @property
+    def within_budget(self) -> bool:
+        return self.colors_used <= self.color_budget
+
     def to_report(self) -> dict:
-        return {**asdict(self), "rho": str(self.rho)}
+        return {**asdict(self), "rho": str(self.rho), "claim_passed": self.claim_passed,
+                "color_budget": self.color_budget, "within_budget": self.within_budget}
 
 
 def _pullback(spectrum: np.ndarray, c_s: int, p: int) -> np.ndarray:
@@ -323,7 +335,7 @@ def bohr_color(a_set: ElementSet, eq: Equation,
         frequencies = np.array([0], dtype=np.int64)
     arc_count = params.arc_count
     bohr = bohr_set(frequencies, params.rho_exact, p)
-    claim_passed, intersection = claim_ab_test(a_set, bohr, k)
+    _, intersection = claim_ab_test(a_set, bohr, k)
 
     # one stable sort of the phase rows, first column most significant: cells
     # are numbered in lexicographic row order, vertices ascend within a cell
@@ -351,16 +363,13 @@ def bohr_color(a_set: ElementSet, eq: Equation,
 
     max_cell_degree = int(_cell_degrees(cell_of, conn).max())
 
-    budget = (2 * k - 1) * arc_count ** len(frequencies)
     # an int32 copy halves the scan's reads: every color is below p <= DFT_CAP
     proper = _monochromatic_edge(view, colors.astype(np.int32)) is None
     report = ColoringReport(
         p=p, k=k, nu=params.nu, rho=params.rho_exact, arc_count=arc_count,
         s_index=s_index, spectrum_size=int(spectrum.size),
         frequency_count=int(len(frequencies)), bohr_size=bohr.count,
-        intersection_size=int(intersection.size), claim_passed=claim_passed,
-        cells=num_cells, max_cell_degree=max_cell_degree,
-        colors_used=next_color, color_budget=budget,
-        within_budget=next_color <= budget, proper=proper,
+        intersection_size=int(intersection.size), cells=num_cells,
+        max_cell_degree=max_cell_degree, colors_used=next_color, proper=proper,
     )
     return colors, report

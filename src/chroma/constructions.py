@@ -217,9 +217,7 @@ def core_norm_bound(params: ConstructionParams, threshold: Surd) -> Surd:
     Positive bound certifies the core set solution-free.
     """
     n, q, d = params.n, params.q, params.eq.abs_coeff_sum
-    slack_a = Fraction(n) - threshold.a          # n - t = slack_a - t.b*sqrt(n)
-    return Surd(Fraction(n) - (q - 1) * d * slack_a,
-                (q - 1) * d * threshold.b, threshold.under)
+    return n - (n - threshold).scaled((q - 1) * d)
 
 
 def build_extension_set(params: ConstructionParams, threshold: Surd) -> ElementSet:
@@ -243,13 +241,10 @@ def extension_gap_check(params: ConstructionParams, core_threshold: Surd,
 
     Differences of extension elements have slope-C norm at most 2*t_F while
     core combinations sit above the right side, so the two regions cannot
-    meet when the gap holds.
+    meet when the gap holds.  Either threshold may be rational or a surd in
+    sqrt(n); the comparison is exact in every mix of the two.
     """
-    bound = core_norm_bound(params, core_threshold)
-    # 2*t_F < bound  <=>  bound - 2*t_F > 0
-    diff = Surd(bound.a - 2 * extension_threshold.a,
-                bound.b - 2 * extension_threshold.b, bound.under)
-    return diff.cmp(0) > 0
+    return extension_threshold.scaled(2) < core_norm_bound(params, core_threshold)
 
 
 # ---------------------------------------------------------------------------

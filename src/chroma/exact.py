@@ -3,8 +3,10 @@
 Membership predicates in this package (Hamming balls of radius p*sqrt(n),
 weight cutoffs n/2 - p*sqrt(n), norm cutoffs n - q*sqrt(n) - 1, ...) compare a
 rational quantity against a quadratic surd.  Floating point is never used for
-those comparisons: every test reduces to integer/Fraction arithmetic on
-squares, so set membership is exact and platform independent.
+those comparisons: every decision goes through `Surd.floor`/`ceil`, whose
+`math.isqrt` is the one place a square root is taken, so set membership is
+exact and platform independent.  Only `Surd` reads its own parts; other code
+builds new surds by subtraction and scaling, which keep one radicand.
 """
 
 from __future__ import annotations
@@ -47,34 +49,24 @@ class Surd:
         """coeff*sqrt(under); build a + b*sqrt(under) as Surd(a, b, under)."""
         return Surd(Fraction(0), _as_fraction(coeff), under)
 
-    def cmp(self, x) -> int:
-        """Sign of (self - x) for rational x: -1, 0, or +1. Exact."""
-        t = _as_fraction(x) - self.a          # compare b*sqrt(u) against t
-        b, u = self.b, self.under
-        if b == 0 or u == 0:
-            return (t < 0) - (t > 0)
-        r = math.isqrt(u)
-        if r * r == u:                         # sqrt(u) is an integer
-            v = b * r - t
-            return (v > 0) - (v < 0)
-        # sqrt(u) irrational: b*sqrt(u) = t is impossible unless both are 0.
-        if b > 0:
-            if t <= 0:
-                return 1
-            return 1 if b * b * u > t * t else -1
-        if t >= 0:
-            return -1
-        # both sides negative: b*sqrt(u) > t  <=>  |b|*sqrt(u) < |t|
-        return 1 if b * b * u < t * t else -1
+    def __sub__(self, x) -> "Surd":
+        """self - x for a rational or a Surd; a rational side takes the other's radicand."""
+        x = x if isinstance(x, Surd) else Surd.rational(x)
+        if self.b != 0 and x.b != 0 and self.under != x.under:
+            raise ValueError(f"cannot subtract surds over different radicands "
+                             f"{self.under} and {x.under}")
+        return Surd(self.a - x.a, self.b - x.b, self.under if x.b == 0 else x.under)
 
-    def __ge__(self, x) -> bool:
-        return self.cmp(x) >= 0
+    def __rsub__(self, x) -> "Surd":
+        return Surd.rational(x) - self
+
+    def cmp(self, x) -> int:
+        """Sign of (self - x) for a rational or a Surd x: -1, 0, or +1. Exact."""
+        d = self - x
+        return (d.ceil() > 0) - (d.floor() < 0)
 
     def __gt__(self, x) -> bool:
         return self.cmp(x) > 0
-
-    def __le__(self, x) -> bool:
-        return self.cmp(x) <= 0
 
     def __lt__(self, x) -> bool:
         return self.cmp(x) < 0
@@ -100,9 +92,6 @@ class Surd:
     def ceil(self) -> int:
         """Smallest integer >= self, in integer arithmetic only."""
         return -Surd(-self.a, -self.b, self.under).floor()
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.under)
 
     def __str__(self) -> str:
         if self.b == 0 or self.under == 0:

@@ -90,9 +90,6 @@ class GroupSpec:
             i = j
         return "x".join(parts)
 
-    def __str__(self) -> str:
-        return self.literal
-
 
 def make_group(moduli: Sequence[int]) -> GroupSpec:
     """Build a product group from a list of cyclic moduli (each >= 2)."""
@@ -177,9 +174,6 @@ class ElementSet:
     @property
     def count(self) -> int:
         return int(self._bits.sum())
-
-    def __len__(self) -> int:
-        return self.count
 
     def contains_index(self, idx: int) -> bool:
         return bool(self._bits[idx])

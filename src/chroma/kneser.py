@@ -403,7 +403,7 @@ def independent_set(p: int, n: int, radius: Surd | None = None) -> IndependentSe
                          f"{config.WEIGHT_COUNT_CAP}")
     if radius is None:
         radius = Surd.sqrt(1 if p == 2 else p, n)
-    threshold = Surd(Fraction(n, 2) - radius.a, -radius.b, radius.under)
+    threshold = Fraction(n, 2) - radius
     # weight numerators (over p-1) are integers in [0, n*(p-1)]; cut at an exact integer
     cutoff = threshold.scaled(p - 1).floor()
     count = _weight_set_count(p, n, cutoff)

@@ -468,16 +468,21 @@ def test_an_open_bracket_seeds_the_chi_search():
     assert (res.exact, res.upper, res.proof) == (False, 4, "budget")
 
 
-def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
-    # the first seeded random graph on which the greedy set is not maximum;
-    # given alpha as an upper bound, the search stops when it reaches it
-    # instead of going on to exhaust the tree
+def _greedy_short_graph():
+    """The first seeded random graph on which the greedy set is not maximum
+    (alpha 11, greedy 10), with its bare exact search."""
     rng = np.random.default_rng(0)
     while True:
         graph = random_graph(rng, 40, 0.3)
         searched = independence_number_exact(graph)
         if len(cayley._greedy_independent(graph)) < searched.independence_number:
-            break
+            return graph, searched
+
+
+def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
+    # given alpha as an upper bound, the search stops when it reaches it
+    # instead of going on to exhaust the tree
+    graph, searched = _greedy_short_graph()
     alpha = searched.independence_number
     assert searched.proof == "exhausted-search"
     assert independence_number_exact(graph, budget_s=0).proof == "budget"
@@ -488,6 +493,20 @@ def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
     assert (res.exact, res.independence_number, res.proof) == (True, alpha, "given")
     assert res.nodes < searched.nodes
     res.vertex_set.validate_independent(graph)
+
+
+def test_an_open_bracket_set_seeds_the_alpha_search():
+    # bracketed with a maximum set and alpha + 1, the search starts from the
+    # bracket's set and only has to prove that no larger one exists
+    graph, searched = _greedy_short_graph()
+    alpha = searched.independence_number
+    bracket = Bracket(1, "none", Coloring(tuple(range(graph.n))), searched.vertex_set,
+                      alpha + 1, "given")
+    res = independence_number_exact(
+        Graph(graph.n, graph.indptr, graph.indices, bracket=bracket))
+    assert (res.exact, res.independence_number, res.proof) == (True, alpha, "exhausted-search")
+    assert res.nodes < searched.nodes
+    assert res.vertex_set.members == searched.vertex_set.members
 
 
 def bitset_greedy_independent(graph):

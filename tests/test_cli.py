@@ -449,6 +449,18 @@ def test_construct_pinned_thresholds(tmp_path, capsys):
     assert sum(conds.values()) == 9 and len(conds) == 11
 
 
+def test_certify_lift_default_extension_threshold_over_a_rational_core(tmp_path, capsys):
+    # transfer's core threshold 37/20 with the default extension threshold
+    # 1 - 75*sqrt(2): 2*(1 - 75*sqrt(2)) is about -210, below the core bound 1/5
+    cfg = json.loads((_ROOT / "configs" / "transfer.json").read_text())
+    del cfg["extension_threshold"]
+    code, rep, _ = invoke(tmp_path, capsys, "certify-lift", cfg)
+    assert code == 2
+    res = rep["results"]
+    assert res["extension_threshold"] == "1 + -75*sqrt(2)"
+    assert res["scale_conditions"]["extension_gap_holds"] is True
+
+
 def test_certify_lift_golden(tmp_path, capsys):
     code, rep, _ = invoke(tmp_path, capsys, "certify-lift", {"golden": True})
     assert code == 2

@@ -1,5 +1,6 @@
 """Coordinate norms, core/extension sets, the prime-field lift, certificates."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -275,6 +276,44 @@ def test_extension_gap_and_scale_conditions():
     assert not ct["lift_ranges_disjoint"]
     assert not ct["mixed_nonzero_sum_blocked"]
     assert sum(ct.values()) == 9
+
+
+def oracle_extension_gap(params, core, ext):
+    """2*t_F < n - (q-1)*D*(n - t_E) in 50-digit decimals; each threshold is
+    a Fraction or a (rational part, sqrt(n) coefficient) pair."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        root = decimal.Decimal(params.n).sqrt()
+
+        def value(t):
+            a, b = t if isinstance(t, tuple) else (t, 0)
+            a, b = Fraction(a), Fraction(b)
+            dec = [decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+                   for x in (a, b)]
+            return dec[0] + dec[1] * root
+
+        n, q, d = params.n, params.q, params.eq.abs_coeff_sum
+        return 2 * value(ext) < n - (q - 1) * d * (n - value(core))
+
+
+@pytest.mark.parametrize("core_default", [False, True])
+@pytest.mark.parametrize("ext_default", [False, True])
+def test_extension_gap_in_every_mix_of_threshold_forms(core_default, ext_default):
+    # transfer pin: n = 2, q = 5, D = 3; the large-n defaults are surds in sqrt(2)
+    t = transfer_config()
+    params = t.params
+    n, q, d = params.n, params.q, params.eq.abs_coeff_sum
+    core, core_o = t.core_threshold, Fraction(37, 20)
+    ext, ext_o = t.extension_threshold, Fraction(1, 12)
+    if core_default:
+        core, core_o = default_core_threshold(params), (n - 1, -q)
+    if ext_default:
+        ext, ext_o = default_extension_threshold(params), (Fraction(n, 2), -q * q * d)
+    want = oracle_extension_gap(params, core_o, ext_o)
+    # only the default core's bound -10 - 60*sqrt(2) sits below a rational 2*t_F
+    assert want == (ext_default or not core_default)
+    assert extension_gap_check(params, core, ext) == want
+    assert scale_conditions(params, core, ext)["extension_gap_holds"] == want
 
 
 def test_golden_lift_frozen_shape():

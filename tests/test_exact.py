@@ -1,9 +1,15 @@
 """Exact surd arithmetic: ordering, rationality, and integer cutoffs."""
 
+import ast
+import pathlib
 from fractions import Fraction
+
+import pytest
 
 from chroma.exact import Surd
 from conftest import oracle_surd_fraction
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "chroma"
 
 
 def test_rational_surd_roundtrip():
@@ -96,3 +102,35 @@ def test_cmp_matches_float_on_random_surds(rng):
         if abs(want) < 1e-9:
             continue  # skip float ties; exactness is checked elsewhere
         assert s.cmp(x) == (1 if want > 0 else -1)
+
+
+def test_subtraction_takes_the_surd_radicand():
+    # a rational side (b = 0) adopts the other operand's radicand
+    d = Fraction(1, 2) - Surd.sqrt(3, 5)              # 1/2 - 3*sqrt(5)
+    assert d == Surd(Fraction(1, 2), -3, 5)
+    assert Surd.rational(2) - Surd.sqrt(1, 7) == Surd(2, -1, 7)
+    assert Surd.sqrt(1, 7) - 2 == Surd(-2, 1, 7)
+    assert Surd(1, 2, 3) - Surd(1, 1, 3) == Surd.sqrt(1, 3)
+    # comparison takes a surd on either side, through the one floor
+    assert Surd.sqrt(2, 2) > Surd(1, 1, 2)            # 2*sqrt(2) > 1 + sqrt(2)
+    assert Surd(1, 1, 2).cmp(Surd(1, 1, 2)) == 0
+    assert Surd.sqrt(1, 2) < Surd.rational(Fraction(141421357, 10**8))
+
+
+def test_subtraction_refuses_different_radicands():
+    with pytest.raises(ValueError, match="radicands 2 and 3"):
+        Surd.sqrt(1, 2) - Surd.sqrt(1, 3)
+    with pytest.raises(ValueError, match="radicands 2 and 3"):
+        Surd.sqrt(1, 2).cmp(Surd(1, 1, 3))
+
+
+def test_only_exact_reads_the_surd_parts():
+    # every other module builds and compares surds through Surd's own methods
+    readers = []
+    for module in sorted(SRC.glob("*.py")):
+        if module.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in {"a", "b", "under"}:
+                readers.append(f"{module.name}:{node.lineno}:.{node.attr}")
+    assert not readers, f"surd parts read outside exact.py: {readers}"
