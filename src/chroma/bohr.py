@@ -361,7 +361,9 @@ def bohr_color(a_set: ElementSet, eq: Equation,
         colors[verts] = next_color + cell_colors
         next_color += int(cell_colors.max()) + 1
 
-    max_cell_degree = int(_cell_degrees(cell_of, conn).max())
+    # one cell holds every edge: each vertex's cell degree is |A u -A|
+    max_cell_degree = (int(_cell_degrees(cell_of, conn).max()) if num_cells > 1
+                       else conn.size)
 
     # an int32 copy halves the scan's reads: every color is below p <= DFT_CAP
     proper = _monochromatic_edge(view, colors.astype(np.int32)) is None

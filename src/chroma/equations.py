@@ -557,7 +557,8 @@ def prime_field_order(group: GroupSpec) -> int:
 # 2010, sec. 3.3): a float64 product of vectors x and y through
 # transforms of length L = 2^n is off from x*y by at most eta(L)*|x|_2*|y|_2 in the
 # Euclidean norm, so in every entry.  A product is rounded only when that bound is
-# at most _ROUND_MARGIN, half of the 1/2 that rounding needs.
+# at most _ROUND_MARGIN, half of the 1/2 that rounding needs.  Conjugating a computed
+# spectrum moves no entry's error, so products read through conj(F(y)) share it.
 _ROUND_MARGIN = 0.25
 _EPS = Fraction(1, 1 << 53)            # unit roundoff of float64
 _TWIDDLE_ERR = Fraction(1, 1 << 52)    # beta: assumed error of numpy's twiddle factors
@@ -609,51 +610,129 @@ def _centred(t: np.ndarray, p: int) -> tuple[int, int, np.ndarray]:
     return mu, s - p * mu, t - mu
 
 
-def _cyclic_product(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Exact x * y over Z_p for nonnegative integer tables (y may be x itself).
+class _Leaves:
+    """The leaves 1_{cA} of one product tree, each transformed at most once.
 
-    With x = mx + dx and y = my + dy centred by their integer means, x * y =
-    p*mx*my + mx*sum(dy) + my*sum(dx) + dx * dy; only dx * dy goes through
-    floats, as a linear convolution at the power of two L >= 2p - 1, whose
-    entries y and y + p fold onto y.  It is rounded once eta(L)*|dx|*|dy| <=
-    1/4 for the widest limbs: dx and dy are cut into b-bit limbs, b falling,
-    until that holds (it does at b = 1 for p <= 1/(4 eta)), and each pair of
-    limbs is one rounded product.  Entries add up mod 2^64, which gives the
-    result wherever it fits int64.
+    In the tree a leaf is a residue c, or -c for the leaf of p - c when c is
+    a leaf too: 1_{(p-c)A} is the reflection R(y)[t] = y[-t mod p] of
+    y = 1_{cA}, with y's mean, centred sum and 2-norm, and it is read
+    through conj(F(y)), never transformed.  A leaf's centred values are at
+    most 1 in size, so it is one limb at every width, and its spectrum is
+    the same in every product: it is taken at its first use and dropped at
+    its last planned one, where that product may overwrite it.
     """
-    L = 1 << (2 * p - 2).bit_length()
+
+    def __init__(self, tree: tuple, idx: np.ndarray, p: int):
+        self.idx, self.p = idx, p
+        self.L = 1 << (2 * p - 2).bit_length()
+        self._uses: Counter = Counter()   # products that read each leaf's spectrum
+        self._count(tree)
+        self._memo: dict[int, list] = {}  # c -> [mu, centred sum, centred leaf, spectrum]
+
+    def _count(self, node: tuple) -> None:
+        kids = (node[0],) if node[0] == node[1] else node
+        self._uses.update({abs(v) for v in kids if isinstance(v, int)})
+        for v in kids:
+            if isinstance(v, tuple):
+                self._count(v)
+
+    def centred(self, c: int) -> tuple[int, int, np.ndarray]:
+        if c not in self._memo:
+            leaf = np.zeros(self.p, dtype=np.int8)
+            leaf[c * self.idx % self.p] = 1
+            self._memo[c] = [*_centred(leaf, self.p), None]
+        return tuple(self._memo[c][:3])
+
+    def spectrum(self, c: int) -> tuple[np.ndarray, bool]:
+        """The spectrum of c's centred leaf, and whether this is its last use."""
+        entry = self._memo[c]
+        if entry[3] is None:
+            entry[3] = _spectrum(entry[2], self.L)
+        self._uses[c] -= 1
+        last = not self._uses[c]
+        if last:
+            del self._memo[c]
+        return entry[3], last
+
+
+def _cyclic_product(ops: list, leaves: _Leaves) -> np.ndarray:
+    """Exact x * y over Z_p, for ops = [x, y], or [x] for x * x.
+
+    An operand is a nonnegative integer table or a signed leaf residue read
+    through `leaves`.  The call empties ops, so each table is dropped once
+    it is centred.  With x = mx + dx and y = my + dy centred by
+    their integer means, x * y = p*mx*my + mx*sum(dy) + my*sum(dx) + dx * dy;
+    only dx * dy goes through floats, as a linear convolution at the power
+    of two L >= 2p - 1, whose entries y and y + p fold onto y.  It is
+    rounded once eta(L)*|dx|*|dy| <= 1/4 for the widest limbs: dx and dy are
+    cut into b-bit limbs, b falling, until that holds (it does at b = 1 for
+    p <= 1/(4 eta)), and each pair of limbs is one rounded product.  Entries
+    add up mod 2^64, which gives the result wherever it fits int64.
+
+    A reflected leaf R(y) enters as conj(F(y)): x * R(y) is the cyclic
+    correlation sum_s x[s] y[s - t], and irfft(F(x) conj(F(y))) holds its
+    linear lag t at t and lag -t at L - t, so the negative lags fold back
+    with t[1:] += w[L-p+1:] (with x = y, |F(y)|^2 is an autocorrelation).
+    Two reflected leaves give R(a) * R(b) = R(a * b), taken as a * b
+    reflected.  The bound is unchanged: |conj(fl(F y)) - conj(F y)|_2 =
+    |fl(F y) - F y|_2, and R(y) has the 2-norm of y.
+    """
+    p, L = leaves.p, leaves.L
     eta = _fft_error(L)
-    same = y is x
-    ops = [_centred(x, p)] if same else [_centred(x, p), _centred(y, p)]
-    (mx, sx, _), (my, sy, _) = ops[0], ops[-1]
-    out = np.full(p, (p * mx * my + mx * sy + my * sx) % (1 << 64), dtype=np.uint64)
-    bits = max(1, *(int(np.abs(d).max()).bit_length() for *_, d in ops))
+    x, y = ops[0], ops[-1]
+    ops.clear()
+    if isinstance(x, int) and (not isinstance(y, int) or x < 0):
+        x, y = y, x            # a leaf goes second, and a reflected one second of two
+    flip = isinstance(x, int) and x < 0
+    if flip:
+        x, y = -x, -y
+    conj = isinstance(y, int) and y < 0
+    same = y is x or isinstance(x, int) and x == abs(y)
+    ops = [x] if same else [x, y]
+    del x, y
+    cent = [leaves.centred(abs(v)) if isinstance(v, int) else _centred(v, p) for v in ops]
+    keys = [abs(v) if isinstance(v, int) else None for v in ops]   # None for a table
+    del ops
+    (mx, sx), (my, sy) = cent[0][:2], cent[-1][:2]
+    bits = max(1, *(int(np.abs(d).max()).bit_length() for *_, d in cent))
     for b in sorted({-(-bits // m) for m in range(1, bits + 1)}, reverse=True):
-        split = [_limbs(d, b) for *_, d in ops]
+        split = [_limbs(d, b) for *_, d in cent]
         widest = [max((n2 for *_, n2 in limbs), default=0.0) for limbs in split]
         if eta * eta * widest[0] * widest[-1] <= _ROUND_MARGIN ** 2:
             break
     else:
         raise AssertionError(f"no limb width bounds the float error at p = {p}")
-    del ops
-    xs = [(i, _spectrum(limb, L)) for i, limb, _ in split[0]]
-    ys = xs if same else [(j, _spectrum(limb, L)) for j, limb, _ in split[-1]]
+    del cent
+
+    def spectra(key, limbs):   # (i, spectrum, whether this product may overwrite it)
+        if key is not None:
+            return [(i, *leaves.spectrum(key)) for i, *_ in limbs]
+        return [(i, _spectrum(limb, L), True) for i, limb, _ in limbs]
+
+    xs = spectra(keys[0], split[0])
+    ys = xs if same else spectra(keys[-1], split[-1])
     del split
+    out = np.full(p, (p * mx * my + mx * sy + my * sx) % (1 << 64), dtype=np.uint64)
     while xs:
-        i, fx = xs.pop()
-        row = [(i, fx), *xs] if same else list(ys)
+        i, fx, own_x = xs.pop()
+        row = [(i, fx, own_x), *xs] if same else list(ys)
         if not xs and not same:
             ys.clear()
         while row:
-            j, fy = row.pop()
+            j, fy, _ = row.pop()
             # the last pair of the row is the last use of fx: multiply in place
-            prod = np.multiply(fx, fy, out=fx if not row else None)
+            # when fx is not a leaf spectrum that later products read
+            prod = np.multiply(fx, np.conjugate(fy) if conj else fy,
+                               out=fx if own_x and not row else None)
             del fy
             w = np.fft.irfft(prod, L)
             del prod
             np.rint(w, out=w)
             t = w[:p].astype(np.int64)
-            t[:p - 1] += w[p:2 * p - 1].astype(np.int64)
+            if conj:
+                t[1:] += w[L - p + 1:].astype(np.int64)
+            else:
+                t[:p - 1] += w[p:2 * p - 1].astype(np.int64)
             del w
             t = t.view(np.uint64)
             scale = (2 if same and j != i else 1) << (b * (i + j))
@@ -661,31 +740,38 @@ def _cyclic_product(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
                 t *= np.uint64(scale % (1 << 64))
             out += t
         del fx
+    if flip:
+        out[1:] = out[:0:-1].copy()
     return out.view(np.int64)
 
 
-def _product_table(coeffs: tuple[int, ...], idx: np.ndarray, p: int) -> np.ndarray:
-    """Count table of sum c*x_i over the residues c, each x_i in the indices idx.
+def _plan(coeffs: tuple[int, ...]) -> int | tuple:
+    """Product tree of the leaves coeffs: a leaf, or a pair of subtrees.
 
-    A repeated residue is squared: the table of 2H + R is the square of H's
-    table times R's, and R's distinct residues split in halves; a leaf is the
-    indicator of c*A.
+    A repeated leaf is squared: the table of 2H + R is the square (h, h) of
+    H's tree times R's, and R's distinct leaves split in halves.
     """
     if len(coeffs) == 1:
-        leaf = np.zeros(p, dtype=np.int8)
-        leaf[coeffs[0] * idx % p] = 1
-        return leaf
+        return coeffs[0]
     counts = Counter(coeffs)
     half = tuple(c for c, n in counts.items() for _ in range(n // 2))
     rest = tuple(c for c, n in counts.items() if n % 2)
     if not half:
         mid = len(rest) // 2
-        return _cyclic_product(_product_table(rest[:mid], idx, p),
-                               _product_table(rest[mid:], idx, p), p)
-    h = _product_table(half, idx, p)
-    sq = _cyclic_product(h, h, p)
-    del h
-    return _cyclic_product(sq, _product_table(rest, idx, p), p) if rest else sq
+        return _plan(rest[:mid]), _plan(rest[mid:])
+    h = _plan(half)
+    return ((h, h), _plan(rest)) if rest else (h, h)
+
+
+def _evaluate(node, leaves: _Leaves):
+    """The table of a product tree; a leaf stays a residue for _cyclic_product."""
+    if isinstance(node, int):
+        return node
+    x, y = node
+    # no local holds a table: _cyclic_product drops each once it is transformed
+    if x == y:
+        return _cyclic_product([_evaluate(x, leaves)], leaves)
+    return _cyclic_product([_evaluate(x, leaves), _evaluate(y, leaves)], leaves)
 
 
 def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
@@ -703,6 +789,13 @@ def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
     limbs until every limb product meets it, and means, sums and limb
     weights are combined in integers, so every entry is exact.
 
+    Each leaf is transformed once, up to sign: the leaf of p - c, when c is
+    a coefficient too, is the reflection R(y)[t] = y[-t mod p] of y = 1_{cA}.
+    A product with it is the correlation irfft(F(x) conj(F(y))), whose
+    negative lags sit at the top of the length-L output and fold back onto
+    t = 1..p-1.  Conjugation moves no spectrum entry's float error, and R(y)
+    has y's 2-norm, so the same bound holds.
+
     Raises ValueError before any work when |A|^(k-1), a bound on N(y) over
     F_p, passes int64, when the group is not a prime field within
     `config.DFT_CAP`, or when p does not exceed every |c_i|.
@@ -713,4 +806,8 @@ def count_solutions_dft_all(eq: Equation, A: ElementSet) -> np.ndarray:
     if p <= eq.max_abs_coeff:
         raise ValueError(f"modulus {p} must exceed the largest coefficient magnitude "
                          f"{eq.max_abs_coeff}")
-    return _product_table(tuple(sorted(c % p for c in eq.coeffs)), A.indices(), p)
+    residues = sorted(c % p for c in eq.coeffs)
+    # -c stands for the leaf of p - c read as the reflection of c's leaf
+    leaves = tuple(c - p if p - c < c and p - c in residues else c for c in residues)
+    tree = _plan(leaves)
+    return _evaluate(tree, _Leaves(tree, A.indices(), p))

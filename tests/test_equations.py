@@ -229,16 +229,59 @@ def test_dft_count_splits_limbs_where_the_centred_bound_fails(coeffs, monkeypatc
 
 @pytest.mark.parametrize("p, size", [(5, 3), (4001, 1), (4001, 1 << 12), (4001, 1 << 20)])
 def test_fft_product_error_stays_under_the_stated_bound(p, size, rng):
-    # the float error of a product against the exact convolution, where the
-    # operands are random signed integers below size in magnitude
+    # the float error of a product, and of a correlation through a conjugated
+    # spectrum, against the exact integers, where the operands are random
+    # signed integers below size in magnitude; a correlation's lag -t sits at
+    # L - t, so rolling by p - 1 lines lags -(p-1)..(p-1) up with np.correlate
     L = 1 << (2 * p - 2).bit_length()
     x, y = rng.integers(-size, size + 1, (2, p))
-    got = np.fft.irfft(equations_module._spectrum(x, L) * equations_module._spectrum(y, L), L)
-    exact = np.convolve(x, y)                  # below 4001 * 2^40: exact in int64
-    err = np.abs(got[:2 * p - 1] - exact).max()
+    fx, fy = (equations_module._spectrum(v, L) for v in (x, y))
     bound = equations_module._fft_error(L) * np.sqrt(float(x @ x) * float(y @ y))
-    assert err <= bound
-    assert np.abs(got[2 * p - 1:]).max() <= bound
+    # both exact below 4001 * 2^40 in int64
+    for got, exact in ((np.fft.irfft(fx * fy, L), np.convolve(x, y)),
+                       (np.roll(np.fft.irfft(fx * np.conj(fy), L), p - 1),
+                        np.correlate(x, y, "full"))):
+        err = np.abs(got[:2 * p - 1] - exact).max()
+        assert err <= bound
+        assert np.abs(got[2 * p - 1:]).max() <= bound
+
+
+@pytest.mark.parametrize("p, coeffs", [
+    (3, (1, 2, 1)), (3, (1, 2, 2)),             # (1, 2, 2): a reflected leaf squared
+    (2, (1, -1, 1)), (2, (1, 1, -1, -1)),      # 1 = -1 mod 2
+    *((p, coeffs) for p in (5, 7, 4001) for coeffs in ((2, -2, 3), (1, -1, 2, -2))),
+])
+@pytest.mark.parametrize("members", ["empty", "singleton", "field", "half"])
+def test_dft_count_reads_negated_coefficients_by_reflection(p, coeffs, members, rng):
+    # a residue and its negation share one spectrum, the negation read conjugated
+    a = ElementSet.from_indices(make_group([p]), {
+        "empty": [], "singleton": [p - 1], "field": range(p),
+        "half": np.flatnonzero(rng.random(p) < 0.5)}[members])
+    eq = Equation(coeffs)
+    assert np.array_equal(count_solutions_dft_all(eq, a), count_solutions_brute_all(eq, a))
+
+
+# transforms at most, where each product transformed both its operands in 5, 5,
+# 5, 5, 6, 9 and 11: a leaf is transformed once, and the leaf of -c, with c a
+# coefficient too, is c's read reflected
+@pytest.mark.parametrize("coeffs, most", [
+    ((1, 1, -1), 4), ((1, 1, -1, -1), 4), ((1, 1, 1), 4), ((1, 1, -2), 5),
+    ((1, -2, 3), 6), ((1, -1, 2, -2), 7), ((1, 1, 1, -1, -1, -1), 8),
+])
+def test_dft_count_transforms_each_leaf_once_up_to_sign(coeffs, most, monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        def spy(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    p = 4001
+    a = ElementSet.from_indices(make_group([p]),
+                                np.flatnonzero(np.random.default_rng(0).random(p) < 0.5))
+    eq = Equation(coeffs)
+    got = count_solutions_dft_all(eq, a)
+    assert len(calls) <= most
+    assert np.array_equal(got, count_solutions_brute_all(eq, a))
 
 
 def oracle_injective_table_coords(coeffs, members, moduli):
