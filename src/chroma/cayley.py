@@ -24,11 +24,10 @@ branch under x -> -x at the root and x -> v - x one level down, and it
 starts from the best one-frequency Bohr set {x : chi_u(x) < m_u}, m_u the
 least distance of chi_u(S) to 0, when that beats the greedy set.
 
-A graph may carry a `Bracket` of bounds its builder proved: today only the
-classical Kneser graphs, whose chi is Lovasz's n - 2k + 2 (`lovasz-1978`,
+A graph may carry the exact chi and alpha results its builder proved: today
+only the classical Kneser graphs, whose chi is Lovasz's n - 2k + 2 (`lovasz-1978`,
 met by a coloring by least elements) and whose alpha is the Erdos-Ko-Rado star
-size C(n-1, k-1) (`ekr-1961`).  Both solvers re-check its witnesses, return
-at once when it is closed, and otherwise start their search from it.
+size C(n-1, k-1) (`ekr-1961`).  Both solvers re-check and return them unsearched.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .groups import ElementSet, GroupSpec
 
 __all__ = [
     "Graph",
-    "Bracket",
     "CayleyView",
     "Coloring",
     "VertexSet",
@@ -82,7 +80,7 @@ class Graph:
     `vertex_transitive` says that the automorphism group is transitive on
     the vertices.  Only builders that know it set it (Cayley views and
     Kneser graphs); the independence solver then fixes vertex 0.  `bracket`
-    holds the bounds on chi and alpha a builder proved for this graph (only
+    holds the exact chi and alpha results a builder proved (only
     `kneser.build_graph` sets it); graphs read from edges never carry one.
 
     `group` says that vertex i is the element with index i of that group and
@@ -93,13 +91,16 @@ class Graph:
     """
 
     def __init__(self, n: int, indptr, indices, vertex_transitive: bool = False,
-                 bracket: Bracket | None = None, group: GroupSpec | None = None):
+                 bracket: tuple[ChromaticResult, IndependenceResult] | None = None,
+                 group: GroupSpec | None = None):
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int32)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError("row pointers do not match the vertex count and neighbour array")
         if group is not None and group.order != n:
             raise ValueError(f"group of order {group.order} on {n} vertices")
+        if bracket is not None and not all(res.exact for res in bracket):
+            raise ValueError("a graph carries only exact chi and alpha results")
         self.n = n
         self.indptr = indptr
         self.indices = indices
@@ -286,28 +287,6 @@ def _monochromatic_edge(target: Graph | CayleyView,
     return (int(u[0]), int(v[0])) if u.size else None
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Bounds on chi and alpha that a graph's builder proved.
-
-    The chi lower bound and the alpha upper bound are theorems, named by
-    their proofs.  The chi upper bound is a coloring and the alpha lower bound
-    an independent set: witnesses that the solvers re-check on the graph
-    before they use them.
-    """
-
-    chi_lower: int
-    chi_lower_proof: str
-    coloring: Coloring
-    independent: VertexSet
-    alpha_upper: int
-    alpha_upper_proof: str
-
-    def __post_init__(self):
-        if self.chi_lower > self.coloring.num_colors or self.independent.size > self.alpha_upper:
-            raise ValueError("a lower bound of the bracket exceeds its upper bound")
-
-
 # ---------------------------------------------------------------------------
 # Cayley views
 # ---------------------------------------------------------------------------
@@ -488,8 +467,8 @@ class ChromaticResult:
     lower: int
     coloring: Coloring          # its color count is the upper bound
     nodes: int
-    # when exact: "clique-meets-coloring", "exhausted-search", or the graph's
-    # bracket's lower-bound proof ("lovasz-1978"); else "budget"
+    # when exact: "clique-meets-coloring", "exhausted-search", or the theorem
+    # of a result the graph carries ("lovasz-1978"); else "budget"
     proof: str
 
     @property
@@ -517,33 +496,23 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     a vertex moves its uncolored neighbours up one bucket where the color is
     new to them, and backtracking moves them back.
 
-    When the graph carries a closed `Bracket` (its coloring meets its lower
-    bound) the validated coloring is returned with the bracket's proof and no
-    greedy bound or search runs.  Otherwise the search starts from the larger
-    of the greedy clique and the bracket's lower bound, and from the better of
-    the DSATUR and the bracket's colorings.
-
-    Within budget the result is exact (lower == upper) and carries a validated
-    Coloring plus an exhausted-search proof for upper-1 colors.  When the
-    budget runs out before lower meets upper, the open bracket with the best
-    coloring found is returned instead; `exact` reads lower == upper.
+    A result the graph carries (`Graph.bracket`) is returned, with no greedy
+    bound or search, once its coloring validates.  Otherwise, within budget
+    the result is exact (lower == upper) and carries a validated Coloring
+    plus an exhausted-search proof for upper-1 colors.  When the budget runs
+    out before lower meets upper, the open bracket with the best coloring
+    found is returned instead; `exact` reads lower == upper.
     """
     n = graph.n
     check_exact_solver_cap(n)
-    bracket = graph.bracket
-    if bracket is not None and bracket.chi_lower == bracket.coloring.num_colors:
-        bracket.coloring.validate(graph)
-        return ChromaticResult(bracket.chi_lower, bracket.coloring, 0, bracket.chi_lower_proof)
+    if graph.bracket is not None:
+        graph.bracket[0].coloring.validate(graph)
+        return graph.bracket[0]
 
     budget = _Budget(budget_s)
     clique = greedy_clique(graph)
     greedy = dsatur_coloring(graph)
-    lb, lower_proof = len(clique), "clique-meets-coloring"
-    if bracket is not None:
-        if bracket.coloring.num_colors < greedy.num_colors:
-            greedy = bracket.coloring
-        if bracket.chi_lower > lb:
-            lb, lower_proof = bracket.chi_lower, bracket.chi_lower_proof
+    lb = len(clique)
     best_colors = list(greedy.colors)
     best = greedy.num_colors
 
@@ -619,7 +588,7 @@ def chromatic_number_exact(graph: Graph, budget_s: float | None = None) -> Chrom
     coloring.validate(graph)
     if budget.exhausted and lb < best:
         return ChromaticResult(lb, coloring, budget.nodes, "budget")
-    proof = lower_proof if lb >= best else "exhausted-search"
+    proof = "clique-meets-coloring" if lb >= best else "exhausted-search"
     return ChromaticResult(best, coloring, budget.nodes, proof)
 
 
@@ -633,9 +602,9 @@ class IndependenceResult:
     upper: int
     vertex_set: VertexSet       # its size is the lower bound
     nodes: int
-    # when exact: "exhausted-search", the graph's bracket's upper-bound proof
-    # ("ekr-1961"), or the bound that met the best set when the budget ran
-    # out ("clique-cover", "clique-coclique"); else "budget"
+    # when exact: "exhausted-search", the theorem of a result the graph
+    # carries ("ekr-1961"), or the bound that met the best set when the budget
+    # ran out ("clique-cover", "clique-coclique"); else "budget"
     proof: str
 
     @property
@@ -786,33 +755,28 @@ def independence_number_exact(graph: Graph,
     then (induction on the root branch index).  What is left of a node's
     candidates is a subset of its precomputed cover, which still bounds it.
 
-    When the graph carries a closed `Bracket` (its independent set meets its
-    upper bound, as the Erdos-Ko-Rado star does on a classical Kneser graph)
-    the validated set is returned with the bracket's proof and nothing is
-    searched.  Otherwise the search starts from the largest of three sets,
-    earlier ones winning ties: the greedy set (`_greedy_independent`), on a
-    graph that carries its group the best one-frequency Bohr set
+    A result the graph carries (`Graph.bracket`) is returned, unsearched,
+    once its set validates.  Otherwise the search starts from the larger of
+    two sets, the first winning ties: the greedy set (`_greedy_independent`)
+    and, on a graph that carries its group, the best one-frequency Bohr set
     {x : chi_u(x) < m_u} (`_arc_independent`; independent because m_u is
     the least distance of chi_u(S) to 0, so no two of its members differ by
-    an element of S), and the bracket's set.  It stops once it reaches the
-    bracket's upper bound.
+    an element of S).
 
     On budget exhaustion the bracket's upper end is the smallest of the
     clique cover of G, the root's size plus the cover of its candidates,
-    the graph's bracket's upper bound, and, on a vertex-transitive graph,
-    n // omega for the greedy clique (alpha * omega <= n there).  When that
-    end meets the best set found, the result is exact and names the bound
-    that closed it: `clique-cover` for either cover, `clique-coclique` for
-    n // omega.  With a budget, G's cover and greedy clique are built as the
-    budget starts, and the greedy and arc sets after, so all count against it.
+    and, on a vertex-transitive graph, n // omega for the greedy clique
+    (alpha * omega <= n there).  When that end meets the best set found, the
+    result is exact and names the bound that closed it: `clique-cover` for
+    either cover, `clique-coclique` for n // omega.  With a budget, G's cover
+    and greedy clique are built as the budget starts, and the greedy and arc
+    sets after, so all count against it.
     """
     n = graph.n
     check_exact_solver_cap(n)
-    bracket = graph.bracket
-    if bracket is not None and bracket.independent.size == bracket.alpha_upper:
-        bracket.independent.validate_independent(graph)
-        return IndependenceResult(bracket.alpha_upper, bracket.independent, 0,
-                                  bracket.alpha_upper_proof)
+    if graph.bracket is not None:
+        graph.bracket[1].vertex_set.validate_independent(graph)
+        return graph.bracket[1]
     if n == 0:
         return IndependenceResult(0, VertexSet(()), 0, "exhausted-search")
 
@@ -824,10 +788,6 @@ def independence_number_exact(graph: Graph,
         coclique = n // len(greedy_clique(graph)) if graph.vertex_transitive else n + 1
     # the arc set replaces the greedy set only when it is strictly larger
     seed = max(_greedy_independent(graph), _arc_independent(graph), key=len)
-    # only a bracket's upper bound stops the search before it is exhausted
-    ceiling = n + 1 if bracket is None else bracket.alpha_upper
-    if bracket is not None and bracket.independent.size > len(seed):
-        seed = list(bracket.independent.members)
     best = len(seed)
     best_found = None           # the best set the search finds, in local bits
     root = [0] if graph.vertex_transitive else []
@@ -865,27 +825,23 @@ def independence_number_exact(graph: Graph,
             search(child, cur | 1 << v, cur_size + 1,
                    _clique_cover(masks, child, best - cur_size - 1),
                    reflect(coords[v]) if mirror is not None and not cur else None)
-            if budget.exhausted or best >= ceiling:
+            if budget.exhausted:
                 return
             if mirror is not None:
                 cand &= ~(1 << mirror[v])
 
     full = (1 << order.size) - 1
     root_cover = _clique_cover(masks, full)
-    if best < ceiling:
-        with _search_stack(order.size):
-            search(full, 0, len(root), root_cover, None if group is None else reflect(0))
+    with _search_stack(order.size):
+        search(full, 0, len(root), root_cover, None if group is None else reflect(0))
 
     if best_found is not None:
         seed = root + [int(v) for i, v in enumerate(order) if best_found >> i & 1]
     vs = VertexSet(tuple(sorted(seed)))
     vs.validate_independent(graph)
-    if best >= ceiling:
-        return IndependenceResult(best, vs, budget.nodes, bracket.alpha_upper_proof)
     if not budget.exhausted:
         return IndependenceResult(best, vs, budget.nodes, "exhausted-search")
-    upper, proof = min(whole_cover, len(root) + _cover_size(root_cover), ceiling), "clique-cover"
+    upper, proof = min(whole_cover, len(root) + _cover_size(root_cover)), "clique-cover"
     if coclique < upper:
         upper, proof = coclique, "clique-coclique"
-    # best < ceiling here, so a bound that meets best is a cover or n // omega
     return IndependenceResult(upper, vs, budget.nodes, proof if upper == best else "budget")

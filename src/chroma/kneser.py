@@ -20,11 +20,13 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_, sub
+from typing import Iterator
 
 import numpy as np
 
 from . import config
-from .cayley import Bracket, Coloring, Graph, VertexSet, check_adjacency_cap
+from .cayley import (ChromaticResult, Coloring, Graph, IndependenceResult, VertexSet,
+                     check_adjacency_cap)
 from .exact import Surd
 from .groups import ElementSet, GroupSpec, make_group, materialized_order
 from .primes import is_prime
@@ -166,8 +168,8 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
     The graph is vertex-transitive: a permutation of the ground set applied
     to every part preserves the unions and intersections the cascades test,
     and the symmetric group is transitive on the vertices.  A classical
-    graph (m = 1) also carries the bracket its theorems close
-    (`_classical_bracket`).
+    graph (m = 1) also carries its chi and alpha, closed by theorems
+    (`_classical_bracket`), which the solvers re-check and return.
     """
     verts = kneser_vertices(params)
     n = len(verts)
@@ -191,8 +193,9 @@ def build_graph(params: KneserParams) -> tuple[list[KneserVertex], Graph]:
     return verts, Graph(n, indptr, np.concatenate(cols), vertex_transitive=True, bracket=bracket)
 
 
-def _classical_bracket(params: KneserParams, verts: list[KneserVertex]) -> Bracket:
-    """chi and alpha of KG(n, k), both closed by theorems.
+def _classical_bracket(params: KneserParams,
+                       verts: list[KneserVertex]) -> tuple[ChromaticResult, IndependenceResult]:
+    """chi and alpha of KG(n, k) as exact results, closed by theorems (0 nodes).
 
     Lovasz (1978): chi >= n - 2k + 2.  The coloring meets it: S takes color
     min(S) when min(S) <= n - 2k and color n - 2k + 1 otherwise; the sets of
@@ -202,11 +205,10 @@ def _classical_bracket(params: KneserParams, verts: list[KneserVertex]) -> Brack
     """
     n, k = params.n, params.k
     mins = np.array([v.parts[0][0] for v in verts])
-    return Bracket(
-        chi_lower=n - 2 * k + 2, chi_lower_proof="lovasz-1978",
-        coloring=Coloring(tuple(np.minimum(mins, n - 2 * k + 1).tolist())),
-        independent=VertexSet(tuple(np.flatnonzero(mins == 0).tolist())),
-        alpha_upper=math.comb(n - 1, k - 1), alpha_upper_proof="ekr-1961")
+    coloring = Coloring(tuple(np.minimum(mins, n - 2 * k + 1).tolist()))
+    star = VertexSet(tuple(np.flatnonzero(mins == 0).tolist()))
+    return (ChromaticResult(n - 2 * k + 2, coloring, 0, "lovasz-1978"),
+            IndependenceResult(math.comb(n - 1, k - 1), star, 0, "ekr-1961"))
 
 
 def chi_lower_bound(params: KneserParams) -> Fraction:
@@ -316,9 +318,17 @@ class HammingBallSet:
 
     def to_element_set(self) -> ElementSet:
         group = self.group
-        idx = np.arange(materialized_order(group), dtype=np.int64)
-        return ElementSet(group, self.distance(group.indices_to_coords(idx))
-                          <= self.distance_cutoff())
+        dist = np.zeros(materialized_order(group), dtype=np.int16)
+        for digit in _digits(self.p, self.n):
+            dist += digit != 1
+        return ElementSet(group, dist <= self.distance_cutoff())
+
+
+def _digits(p: int, n: int) -> Iterator[np.ndarray]:
+    """Every element's coordinates of Z_p^n, axis by axis, read off its index
+    as idx // p**(n-1-axis) % p, so that no (p^n, n) coordinate table is built."""
+    idx = np.arange(p ** n, dtype=np.int64)
+    return (idx // p ** (n - 1 - axis) % p for axis in range(n))
 
 
 def ones_weight(p: int, coords) -> Fraction:
@@ -410,9 +420,11 @@ def independent_set(p: int, n: int, radius: Surd | None = None) -> IndependentSe
     order = p ** n
     members = None
     if order <= config.WEIGHT_ENUM_CAP:
-        coords = make_group([p] * n).indices_to_coords(np.arange(order, dtype=np.int64))
-        w_pos = ((p - coords) * (coords != 0)).sum(axis=1)
-        w_neg = coords.sum(axis=1)     # (p - ((p - c) % p)) = c on nonzero coords
+        w_neg, nonzero = np.zeros((2, order), dtype=np.int32)  # int32: weights <= n * p <= order
+        for c in _digits(p, n):
+            w_neg += c                 # (p - ((p - c) % p)) = c on nonzero coords
+            nonzero += c != 0
+        w_pos = p * nonzero - w_neg    # the sum of p - c over the nonzero coords
         members = np.flatnonzero((w_pos <= cutoff) & (w_neg <= cutoff)).astype(np.int64)
     return IndependentSetResult(p=p, n=n, radius=radius, threshold=threshold, count=count,
                                 member_indices=members)

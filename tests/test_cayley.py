@@ -6,13 +6,13 @@ import math
 import re
 import time
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chroma import cayley, config, kneser
 from chroma.cayley import (
-    Bracket,
     CayleyView,
     Coloring,
     Graph,
@@ -40,7 +40,7 @@ from chroma.kneser import HammingBallSet, KneserParams, build_graph, kneser_vert
 
 
 def bare(graph):
-    """The same CSR without the builder's bracket, so the solvers search."""
+    """The same CSR without the builder's results, so the solvers search."""
     return Graph(graph.n, graph.indptr, graph.indices, vertex_transitive=True)
 
 
@@ -444,69 +444,30 @@ def test_chromatic_number_exact_builds_no_bitsets(monkeypatch, no_masks):
     assert (res.exact, res.nodes, res.proof, res.upper) == (True, 0, "lovasz-1978", 8)
 
 
-def _with_bracket(graph, **changes):
-    """A bracket-free copy of graph carrying its bracket with some fields replaced."""
-    fields = {name: getattr(graph.bracket, name) for name in Bracket.__dataclass_fields__}
+def _carrying(graph, chi=None, alpha=None):
+    """The same CSR carrying the builder's chi and alpha results, either one
+    replaced."""
+    carried_chi, carried_alpha = graph.bracket
     return Graph(graph.n, graph.indptr, graph.indices, vertex_transitive=True,
-                 bracket=Bracket(**{**fields, **changes}))
+                 bracket=(chi or carried_chi, alpha or carried_alpha))
 
 
-def test_an_open_bracket_seeds_the_chi_search():
-    # KG(8, 3): clique 2 and DSATUR 5 colors; with Lovasz's 4 and a coloring
-    # that gives every vertex its own color, the search stops at 4 colors
+def test_a_graph_carries_only_exact_results():
+    # KG(8, 3): Lovasz's 4 under a coloring that gives every vertex its own
+    # color, or the Erdos-Ko-Rado star under an upper bound one above it, is
+    # an open result, and the graph refuses it; a closed pair is returned as
+    # it is carried
     _, graph = build_graph(KneserParams(8, 3, 1))
-    own = Coloring(tuple(range(graph.n)))
-    res = chromatic_number_exact(_with_bracket(graph, coloring=own))
-    assert (res.exact, res.upper, res.proof) == (True, 4, "lovasz-1978")
-    assert 0 < res.nodes < chromatic_number_exact(bare(graph)).nodes
-    res.coloring.validate(graph)
-    # a lower bound under the clique's leaves the search its own proof
-    res = chromatic_number_exact(_with_bracket(graph, coloring=own, chi_lower=1))
-    assert (res.exact, res.upper, res.proof) == (True, 4, "exhausted-search")
-    # the better of the DSATUR and the attached colorings seeds the search
-    res = chromatic_number_exact(_with_bracket(graph, chi_lower=1), budget_s=0)
-    assert (res.exact, res.upper, res.proof) == (False, 4, "budget")
-
-
-def _greedy_short_graph():
-    """The first seeded random graph on which the greedy set is not maximum
-    (alpha 11, greedy 10), with its bare exact search."""
-    rng = np.random.default_rng(0)
-    while True:
-        graph = random_graph(rng, 40, 0.3)
-        searched = independence_number_exact(graph)
-        if len(cayley._greedy_independent(graph)) < searched.independence_number:
-            return graph, searched
-
-
-def test_an_open_bracket_stops_the_alpha_search_at_its_upper_bound():
-    # given alpha as an upper bound, the search stops when it reaches it
-    # instead of going on to exhaust the tree
-    graph, searched = _greedy_short_graph()
-    alpha = searched.independence_number
-    assert searched.proof == "exhausted-search"
-    assert independence_number_exact(graph, budget_s=0).proof == "budget"
-    bracket = Bracket(1, "none", Coloring(tuple(range(graph.n))), VertexSet((0,)), alpha,
-                      "given")
-    res = independence_number_exact(
-        Graph(graph.n, graph.indptr, graph.indices, bracket=bracket))
-    assert (res.exact, res.independence_number, res.proof) == (True, alpha, "given")
-    assert res.nodes < searched.nodes
-    res.vertex_set.validate_independent(graph)
-
-
-def test_an_open_bracket_set_seeds_the_alpha_search():
-    # bracketed with a maximum set and alpha + 1, the search starts from the
-    # bracket's set and only has to prove that no larger one exists
-    graph, searched = _greedy_short_graph()
-    alpha = searched.independence_number
-    bracket = Bracket(1, "none", Coloring(tuple(range(graph.n))), searched.vertex_set,
-                      alpha + 1, "given")
-    res = independence_number_exact(
-        Graph(graph.n, graph.indptr, graph.indices, bracket=bracket))
-    assert (res.exact, res.independence_number, res.proof) == (True, alpha, "exhausted-search")
-    assert res.nodes < searched.nodes
-    assert res.vertex_set.members == searched.vertex_set.members
+    chi, alpha = graph.bracket
+    with pytest.raises(ValueError, match="only exact chi and alpha"):
+        _carrying(graph, chi=replace(chi, coloring=Coloring(tuple(range(graph.n)))))
+    with pytest.raises(ValueError, match="only exact chi and alpha"):
+        _carrying(graph, alpha=replace(alpha, upper=alpha.upper + 1))
+    with pytest.raises(ValueError, match="only exact chi and alpha"):
+        _carrying(graph, chi=chromatic_number_exact(bare(graph), budget_s=0))
+    closed = _carrying(graph)
+    assert chromatic_number_exact(closed) is chi
+    assert independence_number_exact(closed) is alpha
 
 
 def bitset_greedy_independent(graph):
@@ -552,21 +513,20 @@ def test_greedy_independent_matches_the_bitset_greedy():
 
 
 def test_attached_witnesses_are_rechecked():
+    # each corruption keeps the carried result exact, so only the solvers'
+    # re-checks can catch it
     _, graph = build_graph(KneserParams(5, 2, 1))
+    chi, alpha = graph.bracket
     # vertices 0 = {0,1} and 7 = {2,3} are adjacent; swap 7's color onto 0's
-    colors = list(graph.bracket.coloring.colors)
+    colors = list(chi.coloring.colors)
     colors[7] = colors[0]
     with pytest.raises(ValueError, match="monochromatic"):
-        chromatic_number_exact(_with_bracket(graph, coloring=Coloring(tuple(colors))))
-    star = graph.bracket.independent.members
-    with pytest.raises(ValueError, match="adjacent"):
-        independence_number_exact(_with_bracket(graph, independent=VertexSet(star[:-1] + (7,))))
-    with pytest.raises(ValueError, match="listed twice"):
-        independence_number_exact(_with_bracket(graph, independent=VertexSet(star[:-1] + star[:1])))
-    with pytest.raises(ValueError, match="exceeds its upper bound"):
-        _with_bracket(graph, chi_lower=4)
-    with pytest.raises(ValueError, match="exceeds its upper bound"):
-        _with_bracket(graph, alpha_upper=3)
+        chromatic_number_exact(_carrying(graph, chi=replace(chi, coloring=Coloring(tuple(colors)))))
+    star = alpha.vertex_set.members
+    for members, error in ((star[:-1] + (7,), "adjacent"), (star[:-1] + star[:1], "listed twice")):
+        with pytest.raises(ValueError, match=error):
+            independence_number_exact(
+                _carrying(graph, alpha=replace(alpha, vertex_set=VertexSet(members))))
 
 
 def test_clique_validation_rejects_non_cliques(rng):

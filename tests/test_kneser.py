@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from chroma import cayley, config, kneser
 from chroma.cayley import Graph, chromatic_number_exact, independence_number_exact
 from chroma.graphio import read_dimacs, write_dimacs
 from chroma.exact import Surd
+from chroma.groups import make_group
 from chroma.kneser import (
     HammingBallSet,
     KneserParams,
@@ -173,15 +175,15 @@ _SEARCHED = [(5, 2), (6, 2), (7, 2), (7, 3), (8, 2), (8, 3), (9, 2), (9, 3), (10
 @pytest.mark.parametrize("n, k", _SEARCHED, ids=lambda v: str(v))
 def test_theorem_bounds_equal_the_searched_values(n, k):
     # Lovasz's chi and the Erdos-Ko-Rado alpha against a search on the same
-    # rows without the bracket; alpha(KG(13, 6)) stays open there, so only
-    # its bracket is checked, under a 0.5 s budget
+    # rows without the carried results; alpha(KG(13, 6)) stays open there, so
+    # only its bracket is checked, under a 0.5 s budget
     _, graph = build_graph(KneserParams(n, k, 1))
     bare = Graph(graph.n, graph.indptr, graph.indices, vertex_transitive=True)
     chi = chromatic_number_exact(bare)
     assert chi.exact and chi.proof == "exhausted-search"
-    assert chi.chromatic_number == graph.bracket.chi_lower == n - 2 * k + 2
-    ekr = graph.bracket.alpha_upper
-    assert ekr == math.comb(n - 1, k - 1) == graph.bracket.independent.size
+    assert chi.chromatic_number == graph.bracket[0].chromatic_number == n - 2 * k + 2
+    ekr = graph.bracket[1].independence_number
+    assert ekr == math.comb(n - 1, k - 1)
     if (n, k) == (13, 6):
         alpha = independence_number_exact(bare, budget_s=0.5)
         assert alpha.lower <= ekr <= alpha.upper
@@ -193,10 +195,9 @@ def test_theorem_bounds_equal_the_searched_values(n, k):
 
 def test_only_classical_build_graph_carries_the_bracket(tmp_path):
     _, graph = build_graph(KneserParams(7, 2, 1))
-    bracket = graph.bracket
-    assert (bracket.chi_lower, bracket.chi_lower_proof) == (5, "lovasz-1978")
-    assert (bracket.alpha_upper, bracket.alpha_upper_proof) == (6, "ekr-1961")
-    assert bracket.coloring.num_colors == 5
+    chi, alpha = graph.bracket
+    assert (chi.lower, chi.upper, chi.nodes, chi.proof) == (5, 5, 0, "lovasz-1978")
+    assert (alpha.lower, alpha.upper, alpha.nodes, alpha.proof) == (6, 6, 0, "ekr-1961")
     for params in [(6, 2, 2), (7, 1, 3), (7, 2, 2)]:
         assert build_graph(KneserParams(*params))[1].bracket is None
     assert Graph.from_edges(graph.n, graph.edges()).bracket is None
@@ -328,6 +329,39 @@ def test_hamming_ball_counts():
     assert ball.contains_coords((1, 1))
     assert ball.contains_coords((1, 0))
     assert not ball.contains_coords((0, 2))
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (2, 11), (3, 5), (5, 3), (7, 2)])
+def test_whole_group_scans_match_the_coordinate_table(p, n):
+    # both scans read each axis from the element index; here they meet the
+    # distance and the weights taken over the full (p^n, n) coordinate table
+    coords = make_group([p] * n).indices_to_coords(np.arange(p ** n))
+    w_pos = ((p - coords) * (coords != 0)).sum(axis=1)
+    w_neg = coords.sum(axis=1)
+    members = 0
+    for radius in (Surd.rational(0), Surd.rational(1), Surd.sqrt(1, n), Surd.sqrt(p, n)):
+        ball = HammingBallSet(p, n, radius)
+        want = np.flatnonzero(ball.distance(coords) <= ball.distance_cutoff())
+        assert np.array_equal(ball.to_element_set().indices(), want)
+        res = independent_set(p, n, radius)
+        cutoff = res.threshold.scaled(p - 1).floor()
+        want = np.flatnonzero((w_pos <= cutoff) & (w_neg <= cutoff))
+        assert np.array_equal(res.member_indices, want)
+        members += want.size
+    assert members > 1
+
+
+def test_whole_group_scans_build_no_coordinate_table():
+    # at Z_2^20 a (2^20, 20) int64 coordinate table alone takes 160 MiB
+    for scan in (lambda: HammingBallSet(2, 20, Surd.sqrt(2, 20)).to_element_set(),
+                 lambda: independent_set(2, 20)):
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20
 
 
 def test_independent_set_default_radius_is_degenerate():
